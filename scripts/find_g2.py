@@ -5,12 +5,15 @@ d_i + d_j equals 5 while the extreme-degree bound evaluates to 5.5 only
 for max outdegree 3 and min outdegree 1 with 12 arcs, and the sorted
 outdegree chain bound hits 3 + sqrt(3) only for the multiset
 (3, 2, 2, 2, 2, 1).  Fixing that sequence cuts the candidate space from
-2^30 to C(5,3) * C(5,2)^4 * C(5,1) = 500_000, which is desk scale.
+2^30 to C(5,3) * C(5,2)^4 * C(5,1) = 500_000, which takes about 3 s on
+one core of a 2-core x86-64 machine.
 
 Usage: python3 scripts/find_g2.py [--all]
 
 Prints every match (up to isomorphism) as an edge list.  Redirect the
 output or copy the first block into a file to feed `qbounds compute`.
+The summary on stderr gives the elapsed time and how many candidates
+left the search at each stage.
 """
 
 import argparse
@@ -39,6 +42,8 @@ def main() -> int:
         f"{len(report.matches)} match(es) up to isomorphism",
         file=sys.stderr,
     )
+    for stage, count in dataclasses.asdict(report.stages).items():
+        print(f"  {stage:<22} {count}", file=sys.stderr)
     if not report.matches:
         print("no match; nearest miss:", file=sys.stderr)
         if report.nearest_miss is not None:

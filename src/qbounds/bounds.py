@@ -11,14 +11,22 @@ of outdegrees over the out-neighbors of i (2-outdegree), and
 m(i) = t(i)/d(i) the average 2-outdegree, undefined when d(i) = 0. Note
 d(i) * m(i) = t(i), which several formulas exploit to stay on integer
 arithmetic as long as possible.
+
+Each bound's term is written once, as a numpy expression over integer
+degree data. all_bounds feeds it one digraph's arc or vertex arrays,
+witness_value the witness's own entries, and BoundColumns a batch of
+adjacency tensors broadcast over (N, n, n). All three run the same IEEE
+operations in the same order, so their values agree bitwise.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .digraph import Digraph, adjacency, degree_profile, is_strongly_connected
+import numpy as np
+
+from .digraph import Digraph, is_strongly_connected
 
 
 class BoundId(enum.Enum):
@@ -107,266 +115,241 @@ class BoundValue:
         return self.value is not None
 
 
-_NOT_SC = "not strongly connected"
-_NEEDS_N3 = "needs at least 3 vertices"
+# --- terms: arrays or numpy scalars in, same shape out -----------------------
+#
+# Arc terms take the endpoint data d(i), d(j), t(i), t(j); vertex terms take
+# d, t and the in-neighbor outdegree sum of each vertex.
 
 
-@dataclass
-class _Ctx:
-    g: Digraph
-    arcs: list
-    out: list
-    into: list
-    outdeg: tuple
-    two_outdeg: tuple
-    max_outdeg: int
-    min_outdeg: int
-    strongly_connected: bool
+def _term_arc_deg_sum(di, dj, ti, tj):
+    return np.add(di, dj, dtype=float)
 
 
-def _make_ctx(g: Digraph) -> _Ctx:
-    out, into = adjacency(g)
-    profile = degree_profile(g)
-    return _Ctx(
-        g=g,
-        arcs=g.sorted_arcs(),
-        out=out,
-        into=into,
-        outdeg=profile.outdeg,
-        two_outdeg=profile.two_outdeg,
-        max_outdeg=profile.max_outdeg,
-        min_outdeg=profile.min_outdeg,
-        strongly_connected=is_strongly_connected(g),
-    )
+def _term_oval_avg(di, dj, ti, tj):
+    mi = ti / di
+    mj = tj / dj
+    return (di + dj + np.sqrt((di - dj) ** 2 + 4.0 * mi * mj)) / 2.0
 
 
-def _arc_max(ctx: _Ctx, term) -> tuple:
-    """Maximize an arc term over sorted arcs; first maximizer wins ties."""
-    best = None
-    witness = None
-    for i, j in ctx.arcs:
-        value = term(ctx, i, j)
-        if best is None or value > best:
-            best = value
-            witness = (i, j)
-    return best, witness
+def _term_oval_geomean(di, dj, ti, tj):
+    # d(i) m(i) = t(i), so the geometric-mean radicand is sqrt(t(i) t(j))
+    inner = np.sqrt(ti) * np.sqrt(tj)
+    return (di + dj + np.sqrt((di - dj) ** 2 + 4.0 * inner)) / 2.0
 
 
-# --- per-element terms, shared by the bound evaluators and witness replay ---
+def _term_weight_sqrt_prod(di, dj, ti, tj):
+    mi = ti / di
+    mj = tj / dj
+    return di * np.sqrt(mi / dj) + dj * np.sqrt(mj / di)
 
 
-def _term_arc_deg_sum(ctx, i, j):
-    return float(ctx.outdeg[i] + ctx.outdeg[j])
+def _term_weight_deg_sum(di, dj, ti, tj):
+    # integer numerator and denominator: d(i)(d(i)+m(i)) = d(i)^2 + t(i)
+    return (di * di + ti + dj * dj + tj) / (di + dj)
 
 
-def _term_deg_plus_avg(ctx, i):
-    return ctx.outdeg[i] + ctx.two_outdeg[i] / ctx.outdeg[i]
+def _term_weight_sqrt_sum(di, dj, ti, tj):
+    mi = ti / di
+    mj = tj / dj
+    return (di * np.sqrt(di + mi) + dj * np.sqrt(dj + mj)) / np.sqrt(di + dj)
 
 
-def _term_oval_avg(ctx, i, j):
-    d, t = ctx.outdeg, ctx.two_outdeg
-    mi = t[i] / d[i]
-    mj = t[j] / d[j]
-    return (d[i] + d[j] + math.sqrt((d[i] - d[j]) ** 2 + 4.0 * mi * mj)) / 2.0
-
-
-def _term_indeg_sqrt(ctx, i):
-    insum = sum(ctx.outdeg[j] for j in ctx.into[i])
-    return ctx.outdeg[i] + math.sqrt(insum)
-
-
-def _hong_you_term(sorted_degs, prefix, pos):
-    """Term at 0-based position pos of the non-increasing outdegree sort;
-    prefix[pos] is the sum of the first pos entries."""
-    d1 = sorted_degs[0]
-    di = sorted_degs[pos]
-    surplus = prefix[pos] - pos * di  # sum of (d_k - d_i) over k before pos
+def _term_weight_sum_sqrt(di, dj, ti, tj):
+    mi = ti / di
+    mj = tj / dj
     return (
-        d1 + 2 * di - 1 + math.sqrt((2 * di - d1 + 1) ** 2 + 8 * surplus)
+        di * (np.sqrt(di) + np.sqrt(mi)) + dj * (np.sqrt(dj) + np.sqrt(mj))
+    ) / (np.sqrt(di) + np.sqrt(dj))
+
+
+def _term_deg_plus_avg(d, t, insum):
+    return d + t / d
+
+
+def _term_indeg_sqrt(d, t, insum):
+    return d + np.sqrt(insum)
+
+
+def _term_hong_you(d1, di, prefix, pos):
+    """Term at 0-based position pos of the non-increasing outdegree sort:
+    d1 is the largest outdegree, di the one at pos, and prefix the sum of
+    the pos entries before it."""
+    surplus = prefix - pos * di  # sum of (d_k - d_i) over k before pos
+    return (
+        d1 + 2 * di - 1 + np.sqrt((2 * di - d1 + 1) ** 2 + 8 * surplus)
     ) / 2.0
 
 
-def _term_oval_geomean(ctx, i, j):
-    d, t = ctx.outdeg, ctx.two_outdeg
-    # d(i) m(i) = t(i), so the geometric-mean radicand is sqrt(t(i) t(j))
-    inner = math.sqrt(t[i]) * math.sqrt(t[j])
-    return (d[i] + d[j] + math.sqrt((d[i] - d[j]) ** 2 + 4.0 * inner)) / 2.0
-
-
-def _term_weight_sqrt_prod(ctx, i, j):
-    d, t = ctx.outdeg, ctx.two_outdeg
-    mi = t[i] / d[i]
-    mj = t[j] / d[j]
-    return d[i] * math.sqrt(mi / d[j]) + d[j] * math.sqrt(mj / d[i])
-
-
-def _term_weight_deg_sum(ctx, i, j):
-    d, t = ctx.outdeg, ctx.two_outdeg
-    # integer numerator and denominator: d(i)(d(i)+m(i)) = d(i)^2 + t(i)
-    return (d[i] * d[i] + t[i] + d[j] * d[j] + t[j]) / (d[i] + d[j])
-
-
-def _term_weight_sqrt_sum(ctx, i, j):
-    d, t = ctx.outdeg, ctx.two_outdeg
-    mi = t[i] / d[i]
-    mj = t[j] / d[j]
-    return (
-        d[i] * math.sqrt(d[i] + mi) + d[j] * math.sqrt(d[j] + mj)
-    ) / math.sqrt(d[i] + d[j])
-
-
-def _term_weight_sum_sqrt(ctx, i, j):
-    d, t = ctx.outdeg, ctx.two_outdeg
-    mi = t[i] / d[i]
-    mj = t[j] / d[j]
-    return (
-        d[i] * (math.sqrt(d[i]) + math.sqrt(mi))
-        + d[j] * (math.sqrt(d[j]) + math.sqrt(mj))
-    ) / (math.sqrt(d[i]) + math.sqrt(d[j]))
-
-
-# --- bound evaluators -------------------------------------------------------
-
-
-def _eval_arc_deg_sum(ctx: _Ctx) -> BoundValue:
-    if not ctx.strongly_connected:
-        return BoundValue(BoundId.ARC_DEG_SUM, None, _NOT_SC)
-    value, witness = _arc_max(ctx, _term_arc_deg_sum)
-    return BoundValue(BoundId.ARC_DEG_SUM, value, witness=witness)
-
-
-def _eval_deg_plus_avg(ctx: _Ctx) -> BoundValue:
-    best = None
-    witness = None
-    for i in range(ctx.g.n):
-        if ctx.outdeg[i] == 0:
-            continue  # m(i) undefined; the max runs over the rest
-        value = _term_deg_plus_avg(ctx, i)
-        if best is None or value > best:
-            best = value
-            witness = i
-    if best is None:
-        raise RuntimeError("digraph with arcs but no positive outdegree")
-    return BoundValue(BoundId.DEG_PLUS_AVG, best, witness=witness)
-
-
-def _eval_oval_avg(ctx: _Ctx) -> BoundValue:
-    if not ctx.strongly_connected:
-        return BoundValue(BoundId.OVAL_AVG, None, _NOT_SC)
-    value, witness = _arc_max(ctx, _term_oval_avg)
-    return BoundValue(BoundId.OVAL_AVG, value, witness=witness)
-
-
-def _eval_indeg_sqrt(ctx: _Ctx) -> BoundValue:
-    if not ctx.strongly_connected:
-        return BoundValue(BoundId.INDEG_SQRT, None, _NOT_SC)
-    best = None
-    witness = None
-    for i in range(ctx.g.n):
-        value = _term_indeg_sqrt(ctx, i)
-        if best is None or value > best:
-            best = value
-            witness = i
-    return BoundValue(BoundId.INDEG_SQRT, best, witness=witness)
-
-
-def _eval_hong_you(ctx: _Ctx) -> BoundValue:
-    degs = sorted(ctx.outdeg, reverse=True)
-    prefix = [0]
-    for d in degs:
-        prefix.append(prefix[-1] + d)
-    best = None
-    witness = None
-    for pos in range(len(degs)):
-        value = _hong_you_term(degs, prefix, pos)
-        if best is None or value < best:
-            best = value
-            witness = pos
-    return BoundValue(BoundId.HONG_YOU, best, witness=witness)
-
-
-def _eval_deg_extremes(ctx: _Ctx) -> BoundValue:
-    if not ctx.strongly_connected:
-        return BoundValue(BoundId.DEG_EXTREMES, None, _NOT_SC)
-    if ctx.g.n < 3:
-        return BoundValue(BoundId.DEG_EXTREMES, None, _NEEDS_N3)
-    n, m = ctx.g.n, ctx.g.m
-    hi, lo = ctx.max_outdeg, ctx.min_outdeg
+def _term_deg_extremes(n, m, hi, lo):
     surplus = m - lo * (n - 1)
-    value = max(hi + lo - 1 + surplus / hi, lo + 1 + surplus / 2)
-    return BoundValue(BoundId.DEG_EXTREMES, value)
+    return np.maximum(hi + lo - 1 + surplus / hi, lo + 1 + surplus / 2)
 
 
-def _eval_maxdeg_plus_2(ctx: _Ctx) -> BoundValue:
-    bid = BoundId.MAXDEG_PLUS_2
-    if not ctx.strongly_connected:
-        return BoundValue(bid, None, _NOT_SC)
-    if ctx.g.n < 3:
-        return BoundValue(bid, None, _NEEDS_N3)
-    if ctx.min_outdeg != 1:
-        return BoundValue(bid, None, f"min outdegree is {ctx.min_outdeg}, needs 1")
-    threshold = (ctx.g.m - (ctx.g.n - 1)) / 2
-    if ctx.max_outdeg < threshold:
-        return BoundValue(
-            bid, None,
-            f"max outdegree {ctx.max_outdeg} below (m-(n-1))/2 = {threshold}",
+def _term_maxdeg_plus_2(n, m, hi, lo):
+    return np.add(hi, 2, dtype=float)
+
+
+# --- applicability -------------------------------------------------------------
+#
+# A condition is (holds, reason): holds maps a _Shape to a bool or a bool
+# array, reason renders the failure for one digraph's _Shape.
+
+
+class _Shape(NamedTuple):
+    """Graph-level data the applicability conditions read: scalars for one
+    digraph, arrays over a batch. zero_head is the smallest arc head of
+    outdegree 0, or -1."""
+
+    n: object
+    m: object
+    lo: object
+    hi: object
+    strongly: object
+    zero_head: object
+
+    def take(self, rows):
+        return _Shape(
+            self.n, self.m[rows], self.lo[rows], self.hi[rows],
+            self.strongly[rows], self.zero_head[rows],
         )
-    return BoundValue(bid, float(ctx.max_outdeg + 2))
 
-
-def _eval_oval_geomean(ctx: _Ctx) -> BoundValue:
-    if not ctx.strongly_connected:
-        return BoundValue(BoundId.OVAL_GEOMEAN, None, _NOT_SC)
-    value, witness = _arc_max(ctx, _term_oval_geomean)
-    return BoundValue(BoundId.OVAL_GEOMEAN, value, witness=witness)
-
-
-def _heads_with_zero_outdeg(ctx: _Ctx):
-    return sorted({j for _, j in ctx.arcs if ctx.outdeg[j] == 0})
-
-
-def _eval_weight_family(ctx: _Ctx, bid: BoundId, term) -> BoundValue:
-    zero_heads = _heads_with_zero_outdeg(ctx)
-    if zero_heads:
-        return BoundValue(
-            bid, None,
-            f"arc head {zero_heads[0]} has outdegree 0, so its average "
-            f"2-outdegree is undefined",
+    def row(self, k):
+        return _Shape(
+            self.n, int(self.m[k]), int(self.lo[k]), int(self.hi[k]),
+            bool(self.strongly[k]), int(self.zero_head[k]),
         )
-    value, witness = _arc_max(ctx, term)
-    return BoundValue(bid, value, witness=witness)
 
 
-def _eval_weight_sqrt_prod(ctx):
-    return _eval_weight_family(ctx, BoundId.WEIGHT_SQRT_PROD, _term_weight_sqrt_prod)
+_SC = (lambda s: s.strongly, lambda s: "not strongly connected")
+_N3 = (lambda s: s.n >= 3, lambda s: "needs at least 3 vertices")
+_MIN_OUTDEG_1 = (
+    lambda s: s.lo == 1, lambda s: f"min outdegree is {s.lo}, needs 1"
+)
+_MAX_OUTDEG_SIDE = (
+    lambda s: s.hi >= (s.m - (s.n - 1)) / 2,
+    lambda s: f"max outdegree {s.hi} below (m-(n-1))/2 = {(s.m - (s.n - 1)) / 2}",
+)
+_HEADS_POSITIVE = (
+    lambda s: s.zero_head < 0,
+    lambda s: (
+        f"arc head {s.zero_head} has outdegree 0, so its average "
+        f"2-outdegree is undefined"
+    ),
+)
 
 
-def _eval_weight_deg_sum(ctx):
-    return _eval_weight_family(ctx, BoundId.WEIGHT_DEG_SUM, _term_weight_deg_sum)
+def _reason(conditions, shape):
+    """Reason of the first failing condition for one digraph, or None."""
+    for holds, reason in conditions:
+        if not holds(shape):
+            return reason(shape)
+    return None
 
 
-def _eval_weight_sqrt_sum(ctx):
-    return _eval_weight_family(ctx, BoundId.WEIGHT_SQRT_SUM, _term_weight_sqrt_sum)
+# --- the bound table -----------------------------------------------------------
+#
+# kind says what the term ranges over and what the witness is: "arc"
+# (maximum over arcs), "vertex" (maximum over vertices of positive
+# outdegree), "position" (minimum over sorted-outdegree positions) or
+# "graph" (one value, no witness).
 
 
-def _eval_weight_sum_sqrt(ctx):
-    return _eval_weight_family(ctx, BoundId.WEIGHT_SUM_SQRT, _term_weight_sum_sqrt)
+class _Spec(NamedTuple):
+    kind: str
+    term: Callable
+    conditions: tuple = ()
 
 
-_EVALUATORS = {
-    BoundId.ARC_DEG_SUM: _eval_arc_deg_sum,
-    BoundId.DEG_PLUS_AVG: _eval_deg_plus_avg,
-    BoundId.OVAL_AVG: _eval_oval_avg,
-    BoundId.INDEG_SQRT: _eval_indeg_sqrt,
-    BoundId.HONG_YOU: _eval_hong_you,
-    BoundId.DEG_EXTREMES: _eval_deg_extremes,
-    BoundId.OVAL_GEOMEAN: _eval_oval_geomean,
-    BoundId.WEIGHT_SQRT_PROD: _eval_weight_sqrt_prod,
-    BoundId.WEIGHT_DEG_SUM: _eval_weight_deg_sum,
-    BoundId.WEIGHT_SQRT_SUM: _eval_weight_sqrt_sum,
-    BoundId.WEIGHT_SUM_SQRT: _eval_weight_sum_sqrt,
-    BoundId.MAXDEG_PLUS_2: _eval_maxdeg_plus_2,
+_SPECS = {
+    BoundId.ARC_DEG_SUM: _Spec("arc", _term_arc_deg_sum, (_SC,)),
+    BoundId.DEG_PLUS_AVG: _Spec("vertex", _term_deg_plus_avg),
+    BoundId.OVAL_AVG: _Spec("arc", _term_oval_avg, (_SC,)),
+    BoundId.INDEG_SQRT: _Spec("vertex", _term_indeg_sqrt, (_SC,)),
+    BoundId.HONG_YOU: _Spec("position", _term_hong_you),
+    BoundId.DEG_EXTREMES: _Spec("graph", _term_deg_extremes, (_SC, _N3)),
+    BoundId.OVAL_GEOMEAN: _Spec("arc", _term_oval_geomean, (_SC,)),
+    BoundId.WEIGHT_SQRT_PROD: _Spec(
+        "arc", _term_weight_sqrt_prod, (_HEADS_POSITIVE,)
+    ),
+    BoundId.WEIGHT_DEG_SUM: _Spec("arc", _term_weight_deg_sum, (_HEADS_POSITIVE,)),
+    BoundId.WEIGHT_SQRT_SUM: _Spec(
+        "arc", _term_weight_sqrt_sum, (_HEADS_POSITIVE,)
+    ),
+    BoundId.WEIGHT_SUM_SQRT: _Spec(
+        "arc", _term_weight_sum_sqrt, (_HEADS_POSITIVE,)
+    ),
+    BoundId.MAXDEG_PLUS_2: _Spec(
+        "graph", _term_maxdeg_plus_2,
+        (_SC, _N3, _MIN_OUTDEG_1, _MAX_OUTDEG_SIDE),
+    ),
 }
+
+
+# --- one digraph ------------------------------------------------------------------
+
+
+class _GraphData:
+    """Degree data of one digraph as integer arrays: sorted arc endpoints
+    src/dst, outdegree d, 2-outdegree t, in-neighbor outdegree sums."""
+
+    def __init__(self, g: Digraph):
+        n = g.n
+        keys = np.fromiter((i * n + j for i, j in g.arcs), np.int64, g.m)
+        keys.sort()
+        self.src, self.dst = np.divmod(keys, n)
+        self.d = d = np.bincount(self.src, minlength=n)
+        self.t = np.bincount(self.src, d[self.dst], n).astype(np.int64)
+        self.insum = np.bincount(self.dst, d[self.src], n).astype(np.int64)
+        self.g = g
+
+    def shape(self) -> _Shape:
+        zero_heads = self.dst[self.d[self.dst] == 0]
+        return _Shape(
+            n=self.g.n,
+            m=self.g.m,
+            lo=int(self.d.min()),
+            hi=int(self.d.max()),
+            strongly=is_strongly_connected(self.g),
+            zero_head=int(zero_heads.min()) if zero_heads.size else -1,
+        )
+
+    def sorted_prefix(self):
+        """Non-increasing outdegrees and the sum of the entries before
+        each position."""
+        degs = np.sort(self.d)[::-1]
+        return degs, np.cumsum(degs) - degs
+
+
+def _evaluate(bid: BoundId, data: _GraphData, shape: _Shape) -> BoundValue:
+    spec = _SPECS[bid]
+    reason = _reason(spec.conditions, shape)
+    if reason is not None:
+        return BoundValue(bid, None, reason)
+    d, t = data.d, data.t
+    if spec.kind == "arc":
+        src, dst = data.src, data.dst
+        values = spec.term(d[src], d[dst], t[src], t[dst])
+        k = int(np.argmax(values))  # first maximizer in sorted arc order
+        return BoundValue(bid, float(values[k]),
+                          witness=(int(src[k]), int(dst[k])))
+    if spec.kind == "vertex":
+        # m(i) is undefined at outdegree 0; the max runs over the rest
+        (vertices,) = np.nonzero(d > 0)
+        values = spec.term(d[vertices], t[vertices], data.insum[vertices])
+        k = int(np.argmax(values))
+        return BoundValue(bid, float(values[k]), witness=int(vertices[k]))
+    if spec.kind == "position":
+        degs, prefix = data.sorted_prefix()
+        values = spec.term(degs[0], degs, prefix, np.arange(degs.size))
+        k = int(np.argmin(values))
+        return BoundValue(bid, float(values[k]), witness=k)
+    value = spec.term(shape.n, shape.m, shape.hi, shape.lo)
+    return BoundValue(bid, float(value))
+
+
+def _bound(bid: BoundId, g: Digraph) -> BoundValue:
+    data = _GraphData(g)
+    return _evaluate(bid, data, data.shape())
 
 
 # --- public API -------------------------------------------------------------
@@ -374,46 +357,46 @@ _EVALUATORS = {
 
 def bound_arc_deg_sum(g: Digraph) -> BoundValue:
     """Max of d(i) + d(j) over arcs (i, j); needs strong connectivity."""
-    return _eval_arc_deg_sum(_make_ctx(g))
+    return _bound(BoundId.ARC_DEG_SUM, g)
 
 
 def bound_deg_plus_avg(g: Digraph) -> BoundValue:
     """Max of d(i) + m(i) over vertices with positive outdegree."""
-    return _eval_deg_plus_avg(_make_ctx(g))
+    return _bound(BoundId.DEG_PLUS_AVG, g)
 
 
 def bound_oval_avg(g: Digraph) -> BoundValue:
     """Max over arcs of (d(i)+d(j)+sqrt((d(i)-d(j))^2 + 4 m(i) m(j))) / 2."""
-    return _eval_oval_avg(_make_ctx(g))
+    return _bound(BoundId.OVAL_AVG, g)
 
 
 def bound_indeg_sqrt(g: Digraph) -> BoundValue:
     """Max over vertices of d(i) + sqrt(sum of in-neighbor outdegrees)."""
-    return _eval_indeg_sqrt(_make_ctx(g))
+    return _bound(BoundId.INDEG_SQRT, g)
 
 
 def bound_hong_you(g: Digraph) -> BoundValue:
     """Min over positions of the sorted outdegree sequence d_1 >= ... >= d_n
     of (d_1 + 2 d_i - 1 + sqrt((2 d_i - d_1 + 1)^2 + 8 sum_{k<i}(d_k - d_i))) / 2."""
-    return _eval_hong_you(_make_ctx(g))
+    return _bound(BoundId.HONG_YOU, g)
 
 
 def bound_deg_extremes(g: Digraph) -> BoundValue:
     """max(D + d - 1 + (m - d(n-1))/D, d + 1 + (m - d(n-1))/2) where D and d
     are the max and min outdegree; strongly connected, n >= 3."""
-    return _eval_deg_extremes(_make_ctx(g))
+    return _bound(BoundId.DEG_EXTREMES, g)
 
 
 def bound_maxdeg_plus_2(g: Digraph) -> BoundValue:
     """Max outdegree + 2; needs strong connectivity, n >= 3, min outdegree
     exactly 1, and max outdegree at least (m - (n-1)) / 2."""
-    return _eval_maxdeg_plus_2(_make_ctx(g))
+    return _bound(BoundId.MAXDEG_PLUS_2, g)
 
 
 def bound_oval_geomean(g: Digraph) -> BoundValue:
     """Like bound_oval_avg with the product m(i) m(j) relaxed to the
     geometric-mean form sqrt(d(i) m(i)) sqrt(d(j) m(j)) = sqrt(t(i) t(j))."""
-    return _eval_oval_geomean(_make_ctx(g))
+    return _bound(BoundId.OVAL_GEOMEAN, g)
 
 
 def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
@@ -425,9 +408,9 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
     enter the computation. The bound is scale-invariant in f and collapses
     to bound_arc_deg_sum when f is constant.
     """
-    ctx = _make_ctx(g)
+    arcs = g.sorted_arcs()
     weights = {}
-    for i, j in ctx.arcs:
+    for i, j in arcs:
         w = float(f(i, j))
         if not math.isfinite(w) or w <= 0.0:
             raise ValueError(
@@ -436,11 +419,11 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
             )
         weights[i, j] = w
     row = [0.0] * g.n
-    for v in range(g.n):
-        row[v] = sum(weights[v, k] for k in ctx.out[v])
+    for (i, _), w in weights.items():
+        row[i] += w
     best = None
     witness = None
-    for i, j in ctx.arcs:
+    for i, j in arcs:
         value = (row[i] + row[j]) / weights[i, j]
         if best is None or value > best:
             best = value
@@ -451,24 +434,24 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
 def bound_weight_sqrt_prod(g: Digraph) -> BoundValue:
     """Arc-weight bound closed form for f = sqrt(d(i) d(j)):
     max over arcs of d(i) sqrt(m(i)/d(j)) + d(j) sqrt(m(j)/d(i))."""
-    return _eval_weight_sqrt_prod(_make_ctx(g))
+    return _bound(BoundId.WEIGHT_SQRT_PROD, g)
 
 
 def bound_weight_deg_sum(g: Digraph) -> BoundValue:
     """Arc-weight bound closed form for f = d(i) + d(j):
     max over arcs of (d(i)(d(i)+m(i)) + d(j)(d(j)+m(j))) / (d(i)+d(j)).
     This one is the exact arc-weight value, not a relaxation."""
-    return _eval_weight_deg_sum(_make_ctx(g))
+    return _bound(BoundId.WEIGHT_DEG_SUM, g)
 
 
 def bound_weight_sqrt_sum(g: Digraph) -> BoundValue:
     """Arc-weight bound closed form for f = sqrt(d(i) + d(j))."""
-    return _eval_weight_sqrt_sum(_make_ctx(g))
+    return _bound(BoundId.WEIGHT_SQRT_SUM, g)
 
 
 def bound_weight_sum_sqrt(g: Digraph) -> BoundValue:
     """Arc-weight bound closed form for f = sqrt(d(i)) + sqrt(d(j))."""
-    return _eval_weight_sum_sqrt(_make_ctx(g))
+    return _bound(BoundId.WEIGHT_SUM_SQRT, g)
 
 
 def all_bounds(g: Digraph) -> tuple:
@@ -477,41 +460,119 @@ def all_bounds(g: Digraph) -> tuple:
     Per-bound hypothesis failures surface as inapplicable entries, never
     exceptions, so the row always has all twelve columns.
     """
-    ctx = _make_ctx(g)
-    return tuple(_EVALUATORS[bid](ctx) for bid in ROW_ORDER)
+    data = _GraphData(g)
+    shape = data.shape()
+    return tuple(_evaluate(bid, data, shape) for bid in ROW_ORDER)
 
 
 def witness_value(g: Digraph, bv: BoundValue) -> float | None:
     """Recompute the term the witness claims attains the bound.
 
     Returns None for bounds without witness semantics (deg_extremes,
-    maxdeg_plus_2) and for inapplicable values. The replay runs the same
-    code path as the evaluator, so a valid witness reproduces the stored
-    value exactly.
+    maxdeg_plus_2) and for inapplicable values. The replay evaluates the
+    evaluator's own term at the witness alone, so a valid witness
+    reproduces the stored value exactly.
     """
     if bv.value is None or bv.witness is None:
         return None
-    ctx = _make_ctx(g)
-    arc_terms = {
-        BoundId.ARC_DEG_SUM: _term_arc_deg_sum,
-        BoundId.OVAL_AVG: _term_oval_avg,
-        BoundId.OVAL_GEOMEAN: _term_oval_geomean,
-        BoundId.WEIGHT_SQRT_PROD: _term_weight_sqrt_prod,
-        BoundId.WEIGHT_DEG_SUM: _term_weight_deg_sum,
-        BoundId.WEIGHT_SQRT_SUM: _term_weight_sqrt_sum,
-        BoundId.WEIGHT_SUM_SQRT: _term_weight_sum_sqrt,
-    }
-    if bv.id in arc_terms:
+    spec = _SPECS[bv.id]
+    data = _GraphData(g)
+    d, t = data.d, data.t
+    if spec.kind == "arc":
         i, j = bv.witness
-        return arc_terms[bv.id](ctx, i, j)
-    if bv.id == BoundId.DEG_PLUS_AVG:
-        return _term_deg_plus_avg(ctx, bv.witness)
-    if bv.id == BoundId.INDEG_SQRT:
-        return _term_indeg_sqrt(ctx, bv.witness)
-    if bv.id == BoundId.HONG_YOU:
-        degs = sorted(ctx.outdeg, reverse=True)
-        prefix = [0]
-        for d in degs:
-            prefix.append(prefix[-1] + d)
-        return _hong_you_term(degs, prefix, bv.witness)
+        return float(spec.term(d[i], d[j], t[i], t[j]))
+    if spec.kind == "vertex":
+        v = bv.witness
+        return float(spec.term(d[v], t[v], data.insum[v]))
+    if spec.kind == "position":
+        degs, prefix = data.sorted_prefix()
+        pos = bv.witness
+        return float(spec.term(degs[0], degs[pos], prefix[pos], pos))
     return None
+
+
+# --- batches -----------------------------------------------------------------
+
+
+def _per_vertex(index, weights, count, n):
+    """Integer sums of weights into a (count, n) array at flat index."""
+    sums = np.bincount(index, weights, count * n)
+    return sums.astype(np.int64).reshape(count, n)
+
+
+class BoundColumns:
+    """Bound values over a batch of digraphs on the same n vertices.
+
+    adj is a boolean tensor of shape (N, n, n) with adj[k, i, j] set when
+    digraph k has the arc i -> j; like a Digraph, each has at least one
+    arc and no loop. strongly flags the strongly connected ones.
+    values(bid) equals, bitwise, the value all_bounds reports for each
+    digraph, and reason(bid, k) the reason of an inapplicable one.
+    """
+
+    def __init__(self, adj, strongly):
+        self.adj = adj = np.asarray(adj, dtype=bool)
+        count, n = adj.shape[:2]
+        if adj[:, np.arange(n), np.arange(n)].any():
+            raise ValueError("loop arcs are not allowed")
+        k, i, j = np.nonzero(adj)
+        self.outdeg = d = adj.sum(axis=2)
+        if not d.any(axis=1).all():
+            raise ValueError("every digraph needs at least one arc")
+        self.two_outdeg = _per_vertex(k * n + i, d[k, j], count, n)
+        self.insum = _per_vertex(k * n + j, d[k, i], count, n)
+        heads = adj.any(axis=1) & (d == 0)
+        self.shape = _Shape(
+            n=adj.shape[1],
+            m=d.sum(axis=1),
+            lo=d.min(axis=1),
+            hi=d.max(axis=1),
+            strongly=np.asarray(strongly, dtype=bool),
+            zero_head=np.where(heads.any(axis=1), heads.argmax(axis=1), -1),
+        )
+
+    def __len__(self):
+        return len(self.adj)
+
+    def select(self, rows) -> "BoundColumns":
+        """The digraphs at rows (a boolean mask or indices), in order."""
+        picked = object.__new__(BoundColumns)
+        picked.adj = self.adj[rows]
+        picked.outdeg = self.outdeg[rows]
+        picked.two_outdeg = self.two_outdeg[rows]
+        picked.insum = self.insum[rows]
+        picked.shape = self.shape.take(rows)
+        return picked
+
+    def applicable(self, bid: BoundId):
+        mask = np.ones(len(self), dtype=bool)
+        for holds, _ in _SPECS[bid].conditions:
+            mask &= holds(self.shape)
+        return mask
+
+    def reason(self, bid: BoundId, k: int) -> str | None:
+        return _reason(_SPECS[bid].conditions, self.shape.row(k))
+
+    def values(self, bid: BoundId):
+        """Float array over the batch, NaN where the bound is inapplicable."""
+        spec = _SPECS[bid]
+        d, t, s = self.outdeg, self.two_outdeg, self.shape
+        # inapplicable digraphs and vertices of outdegree 0 may divide by
+        # zero; both are masked out below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if spec.kind == "arc":
+                # arcs come grouped by digraph, at least one per digraph
+                k, i, j = np.nonzero(self.adj)
+                terms = spec.term(d[k, i], d[k, j], t[k, i], t[k, j])
+                values = np.maximum.reduceat(terms, np.cumsum(s.m) - s.m)
+            elif spec.kind == "vertex":
+                terms = spec.term(d, t, self.insum)
+                values = np.where(d > 0, terms, -np.inf).max(axis=1)
+            elif spec.kind == "position":
+                degs = -np.sort(-d, axis=1)
+                prefix = np.cumsum(degs, axis=1) - degs
+                pos = np.arange(s.n)
+                values = spec.term(degs[:, :1], degs, prefix, pos).min(axis=1)
+            else:
+                values = spec.term(s.n, s.m, s.hi, s.lo)
+        return np.where(self.applicable(bid), values, np.nan)

@@ -417,7 +417,10 @@ def _deviation_lines(target, match):
 
 
 def cmd_reconstruct(args):
-    target = _build_target(args)
+    try:
+        target = _build_target(args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     try:
         report = reconstruct(target)
     except ValueError as exc:

@@ -9,8 +9,17 @@ over arc subsets of that size), fix a per-vertex outdegree sequence
 (enumeration over out-neighborhood choices), or leave both open, which is
 only allowed up to n = 5. Matches are deduplicated up to digraph
 isomorphism via a minimum-bitstring canonical form.
+
+The search streams the space in chunks of adjacency tensors. Structural
+constraints, strong connectivity and the target's bound columns are
+evaluated as numpy expressions (bounds.BoundColumns, bitwise equal to
+all_bounds), and q as an interval. Only candidates that could still match
+or beat the nearest miss reach the scalar path (spectral_radius,
+all_bounds), which produces every reported number. The nearest miss is
+therefore exact in every mode.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -18,8 +27,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping
 
+import numpy as np
+
 from . import bounds as _bounds
-from .bounds import BoundId, BoundValue, all_bounds, witness_value
+from .bounds import BoundColumns, BoundId, BoundValue, all_bounds, witness_value
 from .digraph import (
     Digraph,
     classify,
@@ -283,9 +294,10 @@ class ReconstructionTarget:
 
     row maps BoundId to the expected value; inapplicable candidates never
     match a numeric expectation. tolerance applies to q and every row
-    entry (absolute deviation). outdeg_sequence, when given, fixes the
-    outdegree of each vertex in order and switches enumeration to
-    per-vertex out-neighborhood choices.
+    entry (absolute deviation). q, tolerance and the row values must be
+    finite. outdeg_sequence, when given, fixes the outdegree of each
+    vertex in order and switches enumeration to per-vertex
+    out-neighborhood choices.
     """
 
     n: int
@@ -313,8 +325,17 @@ class ReconstructionTarget:
             )
         if self.n < 2:
             raise ValueError("target needs n >= 2")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.q):
+            raise ValueError(f"target q must be finite, got {self.q}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance}"
+            )
+        for bid, value in self.row:
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"target value for {bid.value} must be finite, got {value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -326,24 +347,45 @@ class ReconstructionMatch:
 
 
 @dataclass(frozen=True)
+class ReconstructionStages:
+    """Where the candidates left the search. The first four counts add up
+    to candidates_visited; matched counts the scalar-evaluated candidates
+    within tolerance, before isomorphism deduplication."""
+
+    structurally_rejected: int
+    bound_rejected: int
+    q_enclosed: int
+    scalar_evaluated: int
+    matched: int
+
+
+@dataclass(frozen=True)
 class ReconstructionReport:
     target: ReconstructionTarget
     matches: tuple
     candidates_visited: int
     nearest_miss: ReconstructionMatch | None
+    stages: ReconstructionStages
 
     @property
     def found(self) -> bool:
         return bool(self.matches)
 
 
-# candidate spaces above this size use cheap-filter-first evaluation;
-# nearest-miss tracking then falls back to a prefilter-depth heuristic
-_FULL_EVAL_LIMIT = 20_000
+# Candidates are enumerated and filtered this many at a time. The chunk
+# bounds the search's working memory: a few (chunk, n, n) arrays.
+_CHUNK = 512
 
-# row entries roughly ordered by evaluation cost: degree-sequence bounds
-# first, arc scans after, so mismatches are rejected before eigenwork
-_PREFILTER_ORDER = (
+# Most Collatz-Wielandt steps spent on one candidate's q interval.
+_CW_ITERATIONS = 64
+
+# Widening of every q interval on top of the solver tolerance; it covers
+# the rounding of both the interval and spectral_radius.
+_Q_SLACK = 1e-9
+
+# Bound columns in evaluation order: degree-sequence columns first, arc
+# scans after, so that most rejections happen on the cheap columns.
+_COLUMN_ORDER = (
     BoundId.DEG_PLUS_AVG,
     BoundId.HONG_YOU,
     BoundId.DEG_EXTREMES,
@@ -359,10 +401,33 @@ _PREFILTER_ORDER = (
 )
 
 
+def _chunks(total, decode):
+    """decode(indices) for consecutive index ranges of _CHUNK covering
+    0 .. total - 1."""
+    for start in range(0, total, _CHUNK):
+        yield decode(np.arange(start, min(start + _CHUNK, total)))
+
+
 def _candidate_space(target: ReconstructionTarget):
-    """(total candidate count, iterator of arc frozensets)."""
+    """Iterator over the target's candidates as boolean adjacency chunks
+    of shape (c, n, n), in enumeration order. Bad constraints raise
+    ValueError here, before any candidate is built.
+
+    With an outdegree sequence the candidates run through the product of
+    per-vertex out-neighborhood combinations, the last vertex fastest;
+    with a fixed m through the combinations of arc slots; otherwise
+    through arc-slot bitmasks 1 .. 2^(n(n-1)) - 1, slot b in bit b. Arc
+    slots are the pairs (i, j), i != j, in lexicographic order.
+    """
     n = target.n
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    slots = np.array([i * n + j for i in range(n) for j in range(n) if i != j])
+
+    def on_slots(chosen):
+        """Adjacency chunk from a (c, len(slots)) 0/1 matrix over slots."""
+        flat = np.zeros((len(chosen), n * n), dtype=bool)
+        flat[:, slots] = chosen
+        return flat.reshape(-1, n, n)
+
     if target.outdeg_sequence is not None:
         seq = target.outdeg_sequence
         if len(seq) != n:
@@ -375,56 +440,83 @@ def _candidate_space(target: ReconstructionTarget):
             raise ValueError(
                 f"outdeg_sequence sums to {sum(seq)} but m = {target.m}"
             )
-        total = 1
-        for d in seq:
-            total *= comb(n - 1, d)
-        pools = [
-            list(itertools.combinations([j for j in range(n) if j != i], d))
-            for i, d in enumerate(seq)
-        ]
+        # pools[i][c] is the out-neighborhood row of vertex i's c-th choice
+        pools = []
+        for i, d in enumerate(seq):
+            others = [j for j in range(n) if j != i]
+            rows = np.zeros((comb(n - 1, d), n), dtype=bool)
+            for c, nbrs in enumerate(itertools.combinations(others, d)):
+                rows[c, list(nbrs)] = True
+            pools.append(rows)
 
-        def gen_sequence():
-            for choice in itertools.product(*pools):
-                yield frozenset(
-                    (i, j) for i, nbrs in enumerate(choice) for j in nbrs
-                )
+        def decode_sequence(index):
+            adj = np.empty((len(index), n, n), dtype=bool)
+            for i in reversed(range(n)):
+                index, choice = np.divmod(index, len(pools[i]))
+                adj[:, i] = pools[i][choice]
+            return adj
 
-        return total, gen_sequence()
+        total = math.prod(len(rows) for rows in pools)
+        return _chunks(total, decode_sequence)
     if target.m is not None:
-        if not 1 <= target.m <= len(slots):
+        m = target.m
+        if not 1 <= m <= len(slots):
             raise ValueError(
-                f"m must lie in [1, {len(slots)}] for n = {n}, got {target.m}"
+                f"m must lie in [1, {len(slots)}] for n = {n}, got {m}"
             )
-        total = comb(len(slots), target.m)
-        gen_fixed_m = (
-            frozenset(combo) for combo in itertools.combinations(slots, target.m)
-        )
-        return total, gen_fixed_m
+        combos = itertools.combinations(range(len(slots)), m)
+
+        def decode_fixed_m(index):
+            picked = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.islice(combos, len(index))
+                ),
+                dtype=np.intp, count=len(index) * m,
+            ).reshape(-1, m)
+            chosen = np.zeros((len(index), len(slots)), dtype=bool)
+            chosen[np.arange(len(index))[:, None], picked] = True
+            return on_slots(chosen)
+
+        total = comb(len(slots), m)
+        return _chunks(total, decode_fixed_m)
     if n > 5:
         raise ValueError(
             "unconstrained enumeration above n = 5 is not desk scale; fix the "
             "arc count m or supply an outdegree sequence"
         )
     k = len(slots)
+
+    def decode_subsets(index):
+        return on_slots(((index[:, None] + 1) >> np.arange(k)) & 1)
+
     total = (1 << k) - 1
-
-    def gen_subsets():
-        for mask in range(1, 1 << k):
-            yield frozenset(slots[b] for b in range(k) if mask >> b & 1)
-
-    return total, gen_subsets()
+    return _chunks(total, decode_subsets)
 
 
-def _structural_reject(target, g, profile, strongly):
-    if target.require_strongly_connected and not strongly:
-        return True
-    if target.max_outdeg is not None and profile.max_outdeg != target.max_outdeg:
-        return True
-    if target.min_outdeg is not None and profile.min_outdeg != target.min_outdeg:
-        return True
-    if target.require_g_star and not classify(g).is_in_g_star_class:
-        return True
-    return False
+def _strongly_connected(adj):
+    """Strong connectivity of each digraph in an adjacency batch, from
+    Warshall's transitive closure on bitmask rows: bit j of reach[:, i]
+    says that i reaches j. Rows wider than int64 fall back to Python
+    integers."""
+    n = adj.shape[1]
+    bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
+    reach = (adj * bits).sum(axis=2) | bits
+    for k in range(n):
+        reach |= np.where(reach & bits[k], reach[:, k:k + 1], 0)
+    return (reach == (1 << n) - 1).all(axis=1)
+
+
+def _in_g_star_class(cols: BoundColumns):
+    """classify(g).is_in_g_star_class over a batch."""
+    d, s = cols.outdeg, cols.shape
+    hubs = d == s.hi[:, None]
+    reach_two = (cols.adj & (d[:, None, :] >= 2)).any(axis=2)
+    return (
+        s.strongly
+        & (s.lo == 1)
+        & (s.hi >= (s.m - (s.n - 1)) / 2)
+        & (hubs & reach_two).any(axis=1)
+    )
 
 
 def _row_deviation(target, q, row_by_id):
@@ -437,94 +529,159 @@ def _row_deviation(target, q, row_by_id):
     return max(devs)
 
 
+class _Search:
+    """One reconstruction, fed the candidate space chunk by chunk in
+    enumeration order.
+
+    A candidate is settled, and never built as a Digraph, once it provably
+    can neither match nor beat the nearest miss so far (ties go to the
+    earlier candidate). Its row deviation is exact, because BoundColumns
+    agrees bitwise with all_bounds; its q deviation is bounded below by a
+    q interval. Every other candidate goes through the scalar path
+    (spectral_radius, all_bounds, _row_deviation), so every reported
+    number comes from there. Which candidates settle, and at which stage,
+    does not depend on _CHUNK.
+    """
+
+    def __init__(self, target: ReconstructionTarget, spectral_tol):
+        self.target = target
+        self.spectral_tol = spectral_tol
+        expected = dict(target.row)
+        self.columns = [
+            (bid, expected[bid]) for bid in _COLUMN_ORDER if bid in expected
+        ]
+        self.slack = spectral_tol + _Q_SLACK
+        self.visited = 0
+        self.counts = {
+            f.name: 0 for f in dataclasses.fields(ReconstructionStages)
+        }
+        self.matches = []
+        self.nearest = None
+
+    def best(self):
+        """Deviation a candidate must undercut to become the nearest miss;
+        once something matches no nearest miss is reported."""
+        if self.matches:
+            return -math.inf
+        return self.nearest.max_deviation if self.nearest else math.inf
+
+    def settled(self, dev, q_lo, q_hi, best):
+        """Whether the deviation, bounded below from the exact row deviation
+        and the q interval, exceeds the tolerance and is no better than
+        best. Works elementwise on arrays."""
+        q_gap = np.maximum(
+            q_lo - self.slack - self.target.q, self.target.q - q_hi - self.slack
+        )
+        lower = np.maximum(dev, q_gap)
+        return (lower > self.target.tolerance) & (lower >= best)
+
+    def visit(self, adj):
+        self.visited += len(adj)
+        cols = BoundColumns(adj, _strongly_connected(adj))
+        keep = self.structural(cols)
+        self.counts["structurally_rejected"] += int(np.count_nonzero(~keep))
+        cols = cols.select(keep)
+
+        # exact row deviation, column by column, dropping candidates as
+        # soon as it settles them
+        best = self.best()
+        dev = np.zeros(len(cols))
+        for bid, expected in self.columns:
+            values = cols.values(bid)
+            dev = np.maximum(
+                dev, np.where(np.isnan(values), np.inf, np.abs(values - expected))
+            )
+            out = self.settled(dev, -np.inf, np.inf, best)
+            if out.any():
+                self.counts["bound_rejected"] += int(np.count_nonzero(out))
+                cols, dev = cols.select(~out), dev[~out]
+
+        q_lo, q_hi = self.q_interval(cols, dev, best)
+        # the nearest miss moves as candidates are evaluated, in order
+        for k in range(len(cols)):
+            best = self.best()
+            if self.settled(dev[k], -np.inf, np.inf, best):
+                self.counts["bound_rejected"] += 1
+            elif self.settled(dev[k], q_lo[k], q_hi[k], best):
+                self.counts["q_enclosed"] += 1
+            else:
+                self.evaluate(cols.adj[k])
+
+    def structural(self, cols: BoundColumns):
+        target, s = self.target, cols.shape
+        keep = np.ones(len(cols), dtype=bool)
+        if target.require_strongly_connected:
+            keep &= s.strongly
+        if target.max_outdeg is not None:
+            keep &= s.hi == target.max_outdeg
+        if target.min_outdeg is not None:
+            keep &= s.lo == target.min_outdeg
+        if target.require_g_star:
+            keep &= _in_g_star_class(cols)
+        return keep
+
+    def q_interval(self, cols: BoundColumns, dev, best):
+        """An interval holding q for every candidate: the row-sum bracket
+        [2 min d, 2 max d], narrowed by Collatz-Wielandt ratios of Q + I
+        for the candidates the bracket leaves unsettled."""
+        q_lo = 2.0 * cols.shape.lo
+        q_hi = 2.0 * cols.shape.hi
+        (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi, best))
+        if not active.size:
+            return q_lo, q_hi
+        n = cols.shape.n
+        # Q + I keeps the iterate positive; its radius is q + 1
+        shifted = cols.adj[active] + np.eye(n) * (cols.outdeg[active] + 1)[:, None]
+        x = np.ones((active.size, n))
+        for _ in range(_CW_ITERATIONS):
+            y = (shifted * x[:, None, :]).sum(axis=2)
+            ratios = y / x
+            q_lo[active] = np.maximum(q_lo[active], ratios.min(axis=1) - 1.0)
+            q_hi[active] = np.minimum(q_hi[active], ratios.max(axis=1) - 1.0)
+            open_ = ~self.settled(dev[active], q_lo[active], q_hi[active], best)
+            if not open_.any():
+                break
+            active, shifted, y = active[open_], shifted[open_], y[open_]
+            x = y / y.max(axis=1, keepdims=True)
+        return q_lo, q_hi
+
+    def evaluate(self, adj):
+        target = self.target
+        src, dst = np.nonzero(adj)
+        g = Digraph(target.n, frozenset(zip(src.tolist(), dst.tolist())))
+        result = spectral_radius(g, tol=self.spectral_tol)
+        row = all_bounds(g)
+        deviation = _row_deviation(target, result.q, {bv.id: bv for bv in row})
+        candidate = ReconstructionMatch(
+            digraph=g, q=result.q, row=row, max_deviation=deviation
+        )
+        self.counts["scalar_evaluated"] += 1
+        if deviation <= target.tolerance:
+            self.counts["matched"] += 1
+            self.matches.append(candidate)
+        elif math.isfinite(deviation) and deviation < self.best():
+            self.nearest = candidate
+
+
 def reconstruct(target: ReconstructionTarget, spectral_tol=1e-12) -> ReconstructionReport:
     """Exhaustively search the target's candidate space for digraphs whose
     computed q and bound row sit within tolerance of the target.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism
-    class, in candidate order. When the space is small enough for full
-    evaluation, the nearest miss is exact: the constraint-satisfying
-    candidate of smallest maximum deviation. Above _FULL_EVAL_LIMIT the
-    nearest miss is heuristic — the candidate surviving the most cheap
-    filters before a numeric rejection (ties to the smallest deviation at
-    the rejecting column) — which still shows which column blocks a match.
+    class, in candidate order. Without a match, the nearest miss is exact:
+    the constraint-satisfying candidate of smallest maximum deviation, the
+    earliest one on ties. stages says where the candidates left the
+    search.
     """
-    total, candidates = _candidate_space(target)
-    early_mode = total > _FULL_EVAL_LIMIT
-    expected = dict(target.row)
-    prefilter = [bid for bid in _PREFILTER_ORDER if bid in expected]
-
-    visited = 0
-    matches = []
-    nearest = None
-    best_early = None  # (prefilter depth reached, deviation there, arc set)
-
-    def note_early_reject(depth, dev, arcs):
-        nonlocal best_early
-        if not math.isfinite(dev):
-            return
-        if (
-            best_early is None
-            or depth > best_early[0]
-            or (depth == best_early[0] and dev < best_early[1])
-        ):
-            best_early = (depth, dev, arcs)
-
-    for arcs in candidates:
-        visited += 1
-        g = Digraph(target.n, arcs)
-        profile = degree_profile(g)
-        strongly = len(scc(g).components) == 1
-        if _structural_reject(target, g, profile, strongly):
-            continue
-        if early_mode:
-            ctx = _bounds._make_ctx(g)
-            rejected = False
-            for depth, bid in enumerate(prefilter):
-                bv = _bounds._EVALUATORS[bid](ctx)
-                dev = (
-                    math.inf if bv.value is None
-                    else abs(bv.value - expected[bid])
-                )
-                if dev > target.tolerance:
-                    note_early_reject(depth, dev, arcs)
-                    rejected = True
-                    break
-            if rejected:
-                continue
-        result = spectral_radius(g, tol=spectral_tol)
-        if early_mode and abs(result.q - target.q) > target.tolerance:
-            note_early_reject(len(prefilter), abs(result.q - target.q), arcs)
-            continue
-        row = all_bounds(g)
-        row_by_id = {bv.id: bv for bv in row}
-        deviation = _row_deviation(target, result.q, row_by_id)
-        candidate = ReconstructionMatch(
-            digraph=g, q=result.q, row=row, max_deviation=deviation
-        )
-        if deviation <= target.tolerance:
-            matches.append(candidate)
-        elif not early_mode and math.isfinite(deviation):
-            if nearest is None or deviation < nearest.max_deviation:
-                nearest = candidate
-
-    if not matches and nearest is None and best_early is not None:
-        g = Digraph(target.n, best_early[2])
-        result = spectral_radius(g, tol=spectral_tol)
-        row = all_bounds(g)
-        nearest = ReconstructionMatch(
-            digraph=g,
-            q=result.q,
-            row=row,
-            max_deviation=_row_deviation(
-                target, result.q, {bv.id: bv for bv in row}
-            ),
-        )
+    chunks = _candidate_space(target)
+    search = _Search(target, spectral_tol)
+    for adj in chunks:
+        search.visit(adj)
 
     unique = []
     seen = set()
-    for match in matches:
+    for match in search.matches:
         key = canonical_form(match.digraph)
         if key not in seen:
             seen.add(key)
@@ -532,8 +689,9 @@ def reconstruct(target: ReconstructionTarget, spectral_tol=1e-12) -> Reconstruct
     return ReconstructionReport(
         target=target,
         matches=tuple(unique),
-        candidates_visited=visited,
-        nearest_miss=nearest if not unique else None,
+        candidates_visited=search.visited,
+        nearest_miss=search.nearest if not unique else None,
+        stages=ReconstructionStages(**search.counts),
     )
 
 

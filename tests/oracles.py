@@ -3,12 +3,27 @@
 The spectral oracle goes through the characteristic polynomial and
 polynomial root finding, sharing no code path with the power iteration
 under test.  The reachability oracle recomputes strong components from
-the boolean transitive closure instead of a DFS.
+the boolean transitive closure instead of a DFS.  The reconstruction
+oracle evaluates every candidate on the scalar path, with no batching
+and no filter ahead of spectral_radius.
 """
+
+import itertools
+import math
 
 import numpy as np
 
-from qbounds import Digraph, build_q
+from qbounds import (
+    Digraph,
+    ReconstructionMatch,
+    all_bounds,
+    build_q,
+    canonical_form,
+    classify,
+    degree_profile,
+    is_strongly_connected,
+    spectral_radius,
+)
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -70,3 +85,68 @@ def scc_oracle(g: Digraph) -> frozenset:
 
 def is_strongly_connected_oracle(g: Digraph) -> bool:
     return bool(reachability_matrix(g).all())
+
+
+def _candidate_arc_sets(target):
+    """Every arc set of the target's candidate space, in the order
+    reconstruct documents."""
+    n = target.n
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if target.outdeg_sequence is not None:
+        pools = [
+            list(itertools.combinations([j for j in range(n) if j != i], d))
+            for i, d in enumerate(target.outdeg_sequence)
+        ]
+        for choice in itertools.product(*pools):
+            yield frozenset((i, j) for i, nbrs in enumerate(choice) for j in nbrs)
+    elif target.m is not None:
+        for combo in itertools.combinations(slots, target.m):
+            yield frozenset(combo)
+    else:
+        for mask in range(1, 1 << len(slots)):
+            yield frozenset(s for b, s in enumerate(slots) if mask >> b & 1)
+
+
+def reconstruct_oracle(target, spectral_tol=1e-12):
+    """Brute-force reconstruct: every candidate that passes the structural
+    constraints goes through spectral_radius and all_bounds, one digraph
+    at a time.
+
+    Returns (candidates visited, matches up to isomorphism, nearest miss),
+    with the nearest miss None when something matches.
+    """
+    visited = 0
+    matches = []
+    nearest = None
+    for arcs in _candidate_arc_sets(target):
+        visited += 1
+        g = Digraph(target.n, arcs)
+        profile = degree_profile(g)
+        if target.require_strongly_connected and not is_strongly_connected(g):
+            continue
+        if target.max_outdeg is not None and profile.max_outdeg != target.max_outdeg:
+            continue
+        if target.min_outdeg is not None and profile.min_outdeg != target.min_outdeg:
+            continue
+        if target.require_g_star and not classify(g).is_in_g_star_class:
+            continue
+        q = spectral_radius(g, tol=spectral_tol).q
+        row = all_bounds(g)
+        values = {bv.id: bv.value for bv in row}
+        deviations = [abs(q - target.q)]
+        for bid, expected in target.row:
+            value = values[bid]
+            deviations.append(math.inf if value is None else abs(value - expected))
+        candidate = ReconstructionMatch(
+            digraph=g, q=q, row=row, max_deviation=max(deviations)
+        )
+        if candidate.max_deviation <= target.tolerance:
+            matches.append(candidate)
+        elif math.isfinite(candidate.max_deviation) and (
+            nearest is None or candidate.max_deviation < nearest.max_deviation
+        ):
+            nearest = candidate
+    unique = {}
+    for match in matches:
+        unique.setdefault(canonical_form(match.digraph), match)
+    return visited, tuple(unique.values()), None if unique else nearest

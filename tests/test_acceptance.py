@@ -145,7 +145,7 @@ def test_criterion_3_g1_exhaustive_search():
 
 
 def test_criterion_4_g2_row_not_reproducible():
-    with criterion(4, "g2 golden row, refusal, and search evidence"):
+    with criterion(4, "g2 golden row, refusal, and search evidence", budget=30.0):
         stored = PRESETS["g2"]
         stored_row = dict(stored.row)
         assert stored.n == 6
@@ -180,6 +180,16 @@ def test_criterion_4_g2_row_not_reproducible():
                 deviant.append(bid)
         assert deviant == [BoundId.WEIGHT_SQRT_PROD]
         assert row[BoundId.WEIGHT_SQRT_PROD] == pytest.approx(4.689480, abs=5e-4)
+
+        # the nearest miss is exact, so no labeled candidate comes closer
+        # to the stored row than the bundled class
+        candidate_deviation = max(
+            [abs(spectral_radius(g).q - stored.q)]
+            + [abs(row[bid] - value) for bid, value in stored.row]
+        )
+        assert report.nearest_miss.max_deviation == pytest.approx(
+            candidate_deviation, abs=1e-12
+        )
 
 
 def test_criterion_5_random_sweep():

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qbounds import (
+    BoundColumns,
     BoundId,
     BoundValue,
+    Digraph,
     ROW_ORDER,
     TABLE_ORDER,
     all_bounds,
@@ -27,6 +30,7 @@ from qbounds import (
     from_arc_list,
     gen_bidirectional_complete,
     gen_directed_cycle,
+    is_strongly_connected,
     spectral_radius,
     witness_value,
 )
@@ -310,3 +314,55 @@ def test_deg_extremes_loose_on_long_cycles():
     # 2.5 regardless of length: surplus is always 1 for a directed cycle
     for n in range(3, 9):
         assert bound_deg_extremes(gen_directed_cycle(n)).value == 2.5
+
+
+# --- batched columns ----------------------------------------------------------
+
+
+def _batch(graphs):
+    n = graphs[0].n
+    adj = np.zeros((len(graphs), n, n), dtype=bool)
+    for k, g in enumerate(graphs):
+        for i, j in g.arcs:
+            adj[k, i, j] = True
+    return BoundColumns(adj, [is_strongly_connected(g) for g in graphs])
+
+
+def _assert_columns_match_rows(graphs):
+    columns = _batch(graphs)
+    rows = [all_bounds(g) for g in graphs]
+    for c, bid in enumerate(ROW_ORDER):
+        values = columns.values(bid)
+        for k, row in enumerate(rows):
+            bv = row[c]
+            assert columns.reason(bid, k) == bv.reason, (bid, graphs[k])
+            if bv.value is None:
+                assert math.isnan(values[k])
+            else:
+                assert values[k] == bv.value, (bid, graphs[k])  # bitwise
+
+
+def test_batched_columns_equal_rows_on_every_4_vertex_digraph():
+    pool = [(i, j) for i in range(4) for j in range(4) if i != j]
+    graphs = [
+        Digraph(4, frozenset(a for b, a in enumerate(pool) if mask >> b & 1))
+        for mask in range(1, 1 << len(pool))
+    ]
+    assert len(graphs) == 4095
+    _assert_columns_match_rows(graphs)
+
+
+@given(st.lists(digraphs(), min_size=1, max_size=4))
+def test_batched_columns_equal_rows(graphs):
+    n = max(g.n for g in graphs)
+    _assert_columns_match_rows([Digraph(n, g.arcs) for g in graphs])
+
+
+def test_batched_columns_reject_empty_and_looped_digraphs():
+    adj = np.zeros((2, 3, 3), dtype=bool)
+    adj[0, 0, 1] = True
+    with pytest.raises(ValueError, match="at least one arc"):
+        BoundColumns(adj, [False, False])
+    adj[1, 2, 2] = True
+    with pytest.raises(ValueError, match="loop"):
+        BoundColumns(adj, [False, False])

@@ -306,3 +306,47 @@ def test_reconstruct_json(capsys):
     assert tree["candidates_visited"] == 63
     assert len(tree["matches"]) == 1
     assert tree["matches"][0]["edge_list"].startswith("n 3\n")
+
+
+def _assert_one_usage_line(capsys, argv, fragment):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("usage error: ")
+    assert fragment in lines[0]
+
+
+def test_reconstruct_rejects_nan_tolerance(capsys):
+    _assert_one_usage_line(
+        capsys, ["reconstruct", "--n", "3", "--q", "2.0", "--tol", "nan"],
+        "tolerance",
+    )
+
+
+def test_reconstruct_rejects_nan_q(capsys):
+    _assert_one_usage_line(
+        capsys, ["reconstruct", "--n", "3", "--q", "nan"], "q must be finite"
+    )
+
+
+def test_reconstruct_rejects_infinite_row_value(capsys):
+    _assert_one_usage_line(
+        capsys,
+        ["reconstruct", "--n", "3", "--q", "2.0", "--row", "arc_deg_sum=inf"],
+        "arc_deg_sum",
+    )
+
+
+def test_reconstruct_rejects_single_vertex(capsys):
+    _assert_one_usage_line(
+        capsys, ["reconstruct", "--n", "1", "--q", "2.0"], "n >= 2"
+    )
+
+
+def test_reconstruct_rejects_negative_tolerance(capsys):
+    _assert_one_usage_line(
+        capsys, ["reconstruct", "--n", "3", "--q", "2.0", "--tol", "-1"],
+        "tolerance",
+    )

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbounds import (
@@ -25,6 +25,7 @@ from qbounds import (
 import qbounds.verify as verify
 
 from conftest import digraphs
+from oracles import reconstruct_oracle
 
 
 # --- corpus -------------------------------------------------------------------
@@ -185,23 +186,120 @@ def test_reconstruct_outdeg_sequence_mode():
     assert report.found
 
 
-def test_reconstruct_early_mode_equivalent(monkeypatch):
+def test_reconstruct_chunk_boundaries_equivalent(monkeypatch):
     full = reconstruct(_c3_target())
-    monkeypatch.setattr(verify, "_FULL_EVAL_LIMIT", 10)
-    early = reconstruct(_c3_target())
-    assert early.candidates_visited == full.candidates_visited
-    assert [canonical_form(m.digraph) for m in early.matches] == [
-        canonical_form(m.digraph) for m in full.matches
-    ]
+    for chunk in (1, 7):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        chunked = reconstruct(_c3_target())
+        # matches, nearest miss and stage counts all carry across chunks
+        assert chunked == full
+        assert [canonical_form(m.digraph) for m in chunked.matches] == [
+            canonical_form(m.digraph) for m in full.matches
+        ]
 
 
-def test_reconstruct_early_mode_nearest_miss(monkeypatch):
-    monkeypatch.setattr(verify, "_FULL_EVAL_LIMIT", 10)
-    report = reconstruct(_c3_target(q=2.3))
-    assert not report.found
-    assert report.nearest_miss is not None
-    # heuristic: everything matches except q, so the deviation is the q gap
-    assert report.nearest_miss.max_deviation == pytest.approx(0.3, abs=1e-6)
+def test_reconstruct_chunk_boundaries_nearest_miss(monkeypatch):
+    full = reconstruct(_c3_target(q=2.3))
+    for chunk in (1, 7):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        report = reconstruct(_c3_target(q=2.3))
+        assert report == full
+        assert not report.found
+        assert report.nearest_miss is not None
+        # exact: everything matches except q, so the deviation is the q gap
+        assert report.nearest_miss.max_deviation == pytest.approx(0.3, abs=1e-6)
+
+
+# targets the engine must reproduce exactly: each mode of the candidate
+# space, matches and misses, every structural constraint, a q-only row,
+# inapplicable columns and digraphs that are not strongly connected
+EQUIVALENCE_TARGETS = {
+    "triangle": _c3_target(),
+    "triangle_miss": _c3_target(q=2.3),
+    "gstar": PRESETS["gstar"],
+    "g1": PRESETS["g1"],
+    "q_only": ReconstructionTarget(n=4, q=3.3, tolerance=1e-3),
+    "reducible": ReconstructionTarget(
+        n=4, q=3.2,
+        row={BoundId.DEG_PLUS_AVG: 3.0, BoundId.HONG_YOU: 3.0},
+        require_strongly_connected=False, tolerance=1e-2,
+    ),
+    "degree_bounded": ReconstructionTarget(
+        n=4, q=3.6,
+        row={BoundId.WEIGHT_SQRT_SUM: 3.9, BoundId.MAXDEG_PLUS_2: 5.0},
+        max_outdeg=3, min_outdeg=1,
+    ),
+    "fixed_m": ReconstructionTarget(
+        n=4, m=6, q=3.2,
+        row={BoundId.OVAL_AVG: 3.3, BoundId.INDEG_SQRT: 3.5},
+        tolerance=1e-2,
+    ),
+    "outdeg_sequence": ReconstructionTarget(
+        n=5, q=3.9, outdeg_sequence=(2, 2, 1, 1, 2),
+        row={BoundId.WEIGHT_DEG_SUM: 3.8, BoundId.OVAL_GEOMEAN: 3.9},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
+def test_reconstruct_equals_scalar_oracle(name):
+    target = EQUIVALENCE_TARGETS[name]
+    report = reconstruct(target)
+    visited, matches, nearest = reconstruct_oracle(target)
+    assert report.candidates_visited == visited
+    assert len(report.matches) == len(matches)
+    for got, want in zip(report.matches, matches):
+        assert got.digraph == want.digraph
+        assert got.q == want.q
+        assert got.row == want.row
+        assert got.max_deviation == want.max_deviation
+    if nearest is None:
+        assert report.nearest_miss is None
+    else:
+        got = report.nearest_miss
+        assert got.digraph == nearest.digraph
+        assert got.q == nearest.q
+        assert got.row == nearest.row
+        assert got.max_deviation == nearest.max_deviation
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_reconstruct_equals_scalar_oracle_on_drawn_targets(data):
+    # targets taken from a real digraph's row, shifted by a drawn amount,
+    # land on exact ties and on the tolerance boundary
+    g = data.draw(digraphs(min_n=3, max_n=4))
+    row = {bv.id: bv.value for bv in all_bounds(g) if bv.applicable}
+    ids = data.draw(st.lists(st.sampled_from(sorted(row, key=str)), unique=True,
+                             max_size=4))
+    shift = data.draw(st.sampled_from((0.0, 1e-3, 0.05, 0.3)))
+    target = ReconstructionTarget(
+        n=g.n,
+        q=spectral_radius(g).q + shift,
+        row={bid: row[bid] + shift for bid in ids},
+        m=g.m if g.n == 4 else None,
+        tolerance=data.draw(st.sampled_from((1e-9, 1e-3, 0.05))),
+        require_strongly_connected=data.draw(st.booleans()),
+    )
+    report = reconstruct(target)
+    visited, matches, nearest = reconstruct_oracle(target)
+    assert report.candidates_visited == visited
+    assert report.matches == matches
+    assert report.nearest_miss == nearest
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
+def test_reconstruct_stage_counts_add_up(name):
+    report = reconstruct(EQUIVALENCE_TARGETS[name])
+    stages = report.stages
+    assert (
+        stages.structurally_rejected
+        + stages.bound_rejected
+        + stages.q_enclosed
+        + stages.scalar_evaluated
+    ) == report.candidates_visited
+    assert len(report.matches) <= stages.matched <= stages.scalar_evaluated
+    assert reconstruct(EQUIVALENCE_TARGETS[name]).stages == stages
 
 
 def test_reconstruct_refuses_unbounded_large_space():
