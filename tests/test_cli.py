@@ -193,7 +193,10 @@ def test_compute_non_convergence_exit(capsys):
     # the star needs two matvecs to close its enclosure
     rc = main(["compute", "--inline", STAR.replace("\n", ";"), "--max-iter", "1"])
     assert rc == EXIT_NO_CONVERGENCE
-    assert "no convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: ")
+    # the best Collatz-Wielandt enclosure reached is part of the report
+    assert "best enclosure [2.0, 6.0]" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qbounds import (
     oval_containment,
     row_sum_bracket,
     similarity_row_sums,
+    spectral,
     spectral_radius,
 )
 
@@ -109,9 +111,12 @@ def test_bad_max_iter_rejected(c3):
 
 def test_non_convergence_raises(star4):
     # after one matvec from the all-ones vector the enclosure is still
-    # [2, 6], so a one-iteration budget must fail
-    with pytest.raises(ConvergenceError):
+    # [2, 6], so a one-iteration budget must fail and report it
+    with pytest.raises(ConvergenceError) as info:
         spectral_radius(star4, max_iter=1)
+    assert info.value.lo == 2.0
+    assert info.value.hi == 6.0
+    assert "[2.0, 6.0]" in str(info.value)
 
 
 # --- oracle agreement ---------------------------------------------------------
@@ -134,6 +139,89 @@ def test_tolerance_controls_enclosure(g, tol):
     r = spectral_radius(g, tol=tol)
     assert r.residual <= tol
     assert r.q == pytest.approx(spectral_radius_oracle(g), abs=max(tol * 10, 1e-8))
+
+
+# --- block storage: dense gemv and arc-list matvec ------------------------------
+
+
+def _assert_sides_agree(g):
+    """Run spectral_radius(g) with every block forced dense, then with
+    every block forced onto arc lists (where building a dense block
+    fails), and compare both with each other and with the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_DENSE_FILL", math.inf)
+        dense = spectral_radius(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_DENSE_FILL", 0)
+        mp.setattr(spectral, "_dense_q", None)
+        arcs = spectral_radius(g)
+    assert abs(dense.q - arcs.q) <= 1e-12
+    oracle = spectral_radius_oracle(g)
+    for r in (dense, arcs):
+        assert r.q == pytest.approx(oracle, abs=1e-6)
+        assert r.residual <= spectral.DEFAULT_TOL
+    assert [cid for cid, _ in dense.per_component] == [
+        cid for cid, _ in arcs.per_component
+    ]
+
+
+def _union(*parts, links=()):
+    """Disjoint union of digraphs, relabeled in order, plus the given arcs
+    between the relabeled vertices."""
+    arcs, offset = list(links), 0
+    for part in parts:
+        arcs += [(i + offset, j + offset) for i, j in part.arcs]
+        offset += part.n
+    return from_arc_list(offset, arcs)
+
+
+MULTI_SCC_GRAPHS = {
+    # two directed triangles, one feeding the other and that one a 2-cycle;
+    # the arc leaving each triangle raises the same diagonal entry, so the
+    # two triangle radii tie
+    "tied_cycles": _union(gen_directed_cycle(3), gen_directed_cycle(3),
+                          gen_directed_cycle(2), links=[(0, 3), (4, 6)]),
+    # bidirectional star on 4 and bidirectional triangle both have radius 4
+    "tied_star_triangle": _union(gen_bidirectional_star(4),
+                                 gen_bidirectional_complete(3)),
+    # every triangle vertex also leaves the block, so its diagonal is 2 and
+    # the block radius 3 exceeds the 2-cycle's 2
+    "cross_arcs_raise_diagonal": _union(gen_directed_cycle(3), gen_directed_cycle(2),
+                                        links=[(0, 3), (1, 3), (2, 4)]),
+    # a chain of three strong components of sizes 4, 2 and 5
+    "chain": _union(gen_directed_cycle(4), gen_bidirectional_complete(2),
+                    gen_directed_cycle(5), links=[(0, 4), (2, 5), (4, 6), (5, 9)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_SCC_GRAPHS))
+def test_block_storage_sides_agree_on_multi_scc_graphs(name):
+    _assert_sides_agree(MULTI_SCC_GRAPHS[name])
+
+
+@given(digraphs(max_n=8))
+def test_block_storage_sides_agree(g):
+    _assert_sides_agree(g)
+
+
+@given(sc_digraphs(max_n=8))
+def test_block_storage_sides_agree_strongly_connected(g):
+    _assert_sides_agree(g)
+
+
+def test_sparse_block_takes_arc_lists():
+    # n_b^2 = 16e6 far exceeds _DENSE_FILL * (m_b + n_b) = 64,000, so the
+    # cycle multiplies from its arcs; a dense Q plus a dense copy of its
+    # one block would take 256 MB
+    g = gen_directed_cycle(4000)
+    tracemalloc.start()
+    try:
+        r = spectral_radius(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.q == 2.0
+    assert peak < 16 * 2**20
 
 
 # --- row-sum brackets and similarity transforms -------------------------------
