@@ -288,44 +288,34 @@ _SPECS = {
 # --- one digraph ------------------------------------------------------------------
 
 
-class _GraphData:
-    """Degree data of one digraph as integer arrays: sorted arc endpoints
-    src/dst, outdegree d, 2-outdegree t, in-neighbor outdegree sums."""
-
-    def __init__(self, g: Digraph):
-        n = g.n
-        keys = np.fromiter((i * n + j for i, j in g.arcs), np.int64, g.m)
-        keys.sort()
-        self.src, self.dst = np.divmod(keys, n)
-        self.d = d = np.bincount(self.src, minlength=n)
-        self.t = np.bincount(self.src, d[self.dst], n).astype(np.int64)
-        self.insum = np.bincount(self.dst, d[self.src], n).astype(np.int64)
-        self.g = g
-
-    def shape(self) -> _Shape:
-        zero_heads = self.dst[self.d[self.dst] == 0]
-        return _Shape(
-            n=self.g.n,
-            m=self.g.m,
-            lo=int(self.d.min()),
-            hi=int(self.d.max()),
-            strongly=is_strongly_connected(self.g),
-            zero_head=int(zero_heads.min()) if zero_heads.size else -1,
-        )
-
-    def sorted_prefix(self):
-        """Non-increasing outdegrees and the sum of the entries before
-        each position."""
-        degs = np.sort(self.d)[::-1]
-        return degs, np.cumsum(degs) - degs
+def _shape(g: Digraph) -> _Shape:
+    data = g.data
+    d, dst = data.outdeg, data.dst
+    zero_heads = dst[d[dst] == 0]
+    return _Shape(
+        n=g.n,
+        m=g.m,
+        lo=int(d.min()),
+        hi=int(d.max()),
+        strongly=is_strongly_connected(g),
+        zero_head=int(zero_heads.min()) if zero_heads.size else -1,
+    )
 
 
-def _evaluate(bid: BoundId, data: _GraphData, shape: _Shape) -> BoundValue:
+def _sorted_prefix(d):
+    """Non-increasing outdegrees and the sum of the entries before each
+    position."""
+    degs = np.sort(d)[::-1]
+    return degs, np.cumsum(degs) - degs
+
+
+def _evaluate(bid: BoundId, g: Digraph, shape: _Shape) -> BoundValue:
     spec = _SPECS[bid]
     reason = _reason(spec.conditions, shape)
     if reason is not None:
         return BoundValue(bid, None, reason)
-    d, t = data.d, data.t
+    data = g.data
+    d, t = data.outdeg, data.two_outdeg
     if spec.kind == "arc":
         src, dst = data.src, data.dst
         values = spec.term(d[src], d[dst], t[src], t[dst])
@@ -339,7 +329,7 @@ def _evaluate(bid: BoundId, data: _GraphData, shape: _Shape) -> BoundValue:
         k = int(np.argmax(values))
         return BoundValue(bid, float(values[k]), witness=int(vertices[k]))
     if spec.kind == "position":
-        degs, prefix = data.sorted_prefix()
+        degs, prefix = _sorted_prefix(d)
         values = spec.term(degs[0], degs, prefix, np.arange(degs.size))
         k = int(np.argmin(values))
         return BoundValue(bid, float(values[k]), witness=k)
@@ -348,8 +338,7 @@ def _evaluate(bid: BoundId, data: _GraphData, shape: _Shape) -> BoundValue:
 
 
 def _bound(bid: BoundId, g: Digraph) -> BoundValue:
-    data = _GraphData(g)
-    return _evaluate(bid, data, data.shape())
+    return _evaluate(bid, g, _shape(g))
 
 
 # --- public API -------------------------------------------------------------
@@ -408,27 +397,20 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
     enter the computation. The bound is scale-invariant in f and collapses
     to bound_arc_deg_sum when f is constant.
     """
+    data = g.data
     arcs = g.sorted_arcs()
-    weights = {}
-    for i, j in arcs:
-        w = float(f(i, j))
-        if not math.isfinite(w) or w <= 0.0:
-            raise ValueError(
-                f"arc weight function must be positive and finite on every "
-                f"arc; got f({i}, {j}) = {w}"
-            )
-        weights[i, j] = w
-    row = [0.0] * g.n
-    for (i, _), w in weights.items():
-        row[i] += w
-    best = None
-    witness = None
-    for i, j in arcs:
-        value = (row[i] + row[j]) / weights[i, j]
-        if best is None or value > best:
-            best = value
-            witness = (i, j)
-    return BoundValue(BoundId.GENERIC_WEIGHT, best, witness=witness)
+    weights = np.array([float(f(i, j)) for i, j in arcs])
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"arc weight function must be positive and finite on every "
+            f"arc; got f{arcs[k]} = {float(weights[k])}"
+        )
+    row = np.bincount(data.src, weights, g.n)  # summed in arc order
+    values = (row[data.src] + row[data.dst]) / weights
+    k = int(np.argmax(values))  # first maximizer in sorted arc order
+    return BoundValue(BoundId.GENERIC_WEIGHT, float(values[k]), witness=arcs[k])
 
 
 def bound_weight_sqrt_prod(g: Digraph) -> BoundValue:
@@ -460,9 +442,8 @@ def all_bounds(g: Digraph) -> tuple:
     Per-bound hypothesis failures surface as inapplicable entries, never
     exceptions, so the row always has all twelve columns.
     """
-    data = _GraphData(g)
-    shape = data.shape()
-    return tuple(_evaluate(bid, data, shape) for bid in ROW_ORDER)
+    shape = _shape(g)
+    return tuple(_evaluate(bid, g, shape) for bid in ROW_ORDER)
 
 
 def witness_value(g: Digraph, bv: BoundValue) -> float | None:
@@ -476,8 +457,8 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
     if bv.value is None or bv.witness is None:
         return None
     spec = _SPECS[bv.id]
-    data = _GraphData(g)
-    d, t = data.d, data.t
+    data = g.data
+    d, t = data.outdeg, data.two_outdeg
     if spec.kind == "arc":
         i, j = bv.witness
         return float(spec.term(d[i], d[j], t[i], t[j]))
@@ -485,7 +466,7 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
         v = bv.witness
         return float(spec.term(d[v], t[v], data.insum[v]))
     if spec.kind == "position":
-        degs, prefix = data.sorted_prefix()
+        degs, prefix = _sorted_prefix(d)
         pos = bv.witness
         return float(spec.term(degs[0], degs[pos], prefix[pos], pos))
     return None

@@ -9,7 +9,7 @@ Three subcommands:
                bundled preset (gstar, g1, g2) or flag-specified
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
-3 invariant or match failure, 4 spectral non-convergence.
+3 invariant or match failure, 4 spectral non-convergence, 5 out of memory.
 
 Vertex ids are 1-based in files and in all rendered output; the Python
 API underneath is 0-based. Human tables round to 4 decimals for display;
@@ -41,6 +41,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_FAILURE = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_RESOURCE = 5
 
 EQUALITY_TOL = 1e-9
 
@@ -487,6 +488,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except MemoryError as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def entrypoint():

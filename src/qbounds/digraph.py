@@ -7,11 +7,19 @@ outdegree data:
 * outdegree d+(i): number of arcs leaving i
 * 2-outdegree t+(i): sum of d+(j) over the out-neighbors j of i
 * average 2-outdegree m+(i) = t+(i) / d+(i), undefined when d+(i) = 0
+
+Everything derived from the arc set (the sorted arc arrays, the degrees
+and the strong components) is computed once per Digraph, on first use,
+into its GraphData. adjacency, degree_profile, scc and
+is_strongly_connected are views over it.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,11 +47,23 @@ class Digraph:
         """Number of arcs."""
         return len(self.arcs)
 
+    @functools.cached_property
+    def data(self) -> "GraphData":
+        """The graph data, built on first use. The arc set is frozen, so it
+        never goes stale; it is not a field, so equality, hashing and repr
+        do not see it."""
+        return _build_graph_data(self)
+
+    def __getstate__(self):
+        # copies and pickles rebuild the data on demand rather than carry
+        # arrays that would come back writable
+        return {"n": self.n, "arcs": self.arcs}
+
     def sorted_arcs(self) -> list:
-        return sorted(self.arcs)
+        return list(zip(self.data.src.tolist(), self.data.dst.tolist()))
 
     def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
+        return f"Digraph(n={self.n}, arcs={self.sorted_arcs()})"
 
 
 def from_arc_list(n: int, pairs) -> Digraph:
@@ -51,14 +71,121 @@ def from_arc_list(n: int, pairs) -> Digraph:
     return Digraph(n, frozenset((int(i), int(j)) for i, j in pairs))
 
 
+@dataclass(frozen=True, eq=False)
+class GraphData:
+    """What the package reads of one digraph, as read-only integer arrays.
+
+    src, dst      arc tails and heads in sorted (src, dst) order
+    offsets       CSR offsets over src: the arcs leaving i sit at
+                  offsets[i] .. offsets[i + 1] - 1, heads ascending
+    outdeg        d+(i);  indeg: d-(i)
+    two_outdeg    t+(i), the sum of d+(j) over out-neighbors j
+    insum         the sum of d+(j) over in-neighbors j
+    component_of  index of the strong component holding each vertex
+    components    the strong components as in SccDecomposition
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    offsets: np.ndarray
+    outdeg: np.ndarray
+    indeg: np.ndarray
+    two_outdeg: np.ndarray
+    insum: np.ndarray
+    component_of: np.ndarray
+    components: tuple
+
+
+def _build_graph_data(g: Digraph) -> GraphData:
+    n = g.n
+    keys = np.fromiter((i * n + j for i, j in g.arcs), np.int64, g.m)
+    keys.sort()
+    src, dst = np.divmod(keys, n)
+    outdeg = np.bincount(src, minlength=n)
+    offsets = np.concatenate(([0], np.cumsum(outdeg)))
+    components, component_of = _tarjan(n, offsets.tolist(), dst.tolist())
+    arrays = dict(
+        src=src,
+        dst=dst,
+        offsets=offsets,
+        outdeg=outdeg,
+        indeg=np.bincount(dst, minlength=n),
+        two_outdeg=np.bincount(src, outdeg[dst], n).astype(np.int64),
+        insum=np.bincount(dst, outdeg[src], n).astype(np.int64),
+        component_of=np.array(component_of, dtype=np.intp),
+    )
+    for array in arrays.values():
+        array.flags.writeable = False
+    return GraphData(components=components, **arrays)
+
+
+def _tarjan(n: int, offsets: list, heads: list):
+    """Tarjan's algorithm over CSR out-neighbor lists, iterative to stay
+    clear of recursion limits. Returns the components, sorted vertex
+    tuples in reverse topological order, and the component of each
+    vertex."""
+    index = [-1] * n
+    low = [0] * n
+    onstack = [False] * n
+    component_of = [0] * n
+    stack = []
+    components = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack[root] = True
+        work = [(root, iter(heads[offsets[root]:offsets[root + 1]]))]
+        while work:
+            v, neighbor_iter = work[-1]
+            advanced = False
+            for w in neighbor_iter:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack[w] = True
+                    work.append((w, iter(heads[offsets[w]:offsets[w + 1]])))
+                    advanced = True
+                    break
+                if onstack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack[w] = False
+                    component_of[w] = len(components)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(tuple(sorted(comp)))
+    return tuple(components), component_of
+
+
+def _split(values: np.ndarray, counts: np.ndarray) -> list:
+    """values cut into consecutive lists of the given lengths."""
+    values = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [values[end - count:end] for end, count in zip(ends, counts.tolist())]
+
+
 def adjacency(g: Digraph):
-    """Sorted out- and in-neighbor lists, one pass over the arc set."""
-    out = [[] for _ in range(g.n)]
-    into = [[] for _ in range(g.n)]
-    for i, j in g.sorted_arcs():
-        out[i].append(j)
-        into[j].append(i)
-    return out, into
+    """Sorted out- and in-neighbor lists."""
+    data = g.data
+    tails_by_head = data.src[np.argsort(data.dst, kind="stable")]
+    return _split(data.dst, data.outdeg), _split(tails_by_head, data.indeg)
 
 
 @dataclass(frozen=True)
@@ -79,25 +206,18 @@ class DegreeProfile:
 
 
 def degree_profile(g: Digraph) -> DegreeProfile:
-    out, into = adjacency(g)
-    return _profile_from_adjacency(out, into, g.m)
-
-
-def _profile_from_adjacency(out, into, arc_count) -> DegreeProfile:
-    outdeg = tuple(len(nbrs) for nbrs in out)
-    indeg = tuple(len(nbrs) for nbrs in into)
-    two_outdeg = tuple(sum(outdeg[j] for j in nbrs) for nbrs in out)
-    avg = tuple(
-        (t / d) if d > 0 else None for d, t in zip(outdeg, two_outdeg)
-    )
+    data = g.data
+    outdeg = tuple(data.outdeg.tolist())
+    two_outdeg = tuple(data.two_outdeg.tolist())
+    avg = tuple((t / d) if d > 0 else None for d, t in zip(outdeg, two_outdeg))
     return DegreeProfile(
         outdeg=outdeg,
-        indeg=indeg,
+        indeg=tuple(data.indeg.tolist()),
         two_outdeg=two_outdeg,
         avg_two_outdeg=avg,
         max_outdeg=max(outdeg),
         min_outdeg=min(outdeg),
-        arc_count=arc_count,
+        arc_count=g.m,
     )
 
 
@@ -117,64 +237,13 @@ class SccDecomposition:
 
 
 def scc(g: Digraph) -> SccDecomposition:
-    """Tarjan's algorithm, iterative to stay clear of recursion limits."""
-    out, _ = adjacency(g)
-    n = g.n
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack = []
-    components = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack[root] = True
-        work = [(root, iter(out[root]))]
-        while work:
-            v, neighbor_iter = work[-1]
-            advanced = False
-            for w in neighbor_iter:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(out[w])))
-                    advanced = True
-                    break
-                if onstack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-
-    component_of = [0] * n
-    for idx, comp in enumerate(components):
-        for v in comp:
-            component_of[v] = idx
-    return SccDecomposition(tuple(component_of), tuple(components))
+    """The strong components found by Tarjan's algorithm."""
+    data = g.data
+    return SccDecomposition(tuple(data.component_of.tolist()), data.components)
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    return len(scc(g).components) == 1
+    return len(g.data.components) == 1
 
 
 @dataclass(frozen=True)
@@ -189,95 +258,76 @@ class Classification:
 
 def classify(g: Digraph) -> Classification:
     """Structural flags used by the equality cases of the bound catalog."""
-    profile = degree_profile(g)
+    outdeg = g.data.outdeg
     strongly = is_strongly_connected(g)
-    regular = profile.max_outdeg == profile.min_outdeg
-    directed_cycle = strongly and profile.max_outdeg == 1
     return Classification(
         is_strongly_connected=strongly,
-        is_regular=regular,
-        is_directed_cycle=directed_cycle,
+        is_regular=bool(outdeg.min() == outdeg.max()),
+        is_directed_cycle=strongly and bool(outdeg.max() == 1),
         is_bidirectional_star=_is_bidirectional_star(g),
-        is_bipartite_semiregular=_is_bipartite_semiregular(g, profile),
-        is_in_g_star_class=_is_in_g_star_class(g, profile, strongly),
+        is_bipartite_semiregular=_is_bipartite_semiregular(g),
+        is_in_g_star_class=_is_in_g_star_class(g, strongly),
     )
 
 
 def _is_bidirectional_star(g: Digraph) -> bool:
-    # one center joined to every other vertex by a bidirected pair, nothing else
+    # one center joined to every other vertex by a bidirected pair, nothing
+    # else: 2 (n - 1) arcs, all at a center of in- and outdegree n - 1
+    data = g.data
     if g.m != 2 * (g.n - 1):
         return False
-    out, into = adjacency(g)
-    for center in range(g.n):
-        others = [v for v in range(g.n) if v != center]
-        if out[center] == others and into[center] == others:
-            if all(out[v] == [center] and into[v] == [center] for v in others):
-                return True
-    return False
+    return bool(((data.outdeg == g.n - 1) & (data.indeg == g.n - 1)).any())
 
 
-def _is_bipartite_semiregular(g: Digraph, profile: DegreeProfile) -> bool:
+def _is_bipartite_semiregular(g: Digraph) -> bool:
     """True when some bipartition (X, Y) carries all arcs as bidirected
     cross pairs with one common outdegree on X and one on Y.
 
     The check is existential over the 2-colorings of the underlying graph,
     so disconnected unions with a consistent (r, s) also qualify.
     """
-    if any((j, i) not in g.arcs for (i, j) in g.arcs):
+    data, n = g.data, g.n
+    d = data.outdeg
+    # every arc is bidirected when the reversed arcs, sorted, are the arcs
+    if not np.array_equal(np.sort(data.dst * n + data.src), data.src * n + data.dst):
         return False
-    if profile.min_outdeg == 0:
+    if d.min() == 0:
         # a vertex without arcs cannot sit in either part: parts must
         # exchange arcs in both directions, forcing positive outdegrees
         return False
-    out, _ = adjacency(g)
-
-    color = [-1] * g.n
-    options_per_comp = []
-    for start in range(g.n):
+    if d.min() != d.max():
+        # r != s: the parts are the two outdegree classes, and every arc
+        # must run between them
+        return len(np.unique(d)) == 2 and bool((d[data.src] != d[data.dst]).all())
+    # r == s: any proper 2-coloring of the underlying graph will do
+    heads, offsets = data.dst.tolist(), data.offsets.tolist()
+    color = [-1] * n
+    for start in range(n):
         if color[start] != -1:
             continue
         color[start] = 0
         queue = [start]
-        comp = [start]
         while queue:
             v = queue.pop()
-            for w in out[v]:
+            for w in heads[offsets[v]:offsets[v + 1]]:
                 if color[w] == -1:
                     color[w] = 1 - color[v]
                     queue.append(w)
-                    comp.append(w)
                 elif color[w] == color[v]:
                     return False  # odd cycle in the underlying graph
-        side0 = {profile.outdeg[v] for v in comp if color[v] == 0}
-        side1 = {profile.outdeg[v] for v in comp if color[v] == 1}
-        if len(side0) > 1 or len(side1) > 1:
-            return False
-        r = side0.pop()
-        s = side1.pop() if side1 else r
-        options = {(r, s), (s, r)}
-        options_per_comp.append(options)
-
-    # some global (r, s) must be available in every component
-    for candidate in options_per_comp[0]:
-        if all(candidate in options for options in options_per_comp):
-            return True
-    return False
+    return True
 
 
-def _is_in_g_star_class(g: Digraph, profile: DegreeProfile, strongly: bool) -> bool:
+def _is_in_g_star_class(g: Digraph, strongly: bool) -> bool:
     """Strongly connected, min outdegree 1, max outdegree at least
     (m - (n - 1)) / 2, and some maximum-outdegree vertex has an
     out-neighbor of outdegree at least 2."""
-    if not strongly or profile.min_outdeg != 1:
+    data = g.data
+    d = data.outdeg
+    hi = d.max()
+    if not strongly or d.min() != 1 or hi < (g.m - (g.n - 1)) / 2:
         return False
-    if profile.max_outdeg < (profile.arc_count - (g.n - 1)) / 2:
-        return False
-    out, _ = adjacency(g)
-    for v in range(g.n):
-        if profile.outdeg[v] == profile.max_outdeg:
-            if any(profile.outdeg[w] >= 2 for w in out[v]):
-                return True
-    return False
+    return bool(((d[data.src] == hi) & (d[data.dst] >= 2)).any())
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +356,9 @@ def gen_bidirectional_star(n: int) -> Digraph:
     return Digraph(n, frozenset(arcs))
 
 
-def _undirected_components(vertex_count, edges):
-    parent = list(range(vertex_count))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for v in range(vertex_count):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+def _bidirected(vertex_count, edges) -> Digraph:
+    """The digraph carrying both arcs of every edge (a, b)."""
+    return Digraph(vertex_count, frozenset(edges) | {(b, a) for a, b in edges})
 
 
 def gen_bipartite_semiregular(p: int, q: int, r: int, s: int) -> Digraph:
@@ -345,21 +381,19 @@ def gen_bipartite_semiregular(p: int, q: int, r: int, s: int) -> Digraph:
         )
     edges = {(i, p + (i * r + t) % q) for i in range(p) for t in range(r)}
 
-    for _ in range(p + q):
-        comps = _undirected_components(p + q, edges)
+    n = p + q
+    for _ in range(n):
+        # components of the underlying graph, ordered by smallest vertex
+        comps = sorted(_bidirected(n, edges).data.components)
         if len(comps) <= 1:
             break
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        first = sorted(e for e in edges if comp_of[e[0]] == 0)
+        first = sorted(e for e in edges if e[0] in comps[0])
         improved = False
-        for other in range(1, len(comps)):
-            rest = sorted(e for e in edges if comp_of[e[0]] == other)
+        for comp in comps[1:]:
+            rest = sorted(e for e in edges if e[0] in comp)
             for (x1, y1), (x2, y2) in itertools.product(first, rest):
                 trial = (edges - {(x1, y1), (x2, y2)}) | {(x1, y2), (x2, y1)}
-                if len(_undirected_components(p + q, trial)) < len(comps):
+                if len(_bidirected(n, trial).data.components) < len(comps):
                     edges = trial
                     improved = True
                     break
@@ -367,12 +401,7 @@ def gen_bipartite_semiregular(p: int, q: int, r: int, s: int) -> Digraph:
                 break
         if not improved:
             break
-
-    arcs = set()
-    for a, b in edges:
-        arcs.add((a, b))
-        arcs.add((b, a))
-    return Digraph(p + q, frozenset(arcs))
+    return _bidirected(n, edges)
 
 
 def gen_random_strongly_connected(n: int, arc_probability: float, seed: int) -> Digraph:

@@ -31,7 +31,6 @@ from .digraph import (
     adjacency,
     degree_profile,
     is_strongly_connected,
-    scc,
 )
 
 
@@ -78,12 +77,6 @@ class SpectralResult:
     per_component: tuple
 
 
-def _arc_arrays(g: Digraph):
-    """Tails and heads of the arcs in sorted order, as index arrays."""
-    arcs = np.array(g.sorted_arcs(), dtype=np.intp)
-    return arcs[:, 0], arcs[:, 1]
-
-
 def _dense_q(diag: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """The one place that lays out Q: diag on the diagonal, 1.0 at every
     arc (src, dst), zero elsewhere."""
@@ -94,8 +87,8 @@ def _dense_q(diag: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def build_q(g: Digraph) -> np.ndarray:
     """Dense signless Laplacian D + A as a float array."""
-    src, dst = _arc_arrays(g)
-    return _dense_q(np.bincount(src, minlength=g.n), src, dst)
+    data = g.data
+    return _dense_q(data.outdeg, data.src, data.dst)
 
 
 def row_sum_bracket(matrix) -> tuple:
@@ -158,10 +151,9 @@ def spectral_radius(g: Digraph, tol: float = DEFAULT_TOL,
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    src, dst = _arc_arrays(g)
-    outdeg = np.bincount(src, minlength=g.n).astype(float)
-    decomposition = scc(g)
-    component_of = np.asarray(decomposition.component_of, dtype=np.intp)
+    data = g.data
+    src, dst, component_of = data.src, data.dst, data.component_of
+    outdeg = data.outdeg.astype(float)
 
     # Local ids: each component lists its vertices in increasing order, so
     # a stable sort by component id lines them up in that order.
@@ -185,7 +177,7 @@ def spectral_radius(g: Digraph, tol: float = DEFAULT_TOL,
     per_component = []
     total_iterations = 0
     worst_residual = 0.0
-    for cid, comp in enumerate(decomposition.components):
+    for cid, comp in enumerate(data.components):
         if len(comp) == 1:
             value = float(outdeg[comp[0]])
         else:

@@ -39,7 +39,7 @@ from .digraph import (
     scc,
 )
 from .edgelist import serialize_edge_list
-from .spectral import oval_containment, spectral_radius
+from .spectral import oval_containment, similarity_row_sums, spectral_radius
 
 DOMINANCE_TOL = 1e-9
 
@@ -96,11 +96,6 @@ class GraphCase:
     row: tuple
 
 
-def _build_case(label, g, spectral_tol):
-    result = spectral_radius(g, tol=spectral_tol)
-    return GraphCase(label=label, g=g, q=result.q, row=all_bounds(g))
-
-
 def _inv_degree_consistency(case):
     profile = degree_profile(case.g)
     if sum(profile.outdeg) != case.g.m or sum(profile.indeg) != case.g.m:
@@ -117,26 +112,23 @@ def _inv_dominance(case):
     return None
 
 
-def _inv_bracket_plain_rows(case):
-    profile = degree_profile(case.g)
-    lo, hi = 2.0 * profile.min_outdeg, 2.0 * profile.max_outdeg
+def _row_sum_bracket(case, kind, name):
+    """q against the min and max row sums of a matrix similar to Q."""
+    sums = similarity_row_sums(case.g, kind)
+    lo, hi = min(sums), max(sums)
     if not (lo - DOMINANCE_TOL <= case.q <= hi + DOMINANCE_TOL):
-        return f"q = {case.q!r} outside plain row-sum bracket [{lo}, {hi}]"
+        return f"q = {case.q!r} outside {name} row-sum bracket [{lo!r}, {hi!r}]"
     return None
+
+
+def _inv_bracket_plain_rows(case):
+    return _row_sum_bracket(case, "plain_Q", "plain")
 
 
 def _inv_bracket_deg_avg(case):
-    profile = degree_profile(case.g)
-    if profile.min_outdeg == 0:
+    if degree_profile(case.g).min_outdeg == 0:
         return None
-    sums = [d + t / d for d, t in zip(profile.outdeg, profile.two_outdeg)]
-    lo, hi = min(sums), max(sums)
-    if not (lo - DOMINANCE_TOL <= case.q <= hi + DOMINANCE_TOL):
-        return (
-            f"q = {case.q!r} outside degree-average row-sum bracket "
-            f"[{lo!r}, {hi!r}]"
-        )
-    return None
+    return _row_sum_bracket(case, "deg_inverse", "degree-average")
 
 
 def _inv_oval_contains_q(case):
@@ -240,7 +232,8 @@ def sweep(corpus, invariants=None, description="", spectral_tol=1e-12) -> SweepR
     failures = []
     checks = 0
     for label, g in corpus:
-        case = _build_case(label, g, spectral_tol)
+        q = spectral_radius(g, tol=spectral_tol).q
+        case = GraphCase(label=label, g=g, q=q, row=all_bounds(g))
         for name in names:
             checks += 1
             detail = INVARIANTS[name](case)

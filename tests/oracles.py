@@ -87,6 +87,54 @@ def is_strongly_connected_oracle(g: Digraph) -> bool:
     return bool(reachability_matrix(g).all())
 
 
+def generic_f_oracle(g: Digraph, f) -> tuple:
+    """(value, witness) of bound_generic_f by a loop over the sorted arcs:
+    row sums accumulated arc by arc, the first maximizer kept."""
+    arcs = sorted(g.arcs)
+    weights = {arc: float(f(*arc)) for arc in arcs}
+    row = [0.0] * g.n
+    for (i, _), w in weights.items():
+        row[i] += w
+    best = witness = None
+    for i, j in arcs:
+        value = (row[i] + row[j]) / weights[i, j]
+        if best is None or value > best:
+            best, witness = value, (i, j)
+    return best, witness
+
+
+def classify_oracle(g: Digraph) -> dict:
+    """The flags of classify that look past the degree extremes, from
+    their definitions over the arc set, by brute force over the centers
+    and over the 2-colorings of the vertices."""
+    n, arcs = g.n, set(g.arcs)
+    out = [sum(1 for i, _ in arcs if i == v) for v in range(n)]
+    star = any(
+        arcs == {(c, v) for v in range(n) if v != c} | {(v, c) for v in range(n) if v != c}
+        for c in range(n)
+    )
+    semiregular = any(
+        all(colors[i] != colors[j] and (j, i) in arcs for i, j in arcs)
+        and all(
+            len({out[v] for v in range(n) if colors[v] == side}) == 1
+            for side in (0, 1)
+        )
+        for colors in itertools.product((0, 1), repeat=n)
+    )
+    hi = max(out)
+    g_star = (
+        is_strongly_connected_oracle(g)
+        and min(out) == 1
+        and hi >= (len(arcs) - (n - 1)) / 2
+        and any(out[i] == hi and out[j] >= 2 for i, j in arcs)
+    )
+    return {
+        "is_bidirectional_star": star,
+        "is_bipartite_semiregular": semiregular,
+        "is_in_g_star_class": g_star,
+    }
+
+
 def _candidate_arc_sets(target):
     """Every arc set of the target's candidate space, in the order
     reconstruct documents."""

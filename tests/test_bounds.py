@@ -26,16 +26,19 @@ from qbounds import (
     bound_weight_sqrt_prod,
     bound_weight_sqrt_sum,
     bound_weight_sum_sqrt,
+    classify,
     degree_profile,
     from_arc_list,
     gen_bidirectional_complete,
     gen_directed_cycle,
     is_strongly_connected,
     spectral_radius,
+    verify,
     witness_value,
 )
 
 from conftest import sc_digraphs, digraphs
+from oracles import generic_f_oracle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -267,6 +270,19 @@ def test_deg_sum_weight_closed_form_is_exact(g):
     assert bound_generic_f(g, f).value == bound_weight_deg_sum(g).value
 
 
+@given(digraphs())
+def test_generic_weight_equals_loop_reference(g):
+    # same summation order as the arc-by-arc loop, so bitwise equal, and
+    # the same first-maximizer witness on ties
+    for f in (
+        lambda i, j: 1.0,
+        lambda i, j: math.sqrt(i + 2 * j + 1),
+        lambda i, j: 1.0 + (3 * i + j) % 5 / 7,
+    ):
+        bv = bound_generic_f(g, f)
+        assert (bv.value, bv.witness) == generic_f_oracle(g, f)
+
+
 def test_generic_rejects_nonpositive_weight(c3):
     with pytest.raises(ValueError, match="positive and finite"):
         bound_generic_f(c3, lambda i, j: 0.0)
@@ -331,6 +347,10 @@ def _batch(graphs):
 def _assert_columns_match_rows(graphs):
     columns = _batch(graphs)
     rows = [all_bounds(g) for g in graphs]
+    # the batched g-star check agrees with the scalar one in classify
+    assert verify._in_g_star_class(columns).tolist() == [
+        classify(g).is_in_g_star_class for g in graphs
+    ]
     for c, bid in enumerate(ROW_ORDER):
         values = columns.values(bid)
         for k, row in enumerate(rows):

@@ -4,12 +4,14 @@ import json
 import pytest
 from hypothesis import given
 
+import qbounds.cli as cli
 from qbounds import from_arc_list, gen_directed_cycle
 from qbounds.cli import (
     EXIT_FAILURE,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     EdgeListParseError,
     main,
@@ -197,6 +199,25 @@ def test_compute_non_convergence_exit(capsys):
     assert err.startswith("no convergence: ")
     # the best Collatz-Wielandt enclosure reached is part of the report
     assert "best enclosure [2.0, 6.0]" in err
+
+
+@pytest.mark.parametrize(
+    "error, shown",
+    [
+        (MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_compute_memory_error_exit(monkeypatch, capsys, error, shown):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "spectral_radius", exhausted)
+    rc = main(["compute", "--inline", STAR.replace("\n", ";")])
+    assert rc == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resource error: {shown}\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -1,14 +1,22 @@
+import copy
+import dataclasses
 import itertools
+import json
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qbounds import (
     Digraph,
+    RandomCorpusSpec,
     adjacency,
     classify,
+    cli,
     degree_profile,
+    digraph,
     from_arc_list,
     gen_bidirectional_complete,
     gen_bidirectional_star,
@@ -16,11 +24,14 @@ from qbounds import (
     gen_directed_cycle,
     gen_random_strongly_connected,
     is_strongly_connected,
+    random_corpus,
     scc,
+    serialize_edge_list,
+    sweep,
 )
 
 from conftest import all_digraphs_up_to, digraphs, sc_digraphs
-from oracles import is_strongly_connected_oracle, scc_oracle
+from oracles import classify_oracle, is_strongly_connected_oracle, scc_oracle
 
 
 # --- construction and validation --------------------------------------------
@@ -58,6 +69,53 @@ def test_digraph_is_hashable_value_object():
     b = from_arc_list(3, [(1, 2), (0, 1)])
     assert a == b
     assert hash(a) == hash(b)
+    # the cached graph data stays invisible: build it on one side only
+    data = a.data
+    assert "data" not in vars(b)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert {a: "a"}[b] == "a"
+    assert repr(a) == repr(b)
+    # it cannot be written to
+    for field in dataclasses.fields(data):
+        value = getattr(data, field.name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError):
+                value[0] = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.data = None
+    # copies and pickles leave it behind
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and "data" not in vars(twin)
+    # the views hand out plain Python values
+    json.dumps(dataclasses.asdict(degree_profile(a)))
+    json.dumps(dataclasses.asdict(scc(a)))
+    json.dumps(dataclasses.asdict(classify(a)))
+
+
+def test_graph_data_built_once_per_digraph(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text(serialize_edge_list(from_arc_list(
+        5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)]
+    )))
+    corpus = random_corpus(RandomCorpusSpec(
+        count=7, n_min=3, n_max=9, arc_probabilities=(0.1, 0.5), seed=3
+    ))
+    builds = []
+    tarjan = digraph._tarjan
+
+    def counting_tarjan(*args):
+        builds.append(args)
+        return tarjan(*args)
+
+    monkeypatch.setattr(digraph, "_tarjan", counting_tarjan)
+    for fmt in ("table", "csv", "json"):
+        builds.clear()
+        assert cli.main(["compute", "--input", str(path), "--format", fmt]) == 0
+        assert len(builds) == 1
+    builds.clear()
+    assert sweep(corpus).passed
+    assert len(builds) == len(corpus)
 
 
 def test_sorted_arcs_deterministic(two_islands):
@@ -307,6 +365,13 @@ def test_classify_even_cycle_semiregular():
         arcs += [(i, (i + 1) % 6), ((i + 1) % 6, i)]
     g = from_arc_list(6, arcs)
     assert classify(g).is_bipartite_semiregular
+
+
+def test_classify_matches_definitions_up_to_4_vertices():
+    for g in all_digraphs_up_to(4):
+        flags = dataclasses.asdict(classify(g))
+        expected = classify_oracle(g)
+        assert {name: flags[name] for name in expected} == expected, g
 
 
 @given(sc_digraphs())
