@@ -307,3 +307,171 @@ def test_oval_witness_is_lexicographically_first(k3):
     # symmetric graph: every arc's oval contains q, the first arc wins
     r = spectral_radius(k3)
     assert oval_containment(k3, r.q).witness_arc == (0, 1)
+
+
+# --- Noda steps for blocks that power steps close slowly -----------------------
+
+
+def _cycle_plus_chord(n):
+    """Directed n-cycle plus the chord 0 -> 2: one block with
+    |lambda_2| / rho = 1 - O(1/n^2)."""
+    return from_arc_list(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 2)])
+
+
+def _cycle_plus_random_arcs(n, extra, seed):
+    """A random Hamiltonian cycle plus `extra` distinct random arcs."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    arcs = {(int(perm[i]), int(perm[(i + 1) % n])) for i in range(n)}
+    while len(arcs) < n + extra:
+        i, j = rng.integers(0, n, 2)
+        if i != j:
+            arcs.add((int(i), int(j)))
+    return from_arc_list(n, sorted(arcs))
+
+
+def _counting_solve(mp, replace=None):
+    """Wrap np.linalg.solve so calls are counted, optionally replacing
+    its result; returns the call list."""
+    calls = []
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        calls.append(a.shape)
+        return real_solve(a, b) if replace is None else replace(a, b)
+
+    mp.setattr(spectral.np.linalg, "solve", solve)
+    return calls
+
+
+def _without_noda(g, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_NODA_MAX", 0)
+        return spectral_radius(g, **kwargs)
+
+
+def _assert_certified(r, g, tol=spectral.DEFAULT_TOL):
+    assert r.lo <= r.q <= r.hi
+    assert r.hi - r.lo <= tol
+    assert abs(r.q - max(np.linalg.eigvals(build_q(g)).real)) <= 1e-9
+
+
+SLOW_BLOCK_GRAPHS = {
+    # power steps alone need 52,294 matvecs
+    "cycle_400_plus_chord": _cycle_plus_chord(400),
+    # power steps alone leave a gap of 8e-6 after 400,000 matvecs
+    "cycle_500_plus_50_arcs": _cycle_plus_random_arcs(500, 50, seed=0),
+    # the slow block feeds a 3-cycle, a 2-cycle and the arc 305 -> 306,
+    # whose ends are size-one blocks; only the slow block has arcs out
+    # of it, so it alone has a raised diagonal and sets q
+    "reducible": _union(_cycle_plus_chord(300), gen_directed_cycle(3),
+                        gen_directed_cycle(2), from_arc_list(2, [(0, 1)]),
+                        links=[(1, 300), (150, 303), (200, 305)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_BLOCK_GRAPHS))
+def test_noda_steps_close_slow_blocks(name):
+    g = SLOW_BLOCK_GRAPHS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solve(mp)
+        r = spectral_radius(g)
+    _assert_certified(r, g)
+    assert spectral._NODA_AFTER < r.iterations < 2000
+    assert 1 <= len(calls) <= spectral._NODA_STEPS
+
+
+def test_noda_block_sets_q_of_reducible_graph():
+    g = SLOW_BLOCK_GRAPHS["reducible"]
+    r = spectral_radius(g)
+    radii = dict(r.per_component)
+    slow = g.data.component_of[0]
+    assert len(g.data.components) == 5
+    assert r.q == radii[slow] > 2.0
+    others = sorted(v for cid, v in radii.items() if cid != slow)
+    assert others == pytest.approx([0.0, 1.0, 2.0, 2.0], abs=1e-12)
+
+
+def test_noda_budget_exhaustion_reports_running_enclosure():
+    g = _cycle_plus_chord(400)
+    q = spectral_radius(g).q
+    with pytest.raises(ConvergenceError) as power_only:
+        _without_noda(g, max_iter=spectral._NODA_AFTER + 2)
+    with pytest.raises(ConvergenceError) as noda:
+        spectral_radius(g, max_iter=spectral._NODA_AFTER + 2)
+    e, p = noda.value, power_only.value
+    assert e.lo <= q <= e.hi
+    assert p.lo <= e.lo and e.hi <= p.hi
+    assert e.hi - e.lo < p.hi - p.lo
+
+
+def test_noda_switch_respects_block_size_limit():
+    g = _cycle_plus_chord(60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_NODA_MAX", 59)
+        calls = _counting_solve(mp)
+        r = spectral_radius(g)
+    assert calls == []
+    assert r == _without_noda(g)
+
+
+@given(digraphs())
+def test_noda_switch_leaves_fast_blocks_bitwise_equal(g):
+    off = _without_noda(g)
+    assert off.iterations <= spectral._NODA_AFTER
+    assert spectral_radius(g) == off
+    assert off.lo <= off.q <= off.hi
+    assert off.hi - off.lo <= spectral.DEFAULT_TOL
+
+
+def test_noda_switch_leaves_fast_corpus_blocks_bitwise_equal():
+    from qbounds import RandomCorpusSpec, random_corpus
+
+    corpus = random_corpus(RandomCorpusSpec(600, 3, 60, (0.02, 0.05, 0.1, 0.5), seed=0))
+    slow = []
+    for label, g in corpus:
+        off, on = _without_noda(g), spectral_radius(g)
+        if off.iterations <= spectral._NODA_AFTER:
+            assert on == off, label
+        else:
+            slow.append(label)
+            _assert_certified(on, g)
+            assert abs(on.q - off.q) <= spectral.DEFAULT_TOL
+    # every corpus graph is one strong component; only one needs more
+    # than _NODA_AFTER power steps (1,020)
+    assert len(slow) == 1
+
+
+@pytest.mark.parametrize("failure", ["raises", "zero_entry"])
+def test_failed_solve_finishes_block_on_power_steps(failure):
+    def replace(a, b):
+        if failure == "raises":
+            raise np.linalg.LinAlgError("singular matrix")
+        z = np.ones_like(b)
+        z[0] = 0.0
+        return z
+
+    g = _cycle_plus_chord(50)
+    off = _without_noda(g)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solve(mp, replace)
+        r = spectral_radius(g)
+    assert len(calls) == 1
+    _assert_certified(r, g)
+    assert spectral._NODA_AFTER < r.iterations <= off.iterations
+    assert abs(r.q - off.q) <= spectral.DEFAULT_TOL
+
+
+def test_noda_solves_stop_at_budget():
+    g = _cycle_plus_chord(400)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_NODA_STEPS", 1)
+        calls = _counting_solve(mp)
+        r = spectral_radius(g)
+    assert len(calls) == 1
+    _assert_certified(r, g)
+
+
+def test_result_enclosure_of_size_one_blocks(path3):
+    r = spectral_radius(path3)
+    assert r.lo == r.hi == r.q == 1.0
