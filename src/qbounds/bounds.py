@@ -63,23 +63,6 @@ TABLE_ORDER = (
 ROW_ORDER = TABLE_ORDER + (BoundId.MAXDEG_PLUS_2,)
 
 
-DESCRIPTIONS = {
-    BoundId.ARC_DEG_SUM: "max over arcs (i,j) of d(i) + d(j)",
-    BoundId.DEG_PLUS_AVG: "max over vertices of d(i) + m(i)",
-    BoundId.OVAL_AVG: "max over arcs of (d(i)+d(j)+sqrt((d(i)-d(j))^2+4 m(i) m(j)))/2",
-    BoundId.INDEG_SQRT: "max over vertices of d(i) + sqrt(sum of d(j) over in-neighbors j)",
-    BoundId.HONG_YOU: "min over sorted-outdegree positions of a quadratic-root expression",
-    BoundId.DEG_EXTREMES: "larger of two expressions in max/min outdegree, m and n",
-    BoundId.OVAL_GEOMEAN: "max over arcs of (d(i)+d(j)+sqrt((d(i)-d(j))^2+4 sqrt(t(i) t(j))))/2",
-    BoundId.GENERIC_WEIGHT: "max over arcs of (row sums of a positive arc weight) / weight",
-    BoundId.WEIGHT_SQRT_PROD: "arc-weight bound specialised to f = sqrt(d(i) d(j))",
-    BoundId.WEIGHT_DEG_SUM: "arc-weight bound specialised to f = d(i) + d(j)",
-    BoundId.WEIGHT_SQRT_SUM: "arc-weight bound specialised to f = sqrt(d(i) + d(j))",
-    BoundId.WEIGHT_SUM_SQRT: "arc-weight bound specialised to f = sqrt(d(i)) + sqrt(d(j))",
-    BoundId.MAXDEG_PLUS_2: "max outdegree + 2, under the g-star style hypotheses",
-}
-
-
 ArcWeightFunction = Callable[[int, int], float]
 
 
@@ -211,12 +194,6 @@ class _Shape(NamedTuple):
         return _Shape(
             self.n, self.m[rows], self.lo[rows], self.hi[rows],
             self.strongly[rows], self.zero_head[rows],
-        )
-
-    def row(self, k):
-        return _Shape(
-            self.n, int(self.m[k]), int(self.lo[k]), int(self.hi[k]),
-            bool(self.strongly[k]), int(self.zero_head[k]),
         )
 
 
@@ -487,8 +464,10 @@ class BoundColumns:
     adj is a boolean tensor of shape (N, n, n) with adj[k, i, j] set when
     digraph k has the arc i -> j; like a Digraph, each has at least one
     arc and no loop. strongly flags the strongly connected ones.
-    values(bid) equals, bitwise, the value all_bounds reports for each
-    digraph, and reason(bid, k) the reason of an inapplicable one.
+    applicable(bid) flags the digraphs that meet the bound's hypotheses,
+    and values(bid) equals, bitwise, the value all_bounds reports for
+    each digraph, NaN for an inapplicable one. Reasons are left to
+    all_bounds, which renders them for one digraph at a time.
     """
 
     def __init__(self, adj, strongly):
@@ -530,9 +509,6 @@ class BoundColumns:
         for holds, _ in _SPECS[bid].conditions:
             mask &= holds(self.shape)
         return mask
-
-    def reason(self, bid: BoundId, k: int) -> str | None:
-        return _reason(_SPECS[bid].conditions, self.shape.row(k))
 
     def values(self, bid: BoundId):
         """Float array over the batch, NaN where the bound is inapplicable."""

@@ -129,18 +129,6 @@ def build_q(g: Digraph) -> np.ndarray:
     return _dense_q(data.outdeg, data.src, data.dst)
 
 
-def row_sum_bracket(matrix) -> tuple:
-    """(min, max) row sum of a nonnegative matrix; these bracket the
-    spectral radius, with equality throughout iff all row sums agree."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if (m < 0).any():
-        raise ValueError("matrix must be entrywise nonnegative")
-    sums = m.sum(axis=1)
-    return float(sums.min()), float(sums.max())
-
-
 def _block_matvec(diag: np.ndarray, src: np.ndarray, dst: np.ndarray):
     """x -> Q[S] x for the block with diagonal diag and local arcs
     (src, dst): a dense gemv when the block is full enough, else a
@@ -327,13 +315,13 @@ class OvalRegion:
     radius_i: float
     radius_j: float
 
-    def contains(self, value: float, tol: float = 1e-9) -> bool:
+    def contains(self, value: float) -> bool:
         # Equality cases (e.g. the bidirectional star) put the spectral
         # radius exactly on the boundary, where the radius product can
-        # round one ulp short; allow a small relative slack.
+        # round one ulp short; allow a relative slack of 1e-9.
         lhs = abs(value - self.center_i) * abs(value - self.center_j)
         rhs = self.radius_i * self.radius_j
-        return lhs <= rhs + tol * max(1.0, rhs)
+        return lhs <= rhs + 1e-9 * max(1.0, rhs)
 
 
 @dataclass(frozen=True)

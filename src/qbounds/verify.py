@@ -39,7 +39,8 @@ from .digraph import (
     scc,
 )
 from .edgelist import serialize_edge_list
-from .spectral import oval_containment, similarity_row_sums, spectral_radius
+from .spectral import (DEFAULT_TOL, oval_containment, similarity_row_sums,
+                       spectral_radius)
 
 DOMINANCE_TOL = 1e-9
 
@@ -164,7 +165,10 @@ def _inv_semiregular_equality(case):
 
 
 def _inv_q_exceeds_max_outdeg(case):
-    # observed to hold on strongly connected digraphs; checked, not relied on
+    # A theorem: for a strongly connected digraph with n >= 2, Q is
+    # irreducible, so its radius exceeds that of every proper principal
+    # submatrix (Perron-Frobenius; Horn & Johnson, Matrix Analysis, ch. 8),
+    # among them the 1x1 block max outdegree. A failure is a solver bug.
     if len(scc(case.g).components) != 1:
         return None
     profile = degree_profile(case.g)
@@ -218,8 +222,9 @@ class SweepReport:
         return not self.failures
 
 
-def sweep(corpus, invariants=None, description="", spectral_tol=1e-12) -> SweepReport:
-    """Run the named invariants over (label, digraph) pairs.
+def sweep(corpus, invariants=None, description="") -> SweepReport:
+    """Run the named invariants, all by default, over (label, digraph)
+    pairs, with q from spectral_radius at its default tolerance.
 
     Failures are data: each carries the offending graph serialized in the
     edge-list format so a report is reproducible on its own.
@@ -232,7 +237,7 @@ def sweep(corpus, invariants=None, description="", spectral_tol=1e-12) -> SweepR
     failures = []
     checks = 0
     for label, g in corpus:
-        q = spectral_radius(g, tol=spectral_tol).q
+        q = spectral_radius(g).q
         case = GraphCase(label=label, g=g, q=q, row=all_bounds(g))
         for name in names:
             checks += 1
@@ -285,12 +290,15 @@ class ReconstructionTarget:
     """Search target: expected q and bound-row values, plus structural
     constraints narrowing the candidate space.
 
-    row maps BoundId to the expected value; inapplicable candidates never
-    match a numeric expectation. tolerance applies to q and every row
-    entry (absolute deviation). q, tolerance and the row values must be
-    finite. outdeg_sequence, when given, fixes the outdegree of each
-    vertex in order and switches enumeration to per-vertex
-    out-neighborhood choices.
+    row maps BoundId to the expected value, given as a mapping (kept in
+    ROW_ORDER) or as (BoundId, value) pairs; every key must be a bound of
+    ROW_ORDER, named once. Inapplicable candidates never match a numeric
+    expectation. tolerance applies to q and every row entry (absolute
+    deviation). q, tolerance and the row values must be finite.
+    Structural constraints: require_strongly_connected; require_g_star
+    (the G* class of classify); m fixes the arc count; outdeg_sequence
+    fixes the outdegree of each vertex in order and switches enumeration
+    to per-vertex out-neighborhood choices.
     """
 
     n: int
@@ -300,17 +308,19 @@ class ReconstructionTarget:
     tolerance: float = 5e-4
     require_strongly_connected: bool = True
     require_g_star: bool = False
-    max_outdeg: int | None = None
-    min_outdeg: int | None = None
     outdeg_sequence: tuple | None = None
     name: str = ""
 
     def __post_init__(self):
         row = self.row
+        keys = list(row) if isinstance(row, Mapping) else [bid for bid, _ in row]
+        for k, bid in enumerate(keys):
+            if bid not in _bounds.ROW_ORDER:
+                raise ValueError(f"row key {bid!r} is not a bound of ROW_ORDER")
+            if bid in keys[:k]:
+                raise ValueError(f"row names {bid.value} more than once")
         if isinstance(row, Mapping):
-            row = tuple(
-                (bid, float(row[bid])) for bid in _bounds.ROW_ORDER if bid in row
-            )
+            row = [(bid, float(row[bid])) for bid in _bounds.ROW_ORDER if bid in row]
         object.__setattr__(self, "row", tuple(row))
         if self.outdeg_sequence is not None:
             object.__setattr__(
@@ -500,16 +510,13 @@ def _strongly_connected(adj):
 
 
 def _in_g_star_class(cols: BoundColumns):
-    """classify(g).is_in_g_star_class over a batch."""
-    d, s = cols.outdeg, cols.shape
-    hubs = d == s.hi[:, None]
+    """classify(g).is_in_g_star_class over a batch: the hypotheses of
+    maxdeg_plus_2 (its n >= 3 is implied by the rest) and a max-outdegree
+    vertex with an out-neighbor of outdegree at least 2."""
+    d = cols.outdeg
+    hubs = d == cols.shape.hi[:, None]
     reach_two = (cols.adj & (d[:, None, :] >= 2)).any(axis=2)
-    return (
-        s.strongly
-        & (s.lo == 1)
-        & (s.hi >= (s.m - (s.n - 1)) / 2)
-        & (hubs & reach_two).any(axis=1)
-    )
+    return cols.applicable(BoundId.MAXDEG_PLUS_2) & (hubs & reach_two).any(axis=1)
 
 
 def _row_deviation(target, q, row_by_id):
@@ -536,14 +543,13 @@ class _Search:
     does not depend on _CHUNK.
     """
 
-    def __init__(self, target: ReconstructionTarget, spectral_tol):
+    def __init__(self, target: ReconstructionTarget):
         self.target = target
-        self.spectral_tol = spectral_tol
         expected = dict(target.row)
         self.columns = [
             (bid, expected[bid]) for bid in _COLUMN_ORDER if bid in expected
         ]
-        self.slack = spectral_tol + _Q_SLACK
+        self.slack = DEFAULT_TOL + _Q_SLACK
         self.visited = 0
         self.counts = {
             f.name: 0 for f in dataclasses.fields(ReconstructionStages)
@@ -601,14 +607,10 @@ class _Search:
                 self.evaluate(cols.adj[k])
 
     def structural(self, cols: BoundColumns):
-        target, s = self.target, cols.shape
+        target = self.target
         keep = np.ones(len(cols), dtype=bool)
         if target.require_strongly_connected:
-            keep &= s.strongly
-        if target.max_outdeg is not None:
-            keep &= s.hi == target.max_outdeg
-        if target.min_outdeg is not None:
-            keep &= s.lo == target.min_outdeg
+            keep &= cols.shape.strongly
         if target.require_g_star:
             keep &= _in_g_star_class(cols)
         return keep
@@ -642,7 +644,7 @@ class _Search:
         target = self.target
         src, dst = np.nonzero(adj)
         g = Digraph(target.n, frozenset(zip(src.tolist(), dst.tolist())))
-        result = spectral_radius(g, tol=self.spectral_tol)
+        result = spectral_radius(g)
         row = all_bounds(g)
         deviation = _row_deviation(target, result.q, {bv.id: bv for bv in row})
         candidate = ReconstructionMatch(
@@ -656,9 +658,10 @@ class _Search:
             self.nearest = candidate
 
 
-def reconstruct(target: ReconstructionTarget, spectral_tol=1e-12) -> ReconstructionReport:
+def reconstruct(target: ReconstructionTarget) -> ReconstructionReport:
     """Exhaustively search the target's candidate space for digraphs whose
-    computed q and bound row sit within tolerance of the target.
+    computed q (spectral_radius at its default tolerance) and bound row
+    sit within tolerance of the target.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism
@@ -668,7 +671,7 @@ def reconstruct(target: ReconstructionTarget, spectral_tol=1e-12) -> Reconstruct
     search.
     """
     chunks = _candidate_space(target)
-    search = _Search(target, spectral_tol)
+    search = _Search(target)
     for adj in chunks:
         search.visit(adj)
 
@@ -699,8 +702,6 @@ PRESETS = {
         m=9,
         q=4.7321,
         row={BoundId.ARC_DEG_SUM: 6.0, BoundId.MAXDEG_PLUS_2: 5.0},
-        max_outdeg=3,
-        min_outdeg=1,
         require_g_star=True,
         name="gstar",
     ),

@@ -20,7 +20,6 @@ from qbounds import (
     build_q,
     canonical_form,
     classify,
-    degree_profile,
     is_strongly_connected,
     spectral_radius,
 )
@@ -155,7 +154,7 @@ def _candidate_arc_sets(target):
             yield frozenset(s for b, s in enumerate(slots) if mask >> b & 1)
 
 
-def reconstruct_oracle(target, spectral_tol=1e-12):
+def reconstruct_oracle(target):
     """Brute-force reconstruct: every candidate that passes the structural
     constraints goes through spectral_radius and all_bounds, one digraph
     at a time.
@@ -169,16 +168,11 @@ def reconstruct_oracle(target, spectral_tol=1e-12):
     for arcs in _candidate_arc_sets(target):
         visited += 1
         g = Digraph(target.n, arcs)
-        profile = degree_profile(g)
         if target.require_strongly_connected and not is_strongly_connected(g):
-            continue
-        if target.max_outdeg is not None and profile.max_outdeg != target.max_outdeg:
-            continue
-        if target.min_outdeg is not None and profile.min_outdeg != target.min_outdeg:
             continue
         if target.require_g_star and not classify(g).is_in_g_star_class:
             continue
-        q = spectral_radius(g, tol=spectral_tol).q
+        q = spectral_radius(g).q
         row = all_bounds(g)
         values = {bv.id: bv.value for bv in row}
         deviations = [abs(q - target.q)]

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -374,3 +375,42 @@ def test_reconstruct_rejects_negative_tolerance(capsys):
         capsys, ["reconstruct", "--n", "3", "--q", "2.0", "--tol", "-1"],
         "tolerance",
     )
+
+
+# --- golden outputs -----------------------------------------------------------------
+#
+# Each file under data/golden holds the exact stdout of one command. The
+# commands print no number that depends on floating-point summation
+# order: regular digraphs, where q = 2d after one matvec with residual 0,
+# reducible digraphs made of size-one blocks, and the tables and pass
+# counts of sweep and reconstruct.
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CYCLE5 = "n 5; 1 2; 2 3; 3 4; 4 5; 5 1"
+K4 = "n 4; " + "; ".join(
+    f"{i} {j}" for i in range(1, 5) for j in range(1, 5) if i != j
+)
+README_SWEEP = ["sweep", "--count", "100", "--n", "3..12", "--p", "0.2,0.3,0.5",
+                "--seed", "42"]
+GOLDEN_COMMANDS = {
+    "compute_cycle5_json": ["compute", "--inline", CYCLE5, "--format", "json"],
+    "compute_cycle5_csv": ["compute", "--inline", CYCLE5, "--format", "csv"],
+    "compute_k4_json": ["compute", "--inline", K4, "--format", "json"],
+    "compute_k4_csv": ["compute", "--inline", K4, "--format", "csv"],
+    "compute_path3_table": ["compute", "--inline", "n 3; 1 2; 2 3"],
+    "sweep_readme_table": README_SWEEP,
+    "sweep_readme_json": README_SWEEP + ["--format", "json"],
+    "reconstruct_gstar_table": ["reconstruct", "--preset", "gstar"],
+    "reconstruct_g1_table": ["reconstruct", "--preset", "g1"],
+    "reconstruct_custom_n3_table": [
+        "reconstruct", "--n", "3", "--q", "2.0", "--row", "arc_deg_sum=2.0",
+        "--tol", "1e-6",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name, capsys):
+    assert main(GOLDEN_COMMANDS[name]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN / f"{name}.out").read_bytes()

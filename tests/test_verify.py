@@ -1,5 +1,8 @@
+import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +16,12 @@ from qbounds import (
     ReconstructionTarget,
     all_bounds,
     canonical_form,
+    classify,
+    degree_profile,
     from_arc_list,
     gen_bidirectional_complete,
     gen_directed_cycle,
+    is_strongly_connected,
     random_corpus,
     reconstruct,
     remark_check,
@@ -227,7 +233,7 @@ EQUIVALENCE_TARGETS = {
     "degree_bounded": ReconstructionTarget(
         n=4, q=3.6,
         row={BoundId.WEIGHT_SQRT_SUM: 3.9, BoundId.MAXDEG_PLUS_2: 5.0},
-        max_outdeg=3, min_outdeg=1,
+        require_g_star=True,
     ),
     "fixed_m": ReconstructionTarget(
         n=4, m=6, q=3.2,
@@ -302,6 +308,25 @@ def test_reconstruct_stage_counts_add_up(name):
     assert reconstruct(EQUIVALENCE_TARGETS[name]).stages == stages
 
 
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_batched_strong_connectivity_on_wide_rows(n):
+    # from n = 63 on the reach bitmasks no longer fit in int64 and the rows
+    # switch to Python integers
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    graphs = [
+        Digraph(n, frozenset(cycle)),
+        Digraph(n, frozenset(cycle[:-1])),
+        Digraph(n, frozenset(cycle + [(0, n // 2)])),
+    ]
+    adj = np.zeros((len(graphs), n, n), dtype=bool)
+    for k, g in enumerate(graphs):
+        for i, j in g.arcs:
+            adj[k, i, j] = True
+    expected = [is_strongly_connected(g) for g in graphs]
+    assert expected == [True, False, True]
+    assert verify._strongly_connected(adj).tolist() == expected
+
+
 def test_reconstruct_refuses_unbounded_large_space():
     target = ReconstructionTarget(n=6, q=4.2, name="too big")
     with pytest.raises(ValueError, match="not desk scale"):
@@ -332,9 +357,24 @@ def test_target_row_accepts_mapping_and_pairs():
     assert via_map.row == via_pairs.row
 
 
+@pytest.mark.parametrize("key", ["arc_deg_sum", BoundId.GENERIC_WEIGHT])
+def test_target_row_rejects_keys_outside_row_order(key):
+    # a name string or the generic weight bound is no column of the row;
+    # neither form may drop it silently or fail later in the search
+    for row in ({key: 2.0}, ((key, 2.0),)):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            ReconstructionTarget(n=3, q=2.0, row=row)
+
+
+def test_target_row_rejects_repeated_pairs():
+    row = ((BoundId.ARC_DEG_SUM, 2.0), (BoundId.ARC_DEG_SUM, 2.5))
+    with pytest.raises(ValueError, match="arc_deg_sum more than once"):
+        ReconstructionTarget(n=3, q=2.0, row=row)
+
+
 def test_structural_constraints_filter():
-    # demanding max outdegree 2 rules the triangle out
-    report = reconstruct(_c3_target(max_outdeg=2))
+    # the triangle has no out-neighbor of outdegree 2, so it is not in G*
+    report = reconstruct(_c3_target(require_g_star=True))
     assert not report.found
 
 
@@ -362,8 +402,16 @@ def test_preset_gstar_constraints():
     gstar = PRESETS["gstar"]
     assert gstar.m == 9
     assert gstar.require_g_star
-    assert gstar.max_outdeg == 3
-    assert gstar.min_outdeg == 1
+    # at n = 4 and m = 9, G* forces min outdegree 1 and max outdegree
+    # >= (9 - 3) / 2 = 3 = n - 1
+    slots = [(i, j) for i in range(4) for j in range(4) if i != j]
+    graphs = (Digraph(4, frozenset(a)) for a in itertools.combinations(slots, 9))
+    in_g_star = [g for g in graphs if classify(g).is_in_g_star_class]
+    report = reconstruct(gstar)
+    assert in_g_star and report.found
+    for g in in_g_star + [match.digraph for match in report.matches]:
+        profile = degree_profile(g)
+        assert (profile.max_outdeg, profile.min_outdeg) == (3, 1)
 
 
 # --- remark helper ---------------------------------------------------------------
