@@ -6,11 +6,11 @@ reason instead of a number, so a full row can always be assembled for
 side-by-side comparison. all_bounds returns that row in a fixed column
 order (ROW_ORDER) used everywhere downstream.
 
-Notation in the formulas below: d(i) is the outdegree of i, t(i) the sum
-of outdegrees over the out-neighbors of i (2-outdegree), and
-m(i) = t(i)/d(i) the average 2-outdegree, undefined when d(i) = 0. Note
-d(i) * m(i) = t(i), which several formulas exploit to stay on integer
-arithmetic as long as possible.
+Notation in the terms below and in the README bound catalog: d(i) is
+the outdegree of i, t(i) the sum of outdegrees over the out-neighbors of
+i (2-outdegree), and m(i) = t(i)/d(i) the average 2-outdegree, undefined
+when d(i) = 0. Note d(i) * m(i) = t(i), which several formulas exploit
+to stay on integer arithmetic as long as possible.
 
 Each bound's term is written once, as a numpy expression over integer
 degree data. all_bounds feeds it one digraph's arc or vertex arrays,
@@ -314,55 +314,7 @@ def _evaluate(bid: BoundId, g: Digraph, shape: _Shape) -> BoundValue:
     return BoundValue(bid, float(value))
 
 
-def _bound(bid: BoundId, g: Digraph) -> BoundValue:
-    return _evaluate(bid, g, _shape(g))
-
-
 # --- public API -------------------------------------------------------------
-
-
-def bound_arc_deg_sum(g: Digraph) -> BoundValue:
-    """Max of d(i) + d(j) over arcs (i, j); needs strong connectivity."""
-    return _bound(BoundId.ARC_DEG_SUM, g)
-
-
-def bound_deg_plus_avg(g: Digraph) -> BoundValue:
-    """Max of d(i) + m(i) over vertices with positive outdegree."""
-    return _bound(BoundId.DEG_PLUS_AVG, g)
-
-
-def bound_oval_avg(g: Digraph) -> BoundValue:
-    """Max over arcs of (d(i)+d(j)+sqrt((d(i)-d(j))^2 + 4 m(i) m(j))) / 2."""
-    return _bound(BoundId.OVAL_AVG, g)
-
-
-def bound_indeg_sqrt(g: Digraph) -> BoundValue:
-    """Max over vertices of d(i) + sqrt(sum of in-neighbor outdegrees)."""
-    return _bound(BoundId.INDEG_SQRT, g)
-
-
-def bound_hong_you(g: Digraph) -> BoundValue:
-    """Min over positions of the sorted outdegree sequence d_1 >= ... >= d_n
-    of (d_1 + 2 d_i - 1 + sqrt((2 d_i - d_1 + 1)^2 + 8 sum_{k<i}(d_k - d_i))) / 2."""
-    return _bound(BoundId.HONG_YOU, g)
-
-
-def bound_deg_extremes(g: Digraph) -> BoundValue:
-    """max(D + d - 1 + (m - d(n-1))/D, d + 1 + (m - d(n-1))/2) where D and d
-    are the max and min outdegree; strongly connected, n >= 3."""
-    return _bound(BoundId.DEG_EXTREMES, g)
-
-
-def bound_maxdeg_plus_2(g: Digraph) -> BoundValue:
-    """Max outdegree + 2; needs strong connectivity, n >= 3, min outdegree
-    exactly 1, and max outdegree at least (m - (n-1)) / 2."""
-    return _bound(BoundId.MAXDEG_PLUS_2, g)
-
-
-def bound_oval_geomean(g: Digraph) -> BoundValue:
-    """Like bound_oval_avg with the product m(i) m(j) relaxed to the
-    geometric-mean form sqrt(d(i) m(i)) sqrt(d(j) m(j)) = sqrt(t(i) t(j))."""
-    return _bound(BoundId.OVAL_GEOMEAN, g)
 
 
 def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
@@ -372,7 +324,7 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
     f must be positive and finite on every arc; that is checked up front
     and violations raise ValueError. Values of f off the arc set never
     enter the computation. The bound is scale-invariant in f and collapses
-    to bound_arc_deg_sum when f is constant.
+    to arc_deg_sum when f is constant.
     """
     data = g.data
     arcs = g.sorted_arcs()
@@ -388,29 +340,6 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
     values = (row[data.src] + row[data.dst]) / weights
     k = int(np.argmax(values))  # first maximizer in sorted arc order
     return BoundValue(BoundId.GENERIC_WEIGHT, float(values[k]), witness=arcs[k])
-
-
-def bound_weight_sqrt_prod(g: Digraph) -> BoundValue:
-    """Arc-weight bound closed form for f = sqrt(d(i) d(j)):
-    max over arcs of d(i) sqrt(m(i)/d(j)) + d(j) sqrt(m(j)/d(i))."""
-    return _bound(BoundId.WEIGHT_SQRT_PROD, g)
-
-
-def bound_weight_deg_sum(g: Digraph) -> BoundValue:
-    """Arc-weight bound closed form for f = d(i) + d(j):
-    max over arcs of (d(i)(d(i)+m(i)) + d(j)(d(j)+m(j))) / (d(i)+d(j)).
-    This one is the exact arc-weight value, not a relaxation."""
-    return _bound(BoundId.WEIGHT_DEG_SUM, g)
-
-
-def bound_weight_sqrt_sum(g: Digraph) -> BoundValue:
-    """Arc-weight bound closed form for f = sqrt(d(i) + d(j))."""
-    return _bound(BoundId.WEIGHT_SQRT_SUM, g)
-
-
-def bound_weight_sum_sqrt(g: Digraph) -> BoundValue:
-    """Arc-weight bound closed form for f = sqrt(d(i)) + sqrt(d(j))."""
-    return _bound(BoundId.WEIGHT_SUM_SQRT, g)
 
 
 def all_bounds(g: Digraph) -> tuple:

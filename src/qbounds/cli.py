@@ -21,10 +21,11 @@ import csv
 import dataclasses
 import io
 import json
+import signal
 import sys
 
 from .bounds import BoundId, ROW_ORDER, all_bounds
-from .digraph import classify, degree_profile
+from .digraph import classify
 from .edgelist import EdgeListParseError, parse_edge_list, serialize_edge_list
 from .spectral import ConvergenceError, spectral_radius
 from .verify import (
@@ -137,7 +138,7 @@ def _witness_payload(bv):
 
 
 def _compute_report(g, tol, max_iter):
-    profile = degree_profile(g)
+    outdeg = g.data.outdeg
     flags = classify(g)
     result = spectral_radius(g, tol=tol, max_iter=max_iter)
     bound_entries = []
@@ -159,8 +160,8 @@ def _compute_report(g, tol, max_iter):
         "graph": {
             "n": g.n,
             "m": g.m,
-            "max_outdeg": profile.max_outdeg,
-            "min_outdeg": profile.min_outdeg,
+            "max_outdeg": int(outdeg.max()),
+            "min_outdeg": int(outdeg.min()),
             "classification": dataclasses.asdict(flags),
         },
         "spectral": {
@@ -494,6 +495,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    # Python ignores SIGPIPE, so a closed stdout (qbounds ... | head)
+    # would raise BrokenPipeError; with the default disposition the
+    # process ends the way cat does, silently, by the signal.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -306,50 +306,34 @@ def _sqrt_ratio_sums(g: Digraph, profile: DegreeProfile) -> list:
 
 
 @dataclass(frozen=True)
-class OvalRegion:
-    """Cassini oval |z - center_i| * |z - center_j| <= radius_i * radius_j
-    attached to one arc of the degree-similarity matrix P = D^-1/2 Q D^1/2."""
-
-    center_i: float
-    center_j: float
-    radius_i: float
-    radius_j: float
-
-    def contains(self, value: float) -> bool:
-        # Equality cases (e.g. the bidirectional star) put the spectral
-        # radius exactly on the boundary, where the radius product can
-        # round one ulp short; allow a relative slack of 1e-9.
-        lhs = abs(value - self.center_i) * abs(value - self.center_j)
-        rhs = self.radius_i * self.radius_j
-        return lhs <= rhs + 1e-9 * max(1.0, rhs)
-
-
-@dataclass(frozen=True)
 class OvalCheck:
     contained: bool
     witness_arc: tuple | None
 
 
 def oval_containment(g: Digraph, value: float) -> OvalCheck:
-    """Whether value lies in the union of the per-arc Cassini ovals of
-    P = D^-1/2 Q D^1/2. For a strongly connected digraph every eigenvalue
-    of Q lies in that union, so the computed q must test as contained.
+    """Whether value lies in the union of the per-arc Cassini ovals
+    |z - d(i)| * |z - d(j)| <= r(i) * r(j) of P = D^-1/2 Q D^1/2, where
+    r(i) is the off-diagonal row sum of P at i. For a strongly connected
+    digraph every eigenvalue of Q lies in that union, so the computed q
+    must test as contained.
 
     The witness is the lexicographically first arc whose oval contains
-    the value; membership allows the small relative slack documented on
-    OvalRegion.contains.
+    the value.
     """
     if not is_strongly_connected(g):
         raise ValueError("oval containment needs a strongly connected digraph")
-    profile = degree_profile(g)
-    deleted = _sqrt_ratio_sums(g, profile)
-    for i, j in g.sorted_arcs():
-        region = OvalRegion(
-            center_i=float(profile.outdeg[i]),
-            center_j=float(profile.outdeg[j]),
-            radius_i=deleted[i],
-            radius_j=deleted[j],
-        )
-        if region.contains(value):
-            return OvalCheck(contained=True, witness_arc=(i, j))
-    return OvalCheck(contained=False, witness_arc=None)
+    data = g.data
+    src, dst = data.src, data.dst
+    center = data.outdeg.astype(float)
+    radius = np.array(_sqrt_ratio_sums(g, degree_profile(g)))
+    lhs = np.abs(value - center[src]) * np.abs(value - center[dst])
+    rhs = radius[src] * radius[dst]
+    # Equality cases (e.g. the bidirectional star) put the spectral
+    # radius exactly on the boundary, where the radius product can
+    # round one ulp short; allow a relative slack of 1e-9.
+    inside = lhs <= rhs + 1e-9 * np.maximum(1.0, rhs)
+    k = int(np.argmax(inside))  # first contained arc in sorted arc order
+    if not inside[k]:
+        return OvalCheck(contained=False, witness_arc=None)
+    return OvalCheck(contained=True, witness_arc=(int(src[k]), int(dst[k])))

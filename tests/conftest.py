@@ -4,7 +4,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from qbounds import Digraph, from_arc_list, gen_random_strongly_connected
+from qbounds import (
+    ROW_ORDER,
+    Digraph,
+    all_bounds,
+    from_arc_list,
+    gen_random_strongly_connected,
+)
 
 settings.register_profile(
     "default",
@@ -12,6 +18,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def bound(g, bid):
+    """The entry for bid in the row all_bounds(g)."""
+    return all_bounds(g)[ROW_ORDER.index(bid)]
 
 
 # --- fixed graphs -----------------------------------------------------------

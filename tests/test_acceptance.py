@@ -23,12 +23,7 @@ from qbounds import (
     Digraph,
     RandomCorpusSpec,
     all_bounds,
-    bound_arc_deg_sum,
     bound_generic_f,
-    bound_weight_deg_sum,
-    bound_weight_sqrt_prod,
-    bound_weight_sqrt_sum,
-    bound_weight_sum_sqrt,
     degree_profile,
     gen_bidirectional_complete,
     gen_bidirectional_star,
@@ -43,7 +38,7 @@ from qbounds import (
     sweep,
 )
 
-from conftest import exhaustive_sc
+from conftest import bound, exhaustive_sc
 from oracles import spectral_radius_oracle
 
 DATA = Path(__file__).parent / "data"
@@ -250,7 +245,7 @@ def test_criterion_7_generic_weight_properties():
             # constant weights collapse to the plain arc bound, bitwise
             assert (
                 bound_generic_f(g, lambda i, j: 1.0).value
-                == bound_arc_deg_sum(g).value
+                == bound(g, BoundId.ARC_DEG_SUM).value
             )
 
             # scaling the weight function must not move the value
@@ -267,19 +262,19 @@ def test_criterion_7_generic_weight_properties():
 
             # each closed form majorises its own weight choice
             pairs = [
-                (bound_weight_sqrt_prod, lambda i, j: math.sqrt(d[i] * d[j])),
-                (bound_weight_deg_sum, lambda i, j: float(d[i] + d[j])),
-                (bound_weight_sqrt_sum, lambda i, j: math.sqrt(d[i] + d[j])),
-                (bound_weight_sum_sqrt,
+                (BoundId.WEIGHT_SQRT_PROD, lambda i, j: math.sqrt(d[i] * d[j])),
+                (BoundId.WEIGHT_DEG_SUM, lambda i, j: float(d[i] + d[j])),
+                (BoundId.WEIGHT_SQRT_SUM, lambda i, j: math.sqrt(d[i] + d[j])),
+                (BoundId.WEIGHT_SUM_SQRT,
                  lambda i, j: math.sqrt(d[i]) + math.sqrt(d[j])),
             ]
-            for closed, f in pairs:
-                assert bound_generic_f(g, f).value <= closed(g).value + 1e-12
+            for bid, f in pairs:
+                assert bound_generic_f(g, f).value <= bound(g, bid).value + 1e-12
 
             # the degree-sum choice needs no relaxation at all
             assert (
                 bound_generic_f(g, lambda i, j: float(d[i] + d[j])).value
-                == bound_weight_deg_sum(g).value
+                == bound(g, BoundId.WEIGHT_DEG_SUM).value
             )
 
 

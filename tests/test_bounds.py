@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,19 +14,7 @@ from qbounds import (
     ROW_ORDER,
     TABLE_ORDER,
     all_bounds,
-    bound_arc_deg_sum,
-    bound_deg_extremes,
-    bound_deg_plus_avg,
     bound_generic_f,
-    bound_hong_you,
-    bound_indeg_sqrt,
-    bound_maxdeg_plus_2,
-    bound_oval_avg,
-    bound_oval_geomean,
-    bound_weight_deg_sum,
-    bound_weight_sqrt_prod,
-    bound_weight_sqrt_sum,
-    bound_weight_sum_sqrt,
     classify,
     degree_profile,
     from_arc_list,
@@ -37,7 +26,7 @@ from qbounds import (
     witness_value,
 )
 
-from conftest import sc_digraphs, digraphs
+from conftest import bound, sc_digraphs, digraphs
 from oracles import generic_f_oracle
 
 SQRT3 = math.sqrt(3.0)
@@ -55,6 +44,19 @@ def test_row_order_and_length(c3):
     assert tuple(bv.id for bv in row) == ROW_ORDER
     assert len(row) == 12
     assert BoundId.GENERIC_WEIGHT not in {bv.id for bv in row}
+
+
+def test_readme_catalog_lists_the_row_in_order():
+    # the README table is the formula list users read; it must not drift
+    readme = Path(__file__).parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    catalog = text.split("## Bound catalog", 1)[1].split("\n## ", 1)[0]
+    ids = [
+        line.split("|")[1].strip().strip("`")
+        for line in catalog.splitlines()
+        if line.startswith("| `")
+    ]
+    assert ids == [bid.value for bid in ROW_ORDER]
 
 
 def test_directed_triangle_row(c3):
@@ -84,16 +86,16 @@ def test_star_deg_extremes_equality_is_exact():
         star = from_arc_list(
             n, [(0, k) for k in range(1, n)] + [(k, 0) for k in range(1, n)]
         )
-        assert bound_deg_extremes(star).value == float(n)
+        assert bound(star, BoundId.DEG_EXTREMES).value == float(n)
 
 
 def test_complete_bidirectional_equalities():
     for k in range(3, 7):
         g = gen_bidirectional_complete(k)
         target = 2.0 * (k - 1)
-        assert bound_deg_extremes(g).value == target
-        assert bound_oval_geomean(g).value == target
-        assert bound_deg_plus_avg(g).value == target
+        assert bound(g, BoundId.DEG_EXTREMES).value == target
+        assert bound(g, BoundId.OVAL_GEOMEAN).value == target
+        assert bound(g, BoundId.DEG_PLUS_AVG).value == target
 
 
 def test_path_row_applicability(path3):
@@ -115,7 +117,7 @@ def test_two_vertex_cycle_row():
 
 
 def test_maxdeg_plus_2_needs_min_outdegree_one(k3):
-    bv = bound_maxdeg_plus_2(k3)
+    bv = bound(k3, BoundId.MAXDEG_PLUS_2)
     assert not bv.applicable
     assert bv.reason == "min outdegree is 2, needs 1"
 
@@ -126,14 +128,14 @@ def test_maxdeg_plus_2_threshold_reason():
         (0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 3),
         (2, 4), (3, 0), (3, 5), (4, 0), (4, 3), (5, 1),
     ]
-    bv = bound_maxdeg_plus_2(from_arc_list(6, arcs))
+    bv = bound(from_arc_list(6, arcs), BoundId.MAXDEG_PLUS_2)
     assert not bv.applicable
     assert "below (m-(n-1))/2 = 3.5" in bv.reason
 
 
 def test_g_star_example_bound():
     g = from_arc_list(3, [(0, 1), (0, 2), (1, 0), (2, 0), (1, 2)])
-    bv = bound_maxdeg_plus_2(g)
+    bv = bound(g, BoundId.MAXDEG_PLUS_2)
     assert bv.value == 4.0
 
 
@@ -141,24 +143,24 @@ def test_g_star_example_bound():
 
 
 def test_arc_witness_ties_resolve_lexicographically(k3):
-    assert bound_arc_deg_sum(k3).witness == (0, 1)
-    assert bound_weight_deg_sum(k3).witness == (0, 1)
+    assert bound(k3, BoundId.ARC_DEG_SUM).witness == (0, 1)
+    assert bound(k3, BoundId.WEIGHT_DEG_SUM).witness == (0, 1)
 
 
 def test_vertex_witness_ties_resolve_to_smallest(c3):
-    assert bound_deg_plus_avg(c3).witness == 0
-    assert bound_indeg_sqrt(c3).witness == 0
+    assert bound(c3, BoundId.DEG_PLUS_AVG).witness == 0
+    assert bound(c3, BoundId.INDEG_SQRT).witness == 0
 
 
 def test_hong_you_witness_is_sorted_position(star4):
-    bv = bound_hong_you(star4)
+    bv = bound(star4, BoundId.HONG_YOU)
     assert isinstance(bv.witness, int)
     assert 0 <= bv.witness < star4.n
 
 
 def test_structural_bounds_have_no_witness(c3):
-    assert bound_deg_extremes(c3).witness is None
-    assert bound_maxdeg_plus_2(c3).witness is None
+    assert bound(c3, BoundId.DEG_EXTREMES).witness is None
+    assert bound(c3, BoundId.MAXDEG_PLUS_2).witness is None
 
 
 @given(sc_digraphs())
@@ -172,7 +174,7 @@ def test_witness_replay_reproduces_value(g):
 
 
 def test_witness_value_inapplicable_returns_none(path3):
-    bv = bound_arc_deg_sum(path3)
+    bv = bound(path3, BoundId.ARC_DEG_SUM)
     assert witness_value(path3, bv) is None
 
 
@@ -198,8 +200,8 @@ def test_rows_never_raise_on_arbitrary_digraphs(g):
 def test_oval_variants_share_arc_structure(g):
     # the two oval-shaped bounds scan the same arcs; neither dominates the
     # other in general, but both must sit at or above the arc degree mean
-    avg = bound_oval_avg(g)
-    geo = bound_oval_geomean(g)
+    avg = bound(g, BoundId.OVAL_AVG)
+    geo = bound(g, BoundId.OVAL_GEOMEAN)
     p = degree_profile(g)
     for bv in (avg, geo):
         i, j = bv.witness
@@ -212,8 +214,10 @@ def test_deg_plus_avg_never_beats_arc_deg_sum_on_regular(g):
     if p.max_outdeg != p.min_outdeg:
         return
     d = p.max_outdeg
-    assert bound_arc_deg_sum(g).value == 2.0 * d
-    assert bound_deg_plus_avg(g).value == pytest.approx(2.0 * d, abs=1e-12)
+    assert bound(g, BoundId.ARC_DEG_SUM).value == 2.0 * d
+    assert bound(g, BoundId.DEG_PLUS_AVG).value == pytest.approx(
+        2.0 * d, abs=1e-12
+    )
 
 
 # --- generic arc-weight bound ---------------------------------------------------
@@ -222,7 +226,7 @@ def test_deg_plus_avg_never_beats_arc_deg_sum_on_regular(g):
 @given(sc_digraphs())
 def test_generic_constant_weight_collapses_to_arc_deg_sum(g):
     generic = bound_generic_f(g, lambda i, j: 1.0)
-    assert generic.value == bound_arc_deg_sum(g).value
+    assert generic.value == bound(g, BoundId.ARC_DEG_SUM).value
 
 
 @given(sc_digraphs(), st.sampled_from((0.5, 3.0)))
@@ -252,13 +256,13 @@ def test_closed_forms_upper_bound_generic(g):
     p = degree_profile(g)
     d = p.outdeg
     pairs = [
-        (bound_weight_sqrt_prod, lambda i, j: math.sqrt(d[i] * d[j])),
-        (bound_weight_deg_sum, lambda i, j: float(d[i] + d[j])),
-        (bound_weight_sqrt_sum, lambda i, j: math.sqrt(d[i] + d[j])),
-        (bound_weight_sum_sqrt, lambda i, j: math.sqrt(d[i]) + math.sqrt(d[j])),
+        (BoundId.WEIGHT_SQRT_PROD, lambda i, j: math.sqrt(d[i] * d[j])),
+        (BoundId.WEIGHT_DEG_SUM, lambda i, j: float(d[i] + d[j])),
+        (BoundId.WEIGHT_SQRT_SUM, lambda i, j: math.sqrt(d[i] + d[j])),
+        (BoundId.WEIGHT_SUM_SQRT, lambda i, j: math.sqrt(d[i]) + math.sqrt(d[j])),
     ]
-    for closed, f in pairs:
-        assert bound_generic_f(g, f).value <= closed(g).value + 1e-12
+    for bid, f in pairs:
+        assert bound_generic_f(g, f).value <= bound(g, bid).value + 1e-12
 
 
 @given(sc_digraphs())
@@ -267,7 +271,7 @@ def test_deg_sum_weight_closed_form_is_exact(g):
     # and the generic evaluation agree bitwise
     p = degree_profile(g)
     f = lambda i, j: float(p.outdeg[i] + p.outdeg[j])
-    assert bound_generic_f(g, f).value == bound_weight_deg_sum(g).value
+    assert bound_generic_f(g, f).value == bound(g, BoundId.WEIGHT_DEG_SUM).value
 
 
 @given(digraphs())
@@ -323,13 +327,15 @@ def test_bound_value_rejects_negative_or_nan():
 def test_hong_you_regular_closed_form():
     for k in range(2, 6):
         g = gen_bidirectional_complete(k)
-        assert bound_hong_you(g).value == pytest.approx(2.0 * (k - 1), abs=1e-12)
+        assert bound(g, BoundId.HONG_YOU).value == pytest.approx(
+            2.0 * (k - 1), abs=1e-12
+        )
 
 
 def test_deg_extremes_loose_on_long_cycles():
     # 2.5 regardless of length: surplus is always 1 for a directed cycle
     for n in range(3, 9):
-        assert bound_deg_extremes(gen_directed_cycle(n)).value == 2.5
+        assert bound(gen_directed_cycle(n), BoundId.DEG_EXTREMES).value == 2.5
 
 
 # --- batched columns ----------------------------------------------------------

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,6 +227,29 @@ def test_compute_memory_error_exit(monkeypatch, capsys, error, shown):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["compute", "--frobnicate"]) == EXIT_USAGE
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe(tmp_path):
+    # about 430 kB of json, far more than a pipe buffers, so the process
+    # is still writing when the reader goes away
+    path = tmp_path / "path.edges"
+    n = 10_000
+    path.write_text(f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    argv = [sys.executable, "-m", "qbounds.cli", "compute", "--input",
+            str(path), "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 # --- sweep ------------------------------------------------------------------------

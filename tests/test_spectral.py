@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qbounds import (
     ConvergenceError,
-    OvalRegion,
     build_q,
     degree_profile,
     from_arc_list,
@@ -263,12 +262,6 @@ def test_similarity_rejects_unknown_kind(c3):
 
 
 # --- ovals --------------------------------------------------------------------
-
-
-def test_oval_region_contains():
-    region = OvalRegion(center_i=2.0, center_j=4.0, radius_i=1.0, radius_j=2.0)
-    assert region.contains(3.0)  # |1| * |1| <= 2
-    assert not region.contains(8.0)
 
 
 def test_oval_containment_requires_strong_connectivity(path3):
