@@ -29,12 +29,15 @@ check, and from the switch on the block's enclosure is the running
 No n x n matrix is built for the whole graph. Each block is read from
 the sorted arc arrays and multiplies either as a dense n_b x n_b array,
 when it is full enough that a gemv beats a gather (n_b^2 <= _DENSE_FILL
-* (m_b + n_b)), or straight from its arc lists. Either way the solver
-holds O(n + m) floats, plus one dense n_b x n_b shifted matrix (and the
-solver's copy of it) while a block of at most _NODA_MAX vertices takes
-Noda steps.
+* (m_b + n_b)), or straight from its arc lists. spectral_radii runs the
+blocks of a whole batch in lockstep groups (dense blocks stacked by exact
+size, arc-list blocks as one disjoint union), each bitwise as it would
+run alone. A group holds O(_GROUP_ENTRIES) floats, plus one dense n_b x
+n_b shifted matrix (and the solver's copy of it) per block of at most
+_NODA_MAX vertices taking Noda steps.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +93,11 @@ _NODA_AFTER = 1000
 _NODA_MAX = 512
 _NODA_STEPS = 64
 
+# A lockstep group takes blocks until they hold _GROUP_ENTRIES vertices
+# and arcs; a dense block stores at most _DENSE_FILL floats per entry. A
+# larger block runs alone. This bounds the memory of any batch.
+_GROUP_ENTRIES = 1 << 17
+
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -117,9 +125,15 @@ class SpectralResult:
 
 def _dense_q(diag: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """The one place that lays out Q: diag on the diagonal, 1.0 at every
-    arc (src, dst), zero elsewhere."""
-    q = np.diag(diag.astype(float))
-    q[src, dst] = 1.0
+    arc (src, dst), zero elsewhere. A (k, s) diag lays out k blocks of s
+    vertices as a (k, s, s) stack, vertex v being row v % s of block
+    v // s; no arc may join two blocks."""
+    size = diag.shape[-1]
+    q = np.zeros(diag.shape + (size,))
+    rows = q.reshape(-1, size)
+    vertex = np.arange(diag.size)
+    rows[vertex, vertex % size] = diag.ravel()
+    rows[src, dst % size] = 1.0
     return q
 
 
@@ -127,17 +141,6 @@ def build_q(g: Digraph) -> np.ndarray:
     """Dense signless Laplacian D + A as a float array."""
     data = g.data
     return _dense_q(data.outdeg, data.src, data.dst)
-
-
-def _block_matvec(diag: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """x -> Q[S] x for the block with diagonal diag and local arcs
-    (src, dst): a dense gemv when the block is full enough, else a
-    gather over the arcs summed by bincount in arc order."""
-    size = len(diag)
-    if size * size <= _DENSE_FILL * (len(src) + size):
-        block = _dense_q(diag, src, dst)
-        return lambda x: block @ x
-    return lambda x: diag * x + np.bincount(src, weights=x[dst], minlength=size)
 
 
 def _noda_step(shifted: np.ndarray, shifted_diag: np.ndarray, x: np.ndarray):
@@ -154,116 +157,171 @@ def _noda_step(shifted: np.ndarray, shifted_diag: np.ndarray, x: np.ndarray):
     return z if np.isfinite(z).all() and (z > 0).all() else None
 
 
-def _power_iteration(diag: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                     tol: float, max_iter: int):
-    """Collatz-Wielandt iteration on the primitive block with diagonal
-    diag and local arcs (src, dst).
+def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
+    """Collatz-Wielandt iteration on the primitive blocks in members,
+    (index, cid) pairs of graph index and component id in graph order,
+    advanced together as one (k, size, size) stack of dense blocks or,
+    for size 0, as one disjoint union of arc lists.
 
-    Every iterate x is strictly positive, so lo = min_i (Bx)_i / x_i and
-    hi = max_i (Bx)_i / x_i enclose the spectral radius. The first
-    _NODA_AFTER iterates are power steps x <- Bx / max(Bx), on which hi
-    is non-increasing and lo non-decreasing. A block of at most
-    _NODA_MAX vertices that is still open then takes up to _NODA_STEPS
-    Noda steps x <- (hi I - B)^-1 x, normalised to max 1, with hi the
-    current upper end, and keeps the running enclosure [max lo, min hi]
-    over its iterates. A solve that raises or gives a vector that is not
-    finite and positive ends the Noda steps; the block goes on with power
-    steps. Stop when hi - lo <= tol and report the midpoint, the defect
-    ||Bx - rho x||_inf / ||x||_inf of the last iterate, the number of
-    matvecs and the enclosure (lo, hi).
+    Every iterate x is positive, so the min and max of (Bx)_i / x_i over
+    a block's rows enclose its spectral radius; the first _NODA_AFTER
+    iterates are power steps x <- Bx / max(Bx), on which they tighten.
+    A block of at most _NODA_MAX vertices still open then takes up to
+    _NODA_STEPS Noda steps x <- (hi I - B)^-1 x, normalised to max 1,
+    and keeps the running enclosure [max lo, min hi] over its iterates;
+    a solve that raises or gives a vector that is not finite and
+    positive sends it back to power steps. A block leaves the group at
+    the iterate where hi - lo <= tol; closed[index, cid] then gets the
+    midpoint, the defect ||Bx - rho x||_inf / ||x||_inf of that iterate,
+    the matvec count and (lo, hi). A block open after max_iter matvecs
+    appends (index, cid, size, lo, hi) to failed.
     """
-    size = len(diag)
-    matvec = _block_matvec(diag, src, dst)
-    switched = False  # from the switch on, lo and hi are running bounds
-    shifted = None  # -B with its diagonal left to fill, while Noda steps last
-    solves = 0
-    x = np.ones(size)
+    # Blocks are numbered one after another, each in vertex order, with
+    # arcs in sorted (src, dst) order: bincount sums each row as alone.
+    diag, src, dst, sizes = [], [], [], []
+    for index, run in itertools.groupby(members, key=lambda member: member[0]):
+        data = graphs[index].data
+        comps = [data.components[cid] for _, cid in run]
+        verts = np.fromiter(itertools.chain.from_iterable(comps), np.intp)
+        number = np.full(len(data.outdeg), -1)
+        number[verts] = np.arange(len(verts)) + sum(sizes)
+        inside = number[data.src] >= 0
+        inside &= data.component_of[data.src] == data.component_of[data.dst]
+        src.append(number[data.src[inside]])
+        dst.append(number[data.dst[inside]])
+        diag.append(data.outdeg[verts].astype(float))
+        sizes += map(len, comps)
+    diag, src, dst = (np.concatenate(parts) for parts in (diag, src, dst))
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    stack = _dense_q(diag.reshape(-1, size), src, dst) if size else None
+    owners = list(members)
+    switched = np.zeros(len(owners), dtype=bool)
+    noda = []  # from the switch on, per block: [-B, solves] or None
+    x = np.ones(len(diag))
     for iteration in range(1, max_iter + 1):
-        y = matvec(x)
+        if size:
+            y = (stack @ x.reshape(-1, size, 1)).reshape(-1)
+        else:
+            y = diag * x + np.bincount(src, weights=x[dst], minlength=len(x))
         ratios = y / x
-        hi = float(ratios.max())
-        lo = float(ratios.min())
-        if switched:
-            lo, hi = max(lo, prev_lo), min(hi, prev_hi)
-        if hi - lo <= tol:
+        hi = np.maximum.reduceat(ratios, starts)
+        lo = np.minimum.reduceat(ratios, starts)
+        if iteration > _NODA_AFTER:
+            lo = np.where(switched, np.maximum(lo, prev_lo), lo)
+            hi = np.where(switched, np.minimum(hi, prev_hi), hi)
+        done = hi - lo <= tol
+        if np.count_nonzero(done):
             rho = 0.5 * (hi + lo)
-            residual = float(np.abs(y - rho * x).max() / np.abs(x).max())
-            return rho, residual, iteration, lo, hi
+            residual = (np.maximum.reduceat(np.abs(y - rho.repeat(sizes) * x), starts)
+                        / np.maximum.reduceat(x, starts))
+            for b in np.flatnonzero(done).tolist():
+                closed[owners[b]] = (float(rho[b]), float(residual[b]), iteration,
+                                     float(lo[b]), float(hi[b]))
+            keep = ~done
+            if not keep.any():
+                return
+            # drop the closed blocks and renumber the vertices left
+            open_vertex = np.repeat(keep, sizes)
+            renumber = np.cumsum(open_vertex) - 1
+            arcs = open_vertex[src]
+            src, dst = renumber[src[arcs]], renumber[dst[arcs]]
+            x, y, diag = x[open_vertex], y[open_vertex], diag[open_vertex]
+            stack = stack[keep] if size else None
+            lo, hi, sizes, switched = lo[keep], hi[keep], sizes[keep], switched[keep]
+            starts = np.cumsum(sizes) - sizes
+            kept = keep.tolist()
+            owners = [owner for owner, k in zip(owners, kept) if k]
+            noda = [state for state, k in zip(noda, kept) if k]
         prev_lo, prev_hi = lo, hi
-        if iteration == _NODA_AFTER and size <= _NODA_MAX:
-            switched = True
-            shifted = -_dense_q(diag, src, dst)
-        z = None
-        if shifted is not None and solves < _NODA_STEPS:
-            solves += 1
-            z = _noda_step(shifted, hi - diag, x)
+        if iteration == _NODA_AFTER:
+            switched = sizes <= _NODA_MAX
+            noda = [None] * len(owners)
+            for b in np.flatnonzero(switched).tolist():
+                a, n_b = starts[b], sizes[b]
+                arcs = (src >= a) & (src < a + n_b)
+                noda[b] = [-_dense_q(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a), 0]
+        # entries of y are positive, so each block's max is its sup norm
+        x_next = y / np.maximum.reduceat(y, starts).repeat(sizes)
+        for b, state in enumerate(noda):
+            if state is None or state[1] >= _NODA_STEPS:
+                continue
+            state[1] += 1
+            part = slice(starts[b], starts[b] + sizes[b])
+            z = _noda_step(state[0], hi[b] - diag[part], x[part])
             if z is None:
-                shifted = None
-        # entries of y are positive, so max() is the sup norm
-        x = y / y.max() if z is None else z
-    raise ConvergenceError(
-        f"power iteration did not close a two-sided gap of {tol} within "
-        f"{max_iter} iterations (block size {size})",
-        lo,
-        hi,
-    )
+                noda[b] = None
+            else:
+                x_next[part] = z
+        x = x_next
+    for b, (index, cid) in enumerate(owners):
+        failed.append((index, cid, int(sizes[b]), float(lo[b]), float(hi[b])))
 
 
-def spectral_radius(g: Digraph, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
-    """Spectral radius of Q(G) via per-SCC power iteration."""
+def spectral_radii(graphs, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER) -> list:
+    """The SpectralResult of each digraph in graphs, in order.
+
+    A first pass finds every block of size > 1 and its storage. Dense
+    blocks are grouped by exact size, the others by arc lists, up to
+    _GROUP_ENTRIES a group; each group is built, run in lockstep
+    (_lockstep) and dropped before the next. Each result is bitwise
+    independent of the rest of the batch. A block still open after
+    max_iter matvecs raises ConvergenceError for the first such graph in
+    input order, with the message and enclosure spectral_radius gives.
+    """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    data = g.data
-    src, dst, component_of = data.src, data.dst, data.component_of
-    outdeg = data.outdeg.astype(float)
+    graphs = list(graphs)
+    groups, loads = {}, {}  # (dense block size or 0 for arcs, part): blocks
+    for index, g in enumerate(graphs):
+        data = g.data
+        sizes = np.bincount(data.component_of)
+        tails = data.component_of[data.src]
+        arc_counts = np.bincount(tails[tails == data.component_of[data.dst]],
+                                 minlength=len(sizes))
+        for cid in np.flatnonzero(sizes > 1).tolist():
+            size, entries = int(sizes[cid]), int(arc_counts[cid] + sizes[cid])
+            kind = size if size * size <= _DENSE_FILL * entries else 0
+            part, load = loads.get(kind, (0, 0))
+            if load and load + entries > _GROUP_ENTRIES:
+                part, load = part + 1, 0
+            loads[kind] = (part, load + entries)
+            groups.setdefault((kind, part), []).append((index, cid))
+    closed, failed = {}, []
+    for (size, _), members in groups.items():
+        _lockstep(graphs, members, size, tol, max_iter, closed, failed)
+    if failed:
+        _, _, size, lo, hi = min(failed)
+        raise ConvergenceError(
+            f"power iteration did not close a two-sided gap of {tol} within "
+            f"{max_iter} iterations (block size {size})", lo, hi)
+    results = []
+    for index, g in enumerate(graphs):
+        outdeg = g.data.outdeg.astype(float).tolist()
+        # (value, residual, matvecs, lo, hi) per block; size one is exact
+        blocks = [
+            closed[index, cid] if len(comp) > 1
+            else (outdeg[comp[0]], 0.0, 0, outdeg[comp[0]], outdeg[comp[0]])
+            for cid, comp in enumerate(g.data.components)
+        ]
+        results.append(SpectralResult(
+            q=max(block[0] for block in blocks),
+            residual=max(block[1] for block in blocks),
+            iterations=sum(block[2] for block in blocks),
+            per_component=tuple((cid, block[0]) for cid, block in enumerate(blocks)),
+            lo=max(block[3] for block in blocks),
+            hi=max(block[4] for block in blocks),
+        ))
+    return results
 
-    # Local ids: each component lists its vertices in increasing order, so
-    # a stable sort by component id lines them up in that order.
-    sizes = np.bincount(component_of)
-    by_component = np.argsort(component_of, kind="stable")
-    local = np.empty(g.n, dtype=np.intp)
-    local[by_component] = np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    # Intra-block arcs grouped by component; the stable sort keeps each
-    # block's arcs in sorted (src, dst) order, which fixes the summation
-    # order of the arc-list matvec.
-    arc_component = component_of[src]
-    inside = arc_component == component_of[dst]
-    order = np.argsort(arc_component[inside], kind="stable")
-    block_src = local[src[inside]][order]
-    block_dst = local[dst[inside]][order]
-    arc_start = np.concatenate(
-        ([0], np.cumsum(np.bincount(arc_component[inside], minlength=len(sizes))))
-    )
-
-    per_component = []
-    enclosures = []
-    total_iterations = 0
-    worst_residual = 0.0
-    for cid, comp in enumerate(data.components):
-        if len(comp) == 1:
-            value = block_lo = block_hi = float(outdeg[comp[0]])
-        else:
-            arcs = slice(arc_start[cid], arc_start[cid + 1])
-            value, block_residual, block_iterations, block_lo, block_hi = (
-                _power_iteration(outdeg[list(comp)], block_src[arcs],
-                                 block_dst[arcs], tol, max_iter)
-            )
-            total_iterations += block_iterations
-            worst_residual = max(worst_residual, block_residual)
-        per_component.append((cid, value))
-        enclosures.append((block_lo, block_hi))
-    return SpectralResult(
-        q=max(value for _, value in per_component),
-        residual=worst_residual,
-        iterations=total_iterations,
-        per_component=tuple(per_component),
-        lo=max(lo for lo, _ in enclosures),
-        hi=max(hi for _, hi in enclosures),
-    )
+def spectral_radius(g: Digraph, tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
+    """Spectral radius of Q(G) via per-SCC iteration: spectral_radii([g])."""
+    return spectral_radii([g], tol, max_iter)[0]
 
 
 _SIMILARITY_KINDS = ("plain_Q", "deg_inverse", "deg_sqrt")

@@ -40,7 +40,7 @@ from .digraph import (
 )
 from .edgelist import serialize_edge_list
 from .spectral import (DEFAULT_TOL, oval_containment, similarity_row_sums,
-                       spectral_radius)
+                       spectral_radii, spectral_radius)
 
 DOMINANCE_TOL = 1e-9
 
@@ -224,7 +224,8 @@ class SweepReport:
 
 def sweep(corpus, description="") -> SweepReport:
     """Run every entry of INVARIANTS over (label, digraph) pairs, with q
-    from spectral_radius at its default tolerance.
+    from one spectral_radii pass over the whole corpus at its default
+    tolerance.
 
     Failures are data: each carries the offending graph serialized in the
     edge-list format so a report is reproducible on its own.
@@ -233,9 +234,9 @@ def sweep(corpus, description="") -> SweepReport:
     corpus = list(corpus)
     failures = []
     checks = 0
-    for label, g in corpus:
-        q = spectral_radius(g).q
-        case = GraphCase(label=label, g=g, q=q, row=all_bounds(g))
+    radii = spectral_radii(g for _, g in corpus)
+    for (label, g), radius in zip(corpus, radii):
+        case = GraphCase(label=label, g=g, q=radius.q, row=all_bounds(g))
         for name in names:
             checks += 1
             detail = INVARIANTS[name](case)
@@ -264,18 +265,17 @@ def sweep(corpus, description="") -> SweepReport:
 def canonical_form(g: Digraph):
     """Minimum adjacency bitstring over all vertex relabelings.
 
-    Factorial cost; meant for the small matches that come out of a
-    reconstruction (n <= 6), not for bulk candidate filtering.
+    A relabeling perm sets bits perm[i] * n + perm[j], m of them, so the
+    minimum is the one whose bits, highest first, sort first. Factorial
+    cost (an n! x m array); meant for the small matches that come out of
+    a reconstruction (n <= 6), not for bulk candidate filtering.
     """
     n = g.n
-    best = None
-    for perm in itertools.permutations(range(n)):
-        bits = 0
-        for i, j in g.arcs:
-            bits |= 1 << (perm[i] * n + perm[j])
-        if best is None or bits < best:
-            best = bits
-    return (n, best)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        np.intp, count=math.factorial(n) * n).reshape(-1, n)
+    bits = np.sort(perms[:, g.data.src] * n + perms[:, g.data.dst], axis=1)
+    best = bits[np.lexsort(bits.T)[0]]  # lexsort keys on the last column first
+    return (n, sum(1 << bit for bit in best.tolist()))
 
 
 # ---------------------------------------------------------------------------

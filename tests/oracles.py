@@ -5,7 +5,9 @@ polynomial root finding, sharing no code path with the power iteration
 under test.  The reachability oracle recomputes strong components from
 the boolean transitive closure instead of a DFS.  The reconstruction
 oracle evaluates every candidate on the scalar path, with no batching
-and no filter ahead of spectral_radius.
+and no filter ahead of spectral_radius.  The per-block solver is a frozen
+copy of the one-block-at-a-time loop that spectral_radii replaced: the
+batched solver must reproduce it bitwise.
 """
 
 import itertools
@@ -21,8 +23,10 @@ from qbounds import (
     canonical_form,
     classify,
     is_strongly_connected,
+    spectral,
     spectral_radius,
 )
+from qbounds.spectral import ConvergenceError, SpectralResult
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -192,3 +196,130 @@ def reconstruct_oracle(target):
     for match in matches:
         unique.setdefault(canonical_form(match.digraph), match)
     return visited, tuple(unique.values()), None if unique else nearest
+
+
+def canonical_form_oracle(g: Digraph):
+    """Minimum adjacency bitstring over all vertex relabelings, one
+    permutation and one arc at a time."""
+    n = g.n
+    best = None
+    for perm in itertools.permutations(range(n)):
+        bits = 0
+        for i, j in g.arcs:
+            bits |= 1 << (perm[i] * n + perm[j])
+        if best is None or bits < best:
+            best = bits
+    return (n, best)
+
+
+# --- the per-block solver, one block at a time --------------------------------
+# It reads the tuning constants from spectral at call time, so a test that
+# patches them patches both solvers alike.
+
+
+def _dense_block(diag, src, dst):
+    q = np.diag(diag.astype(float))
+    q[src, dst] = 1.0
+    return q
+
+
+def _block_matvec(diag, src, dst):
+    size = len(diag)
+    if size * size <= spectral._DENSE_FILL * (len(src) + size):
+        block = _dense_block(diag, src, dst)
+        return lambda x: block @ x
+    return lambda x: diag * x + np.bincount(src, weights=x[dst], minlength=size)
+
+
+def _noda_step(shifted, shifted_diag, x):
+    np.fill_diagonal(shifted, shifted_diag)
+    with np.errstate(all="ignore"):
+        try:
+            z = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            return None
+        z = z / z.max()
+    return z if np.isfinite(z).all() and (z > 0).all() else None
+
+
+def _power_iteration(diag, src, dst, tol, max_iter):
+    size = len(diag)
+    matvec = _block_matvec(diag, src, dst)
+    switched = False
+    shifted = None
+    solves = 0
+    x = np.ones(size)
+    for iteration in range(1, max_iter + 1):
+        y = matvec(x)
+        ratios = y / x
+        hi = float(ratios.max())
+        lo = float(ratios.min())
+        if switched:
+            lo, hi = max(lo, prev_lo), min(hi, prev_hi)
+        if hi - lo <= tol:
+            rho = 0.5 * (hi + lo)
+            residual = float(np.abs(y - rho * x).max() / np.abs(x).max())
+            return rho, residual, iteration, lo, hi
+        prev_lo, prev_hi = lo, hi
+        if iteration == spectral._NODA_AFTER and size <= spectral._NODA_MAX:
+            switched = True
+            shifted = -_dense_block(diag, src, dst)
+        z = None
+        if shifted is not None and solves < spectral._NODA_STEPS:
+            solves += 1
+            z = _noda_step(shifted, hi - diag, x)
+            if z is None:
+                shifted = None
+        x = y / y.max() if z is None else z
+    raise ConvergenceError(
+        f"power iteration did not close a two-sided gap of {tol} within "
+        f"{max_iter} iterations (block size {size})",
+        lo,
+        hi,
+    )
+
+
+def per_block_spectral_radius(g: Digraph, tol=spectral.DEFAULT_TOL,
+                              max_iter=spectral.DEFAULT_MAX_ITER) -> SpectralResult:
+    """spectral_radius(g) as computed one strong component after another,
+    each block with its own power and Noda steps."""
+    data = g.data
+    src, dst, component_of = data.src, data.dst, data.component_of
+    outdeg = data.outdeg.astype(float)
+    sizes = np.bincount(component_of)
+    by_component = np.argsort(component_of, kind="stable")
+    local = np.empty(g.n, dtype=np.intp)
+    local[by_component] = np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    arc_component = component_of[src]
+    inside = arc_component == component_of[dst]
+    order = np.argsort(arc_component[inside], kind="stable")
+    block_src = local[src[inside]][order]
+    block_dst = local[dst[inside]][order]
+    arc_start = np.concatenate(
+        ([0], np.cumsum(np.bincount(arc_component[inside], minlength=len(sizes))))
+    )
+    per_component = []
+    enclosures = []
+    total_iterations = 0
+    worst_residual = 0.0
+    for cid, comp in enumerate(data.components):
+        if len(comp) == 1:
+            value = block_lo = block_hi = float(outdeg[comp[0]])
+        else:
+            arcs = slice(arc_start[cid], arc_start[cid + 1])
+            value, block_residual, block_iterations, block_lo, block_hi = (
+                _power_iteration(outdeg[list(comp)], block_src[arcs],
+                                 block_dst[arcs], tol, max_iter)
+            )
+            total_iterations += block_iterations
+            worst_residual = max(worst_residual, block_residual)
+        per_component.append((cid, value))
+        enclosures.append((block_lo, block_hi))
+    return SpectralResult(
+        q=max(value for _, value in per_component),
+        residual=worst_residual,
+        iterations=total_iterations,
+        per_component=tuple(per_component),
+        lo=max(lo for lo, _ in enclosures),
+        hi=max(hi for _, hi in enclosures),
+    )

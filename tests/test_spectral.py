@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,11 +18,12 @@ from qbounds import (
     oval_containment,
     similarity_row_sums,
     spectral,
+    spectral_radii,
     spectral_radius,
 )
 
 from conftest import digraphs, sc_digraphs
-from oracles import spectral_radius_oracle
+from oracles import per_block_spectral_radius, spectral_radius_oracle
 
 
 def test_build_q_entries(star4):
@@ -456,3 +458,101 @@ def test_noda_solves_stop_at_budget():
 def test_result_enclosure_of_size_one_blocks(path3):
     r = spectral_radius(path3)
     assert r.lo == r.hi == r.q == 1.0
+
+
+# --- lockstep batches: bitwise equal to the per-block solver ------------------
+
+
+def _batch_corpus():
+    from qbounds import RandomCorpusSpec, random_corpus
+
+    corpus = random_corpus(RandomCorpusSpec(600, 3, 60, (0.02, 0.05, 0.1, 0.5), seed=0))
+    graphs = [g for _, g in corpus]
+    graphs += MULTI_SCC_GRAPHS.values()
+    graphs += SLOW_BLOCK_GRAPHS.values()
+    random.Random(0).shuffle(graphs)
+    return graphs
+
+
+def test_batch_is_bitwise_equal_to_per_block_solver():
+    graphs = _batch_corpus()
+    expected = [per_block_spectral_radius(g) for g in graphs]
+    # one mixed batch: dense stacks of every size, the arc-list union,
+    # multi-block graphs and the blocks that take Noda steps
+    assert spectral_radii(graphs) == expected
+    # one graph at a time: a result does not depend on the rest of its batch
+    assert [spectral_radius(g) for g in graphs] == expected
+
+
+@given(digraphs())
+def test_batch_of_forced_storage_is_bitwise_equal(g):
+    # every block dense, every block on arc lists, and groups of one block
+    for fill, entries in ((0, spectral._GROUP_ENTRIES), (math.inf, 1), (0, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_DENSE_FILL", fill)
+            mp.setattr(spectral, "_GROUP_ENTRIES", entries)
+            batch = spectral_radii([g, gen_directed_cycle(5), g])
+            assert batch[0] == batch[2] == per_block_spectral_radius(g)
+
+
+def test_batch_memory_is_bounded_by_group_size():
+    # 800 dense 40-vertex blocks hold 1,280,000 vertices and arcs; in one
+    # group their stack and arc arrays would peak near 39 MB, in groups of
+    # _GROUP_ENTRIES near 4 MB
+    g = gen_bidirectional_complete(40)
+    tracemalloc.start()
+    try:
+        batch = spectral_radii([g] * 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch == [spectral_radius(g)] * 800
+    assert peak < 8 * 2**20
+
+
+def test_stacked_matmul_equals_gemv():
+    # Dense groups multiply a (k, s, s) stack in one np.matmul call and
+    # rely on it giving each block bitwise what B @ x gives alone. Should
+    # this ever fail on some BLAS, dense groups must fall back to one
+    # gemv per block.
+    rng = np.random.default_rng(0)
+    for size in range(2, 81):
+        for k in (1, 3, 8):
+            stack = (rng.random((k, size, size)) < 0.3).astype(float)
+            stack += np.diag(rng.integers(1, size, size).astype(float))
+            x = rng.random(k * size) + 0.5
+            stacked = (stack @ x.reshape(k, size, 1)).reshape(-1)
+            alone = np.concatenate(
+                [stack[b] @ x[b * size:(b + 1) * size] for b in range(k)]
+            )
+            assert np.array_equal(stacked, alone), (size, k)
+
+
+def test_empty_batch():
+    assert spectral_radii([]) == []
+
+
+def _convergence_error(g, max_iter):
+    with pytest.raises(ConvergenceError) as info:
+        per_block_spectral_radius(g, max_iter=max_iter)
+    return info.value
+
+
+# a triangle with one chord needs 25 matvecs; the cycle and K3 need one
+_TRIANGLE_WITH_CHORD = from_arc_list(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("batch, max_iter, first", [
+    # only the triangle with a chord fails
+    ([gen_directed_cycle(4), _TRIANGLE_WITH_CHORD, gen_bidirectional_complete(3)], 5, 1),
+    ([_TRIANGLE_WITH_CHORD, gen_directed_cycle(4), gen_bidirectional_complete(3)], 5, 0),
+    # every graph fails after one matvec; neither the later block of the
+    # first graph nor the arc-list block of the last may win
+    ([MULTI_SCC_GRAPHS["chain"], gen_bidirectional_star(4), _cycle_plus_chord(400)], 1, 0),
+])
+def test_batch_raises_for_the_first_failing_graph(batch, max_iter, first):
+    expected = _convergence_error(batch[first], max_iter)
+    with pytest.raises(ConvergenceError) as info:
+        spectral_radii(batch, max_iter=max_iter)
+    assert str(info.value) == str(expected)
+    assert (info.value.lo, info.value.hi) == (expected.lo, expected.hi)

@@ -31,7 +31,7 @@ from qbounds import (
 import qbounds.verify as verify
 
 from conftest import digraphs
-from oracles import reconstruct_oracle
+from oracles import canonical_form_oracle, reconstruct_oracle
 
 
 # --- corpus -------------------------------------------------------------------
@@ -120,6 +120,19 @@ def test_canonical_form_is_permutation_invariant(g, rng):
     rng.shuffle(perm)
     relabeled = Digraph(g.n, frozenset((perm[i], perm[j]) for i, j in g.arcs))
     assert canonical_form(g) == canonical_form(relabeled)
+
+
+@given(digraphs(max_n=6))
+def test_canonical_form_matches_brute_force(g):
+    assert canonical_form(g) == canonical_form_oracle(g)
+
+
+def test_canonical_form_of_full_and_single_arc_digraphs():
+    # the smallest bitstring puts the single arc at bit 1, (0, 1); the
+    # complete digraph sets every off-diagonal bit
+    assert canonical_form(from_arc_list(4, [(2, 1)])) == (4, 1 << 1)
+    full = from_arc_list(6, [(i, j) for i in range(6) for j in range(6) if i != j])
+    assert canonical_form(full) == canonical_form_oracle(full)
 
 
 # --- reconstruction ---------------------------------------------------------------
