@@ -387,19 +387,33 @@ def _per_vertex(index, weights, count, n):
     return sums.astype(np.int64).reshape(count, n)
 
 
+def _strongly_connected(adj):
+    """Strong connectivity of each digraph in an adjacency batch, from
+    Warshall's transitive closure on bitmask rows: bit j of reach[:, i]
+    says that i reaches j. Rows wider than int64 fall back to Python
+    integers."""
+    n = adj.shape[1]
+    bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
+    reach = (adj * bits).sum(axis=2) | bits
+    for k in range(n):
+        reach |= np.where(reach & bits[k], reach[:, k:k + 1], 0)
+    return (reach == (1 << n) - 1).all(axis=1)
+
+
 class BoundColumns:
     """Bound values over a batch of digraphs on the same n vertices.
 
     adj is a boolean tensor of shape (N, n, n) with adj[k, i, j] set when
     digraph k has the arc i -> j; like a Digraph, each has at least one
-    arc and no loop. strongly flags the strongly connected ones.
+    arc and no loop. shape.strongly flags the strongly connected ones.
     applicable(bid) flags the digraphs that meet the bound's hypotheses,
-    and values(bid) equals, bitwise, the value all_bounds reports for
-    each digraph, NaN for an inapplicable one. Reasons are left to
-    all_bounds, which renders them for one digraph at a time.
+    in_g_star_class() those in the G* class of classify, and values(bid)
+    equals, bitwise, the value all_bounds reports for each digraph, NaN
+    for an inapplicable one. Reasons are left to all_bounds, which
+    renders them for one digraph at a time.
     """
 
-    def __init__(self, adj, strongly):
+    def __init__(self, adj):
         self.adj = adj = np.asarray(adj, dtype=bool)
         count, n = adj.shape[:2]
         if adj[:, np.arange(n), np.arange(n)].any():
@@ -416,7 +430,7 @@ class BoundColumns:
             m=d.sum(axis=1),
             lo=d.min(axis=1),
             hi=d.max(axis=1),
-            strongly=np.asarray(strongly, dtype=bool),
+            strongly=_strongly_connected(adj),
             zero_head=np.where(heads.any(axis=1), heads.argmax(axis=1), -1),
         )
 
@@ -438,6 +452,15 @@ class BoundColumns:
         for holds, _ in _SPECS[bid].conditions:
             mask &= holds(self.shape)
         return mask
+
+    def in_g_star_class(self):
+        """classify(g).is_in_g_star_class over the batch: the hypotheses of
+        maxdeg_plus_2 (its n >= 3 is implied by the rest) and a
+        max-outdegree vertex with an out-neighbor of outdegree at least 2."""
+        d = self.outdeg
+        hubs = d == self.shape.hi[:, None]
+        reach_two = (self.adj & (d[:, None, :] >= 2)).any(axis=2)
+        return self.applicable(BoundId.MAXDEG_PLUS_2) & (hubs & reach_two).any(axis=1)
 
     def values(self, bid: BoundId):
         """Float array over the batch, NaN where the bound is inapplicable."""

@@ -27,7 +27,7 @@ import sys
 from .bounds import BoundId, ROW_ORDER, all_bounds
 from .digraph import classify
 from .edgelist import EdgeListParseError, parse_edge_list, serialize_edge_list
-from .spectral import ConvergenceError, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
 from .verify import (
     PRESETS,
     RandomCorpusSpec,
@@ -71,8 +71,8 @@ def _build_parser():
     )
     p_compute.add_argument("--format", choices=("table", "csv", "json"),
                            default="table")
-    p_compute.add_argument("--tol", type=float, default=1e-12)
-    p_compute.add_argument("--max-iter", type=int, default=1_000_000)
+    p_compute.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_compute.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_compute.set_defaults(func=cmd_compute)
 
     p_sweep = sub.add_parser("sweep", help="invariant sweep over a random corpus")
@@ -352,28 +352,27 @@ def _parse_row(text):
 
 def _build_target(args):
     if args.preset:
+        fixed = [flag for flag, value in
+                 (("--n", args.n), ("--q", args.q), ("--row", args.row))
+                 if value is not None]
+        if fixed:
+            raise _UsageError(f"{', '.join(fixed)} cannot be combined with --preset")
         target = PRESETS[args.preset]
-        overrides = {}
-        if args.m is not None:
-            overrides["m"] = args.m
-        if args.outdeg_seq is not None:
-            overrides["outdeg_sequence"] = _parse_outdeg_seq(args.outdeg_seq)
-        if args.tol is not None:
-            overrides["tolerance"] = args.tol
-        return dataclasses.replace(target, **overrides) if overrides else target
-    if args.n is None or args.q is None:
+    elif args.n is None or args.q is None:
         raise _UsageError("a custom target needs --n and --q (or use --preset)")
-    return ReconstructionTarget(
-        n=args.n,
-        q=args.q,
-        row=_parse_row(args.row) if args.row else {},
-        m=args.m,
-        tolerance=args.tol if args.tol is not None else 5e-4,
-        outdeg_sequence=(
-            _parse_outdeg_seq(args.outdeg_seq) if args.outdeg_seq else None
-        ),
-        name="custom",
-    )
+    else:
+        target = ReconstructionTarget(
+            n=args.n, q=args.q, row=_parse_row(args.row) if args.row else {},
+            name="custom",
+        )
+    overrides = {}
+    if args.m is not None:
+        overrides["m"] = args.m
+    if args.outdeg_seq is not None:
+        overrides["outdeg_sequence"] = _parse_outdeg_seq(args.outdeg_seq)
+    if args.tol is not None:
+        overrides["tolerance"] = args.tol
+    return dataclasses.replace(target, **overrides)
 
 
 def _parse_outdeg_seq(text):

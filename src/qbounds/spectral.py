@@ -43,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import (
-    DegreeProfile,
-    Digraph,
-    adjacency,
-    degree_profile,
-    is_strongly_connected,
-)
+from .digraph import Digraph, adjacency, is_strongly_connected
 
 
 class ConvergenceError(RuntimeError):
@@ -195,6 +189,8 @@ def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
     sizes = np.array(sizes)
     starts = np.cumsum(sizes) - sizes
     stack = _dense_q(diag.reshape(-1, size), src, dst) if size else None
+    if size:  # from here on the stack holds the arcs
+        src = dst = None
     owners = list(members)
     switched = np.zeros(len(owners), dtype=bool)
     noda = []  # from the switch on, per block: [-B, solves] or None
@@ -223,9 +219,10 @@ def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
                 return
             # drop the closed blocks and renumber the vertices left
             open_vertex = np.repeat(keep, sizes)
-            renumber = np.cumsum(open_vertex) - 1
-            arcs = open_vertex[src]
-            src, dst = renumber[src[arcs]], renumber[dst[arcs]]
+            if not size:
+                renumber = np.cumsum(open_vertex) - 1
+                arcs = open_vertex[src]
+                src, dst = renumber[src[arcs]], renumber[dst[arcs]]
             x, y, diag = x[open_vertex], y[open_vertex], diag[open_vertex]
             stack = stack[keep] if size else None
             lo, hi, sizes, switched = lo[keep], hi[keep], sizes[keep], switched[keep]
@@ -238,6 +235,9 @@ def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
             switched = sizes <= _NODA_MAX
             noda = [None] * len(owners)
             for b in np.flatnonzero(switched).tolist():
+                if size:
+                    noda[b] = [-stack[b], 0]
+                    continue
                 a, n_b = starts[b], sizes[b]
                 arcs = (src >= a) & (src < a + n_b)
                 noda[b] = [-_dense_q(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a), 0]
@@ -324,45 +324,6 @@ def spectral_radius(g: Digraph, tol: float = DEFAULT_TOL,
     return spectral_radii([g], tol, max_iter)[0]
 
 
-_SIMILARITY_KINDS = ("plain_Q", "deg_inverse", "deg_sqrt")
-
-
-def similarity_row_sums(g: Digraph, kind: str) -> list:
-    """Row sums of Q under a diagonal similarity, in closed form.
-
-    plain_Q      -> 2 d+(i)
-    deg_inverse  -> d+(i) + m+(i)            (rows of D^-1 Q D)
-    deg_sqrt     -> d+(i) + sum over out-neighbors j of sqrt(d+(j)/d+(i))
-                                              (rows of D^-1/2 Q D^1/2)
-
-    The two D-inverse kinds need every outdegree positive.
-    """
-    if kind not in _SIMILARITY_KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {_SIMILARITY_KINDS}")
-    profile = degree_profile(g)
-    if kind == "plain_Q":
-        return [2.0 * d for d in profile.outdeg]
-    if profile.min_outdeg == 0:
-        raise ValueError(
-            f"kind {kind!r} conjugates by a power of D and needs every "
-            f"outdegree positive; vertex "
-            f"{profile.outdeg.index(0)} has outdegree 0"
-        )
-    if kind == "deg_inverse":
-        return [d + t / d for d, t in zip(profile.outdeg, profile.two_outdeg)]
-    return [d + s for d, s in zip(profile.outdeg, _sqrt_ratio_sums(g, profile))]
-
-
-def _sqrt_ratio_sums(g: Digraph, profile: DegreeProfile) -> list:
-    """Off-diagonal row sums of P = D^-1/2 Q D^1/2: the sum of
-    sqrt(d+(j)/d+(i)) over the out-neighbors j of each vertex i."""
-    out, _ = adjacency(g)
-    return [
-        sum(math.sqrt(profile.outdeg[j] / profile.outdeg[i]) for j in out[i])
-        for i in range(g.n)
-    ]
-
-
 @dataclass(frozen=True)
 class OvalCheck:
     contained: bool
@@ -372,9 +333,10 @@ class OvalCheck:
 def oval_containment(g: Digraph, value: float) -> OvalCheck:
     """Whether value lies in the union of the per-arc Cassini ovals
     |z - d(i)| * |z - d(j)| <= r(i) * r(j) of P = D^-1/2 Q D^1/2, where
-    r(i) is the off-diagonal row sum of P at i. For a strongly connected
-    digraph every eigenvalue of Q lies in that union, so the computed q
-    must test as contained.
+    r(i), the off-diagonal row sum of P at i, sums sqrt(d(j)/d(i)) over
+    the out-neighbors j of i. For a strongly connected digraph every
+    eigenvalue of Q lies in that union, so the computed q must test as
+    contained.
 
     The witness is the lexicographically first arc whose oval contains
     the value.
@@ -384,7 +346,10 @@ def oval_containment(g: Digraph, value: float) -> OvalCheck:
     data = g.data
     src, dst = data.src, data.dst
     center = data.outdeg.astype(float)
-    radius = np.array(_sqrt_ratio_sums(g, degree_profile(g)))
+    out, _ = adjacency(g)
+    d = data.outdeg.tolist()
+    radius = np.array([sum(math.sqrt(d[j] / d[i]) for j in out[i])
+                       for i in range(g.n)])
     lhs = np.abs(value - center[src]) * np.abs(value - center[dst])
     rhs = radius[src] * radius[dst]
     # Equality cases (e.g. the bidirectional star) put the spectral

@@ -39,8 +39,7 @@ from .digraph import (
     is_strongly_connected,
 )
 from .edgelist import serialize_edge_list
-from .spectral import (DEFAULT_TOL, oval_containment, similarity_row_sums,
-                       spectral_radii, spectral_radius)
+from .spectral import DEFAULT_TOL, oval_containment, spectral_radii, spectral_radius
 
 DOMINANCE_TOL = 1e-9
 
@@ -113,23 +112,25 @@ def _inv_dominance(case):
     return None
 
 
-def _row_sum_bracket(case, kind, name):
+def _row_sum_bracket(case, sums, name):
     """q against the min and max row sums of a matrix similar to Q."""
-    sums = similarity_row_sums(case.g, kind)
-    lo, hi = min(sums), max(sums)
+    lo, hi = float(sums.min()), float(sums.max())
     if not (lo - DOMINANCE_TOL <= case.q <= hi + DOMINANCE_TOL):
         return f"q = {case.q!r} outside {name} row-sum bracket [{lo!r}, {hi!r}]"
     return None
 
 
 def _inv_bracket_plain_rows(case):
-    return _row_sum_bracket(case, "plain_Q", "plain")
+    # rows of Q: 2 d(i)
+    return _row_sum_bracket(case, 2.0 * case.g.data.outdeg, "plain")
 
 
 def _inv_bracket_deg_avg(case):
-    if case.g.data.outdeg.min() == 0:
+    # rows of D^-1 Q D: d(i) + m(i), defined when every outdegree is positive
+    d = case.g.data.outdeg
+    if d.min() == 0:
         return None
-    return _row_sum_bracket(case, "deg_inverse", "degree-average")
+    return _row_sum_bracket(case, d + case.g.data.two_outdeg / d, "degree-average")
 
 
 def _inv_oval_contains_q(case):
@@ -293,9 +294,10 @@ class ReconstructionTarget:
     expectation. tolerance applies to q and every row entry (absolute
     deviation). q, tolerance and the row values must be finite.
     Structural constraints: require_strongly_connected; require_g_star
-    (the G* class of classify); m fixes the arc count; outdeg_sequence
-    fixes the outdegree of each vertex in order and switches enumeration
-    to per-vertex out-neighborhood choices.
+    (the G* class of classify); m fixes the arc count, in [1, n(n-1)];
+    outdeg_sequence fixes the outdegree of each vertex in order, n entries
+    in [0, n-1] with a positive sum (m, if given), and switches enumeration to
+    per-vertex out-neighborhood choices. A bad target raises ValueError.
     """
 
     n: int
@@ -336,6 +338,22 @@ class ReconstructionTarget:
                 raise ValueError(
                     f"target value for {bid.value} must be finite, got {value}"
                 )
+        n, seq = self.n, self.outdeg_sequence
+        if seq is not None:
+            if len(seq) != n:
+                raise ValueError("outdeg_sequence length must equal n")
+            if any(d < 0 or d > n - 1 for d in seq):
+                raise ValueError("outdegrees must lie in [0, n-1]")
+            if sum(seq) < 1:
+                raise ValueError("outdeg_sequence must place at least one arc")
+            if self.m is not None and sum(seq) != self.m:
+                raise ValueError(
+                    f"outdeg_sequence sums to {sum(seq)} but m = {self.m}"
+                )
+        if self.m is not None and not 1 <= self.m <= n * (n - 1):
+            raise ValueError(
+                f"m must lie in [1, {n * (n - 1)}] for n = {n}, got {self.m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -401,17 +419,11 @@ _COLUMN_ORDER = (
 )
 
 
-def _chunks(total, decode):
-    """decode(indices) for consecutive index ranges of _CHUNK covering
-    0 .. total - 1."""
-    for start in range(0, total, _CHUNK):
-        yield decode(np.arange(start, min(start + _CHUNK, total)))
-
-
 def _candidate_space(target: ReconstructionTarget):
-    """Iterator over the target's candidates as boolean adjacency chunks
-    of shape (c, n, n), in enumeration order. Bad constraints raise
-    ValueError here, before any candidate is built.
+    """Generator of the target's candidates as boolean adjacency chunks of
+    shape (c, n, n), c <= _CHUNK, in enumeration order. The target has
+    validated its constraints; the one refusal left here is an
+    unconstrained space above n = 5 (ValueError on the first chunk).
 
     With an outdegree sequence the candidates run through the product of
     per-vertex out-neighborhood combinations, the last vertex fastest;
@@ -419,27 +431,9 @@ def _candidate_space(target: ReconstructionTarget):
     through arc-slot bitmasks 1 .. 2^(n(n-1)) - 1, slot b in bit b. Arc
     slots are the pairs (i, j), i != j, in lexicographic order.
     """
-    n = target.n
+    n, m, seq = target.n, target.m, target.outdeg_sequence
     slots = np.array([i * n + j for i in range(n) for j in range(n) if i != j])
-
-    def on_slots(chosen):
-        """Adjacency chunk from a (c, len(slots)) 0/1 matrix over slots."""
-        flat = np.zeros((len(chosen), n * n), dtype=bool)
-        flat[:, slots] = chosen
-        return flat.reshape(-1, n, n)
-
-    if target.outdeg_sequence is not None:
-        seq = target.outdeg_sequence
-        if len(seq) != n:
-            raise ValueError("outdeg_sequence length must equal n")
-        if any(d < 0 or d > n - 1 for d in seq):
-            raise ValueError("outdegrees must lie in [0, n-1]")
-        if sum(seq) < 1:
-            raise ValueError("outdeg_sequence must place at least one arc")
-        if target.m is not None and sum(seq) != target.m:
-            raise ValueError(
-                f"outdeg_sequence sums to {sum(seq)} but m = {target.m}"
-            )
+    if seq is not None:
         # pools[i][c] is the out-neighborhood row of vertex i's c-th choice
         pools = []
         for i, d in enumerate(seq):
@@ -448,25 +442,27 @@ def _candidate_space(target: ReconstructionTarget):
             for c, nbrs in enumerate(itertools.combinations(others, d)):
                 rows[c, list(nbrs)] = True
             pools.append(rows)
-
-        def decode_sequence(index):
+        total = math.prod(len(rows) for rows in pools)
+    elif m is not None:
+        combos = itertools.combinations(range(len(slots)), m)
+        total = comb(len(slots), m)
+    elif n > 5:
+        raise ValueError(
+            "unconstrained enumeration above n = 5 is not desk scale; fix the "
+            "arc count m or supply an outdegree sequence"
+        )
+    else:
+        total = (1 << len(slots)) - 1
+    for start in range(0, total, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, total))
+        if seq is not None:
             adj = np.empty((len(index), n, n), dtype=bool)
             for i in reversed(range(n)):
                 index, choice = np.divmod(index, len(pools[i]))
                 adj[:, i] = pools[i][choice]
-            return adj
-
-        total = math.prod(len(rows) for rows in pools)
-        return _chunks(total, decode_sequence)
-    if target.m is not None:
-        m = target.m
-        if not 1 <= m <= len(slots):
-            raise ValueError(
-                f"m must lie in [1, {len(slots)}] for n = {n}, got {m}"
-            )
-        combos = itertools.combinations(range(len(slots)), m)
-
-        def decode_fixed_m(index):
+            yield adj
+            continue
+        if m is not None:
             picked = np.fromiter(
                 itertools.chain.from_iterable(
                     itertools.islice(combos, len(index))
@@ -475,45 +471,11 @@ def _candidate_space(target: ReconstructionTarget):
             ).reshape(-1, m)
             chosen = np.zeros((len(index), len(slots)), dtype=bool)
             chosen[np.arange(len(index))[:, None], picked] = True
-            return on_slots(chosen)
-
-        total = comb(len(slots), m)
-        return _chunks(total, decode_fixed_m)
-    if n > 5:
-        raise ValueError(
-            "unconstrained enumeration above n = 5 is not desk scale; fix the "
-            "arc count m or supply an outdegree sequence"
-        )
-    k = len(slots)
-
-    def decode_subsets(index):
-        return on_slots(((index[:, None] + 1) >> np.arange(k)) & 1)
-
-    total = (1 << k) - 1
-    return _chunks(total, decode_subsets)
-
-
-def _strongly_connected(adj):
-    """Strong connectivity of each digraph in an adjacency batch, from
-    Warshall's transitive closure on bitmask rows: bit j of reach[:, i]
-    says that i reaches j. Rows wider than int64 fall back to Python
-    integers."""
-    n = adj.shape[1]
-    bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
-    reach = (adj * bits).sum(axis=2) | bits
-    for k in range(n):
-        reach |= np.where(reach & bits[k], reach[:, k:k + 1], 0)
-    return (reach == (1 << n) - 1).all(axis=1)
-
-
-def _in_g_star_class(cols: BoundColumns):
-    """classify(g).is_in_g_star_class over a batch: the hypotheses of
-    maxdeg_plus_2 (its n >= 3 is implied by the rest) and a max-outdegree
-    vertex with an out-neighbor of outdegree at least 2."""
-    d = cols.outdeg
-    hubs = d == cols.shape.hi[:, None]
-    reach_two = (cols.adj & (d[:, None, :] >= 2)).any(axis=2)
-    return cols.applicable(BoundId.MAXDEG_PLUS_2) & (hubs & reach_two).any(axis=1)
+        else:
+            chosen = ((index[:, None] + 1) >> np.arange(len(slots))) & 1
+        flat = np.zeros((len(index), n * n), dtype=bool)
+        flat[:, slots] = chosen
+        yield flat.reshape(-1, n, n)
 
 
 def _row_deviation(target, q, row_by_id):
@@ -573,7 +535,7 @@ class _Search:
 
     def visit(self, adj):
         self.visited += len(adj)
-        cols = BoundColumns(adj, _strongly_connected(adj))
+        cols = BoundColumns(adj)
         keep = self.structural(cols)
         self.counts["structurally_rejected"] += int(np.count_nonzero(~keep))
         cols = cols.select(keep)
@@ -609,7 +571,7 @@ class _Search:
         if target.require_strongly_connected:
             keep &= cols.shape.strongly
         if target.require_g_star:
-            keep &= _in_g_star_class(cols)
+            keep &= cols.in_g_star_class()
         return keep
 
     def q_interval(self, cols: BoundColumns, dev, best):
@@ -667,9 +629,8 @@ def reconstruct(target: ReconstructionTarget) -> ReconstructionReport:
     earliest one on ties. stages says where the candidates left the
     search.
     """
-    chunks = _candidate_space(target)
     search = _Search(target)
-    for adj in chunks:
+    for adj in _candidate_space(target):
         search.visit(adj)
 
     unique = []

@@ -22,7 +22,6 @@ from qbounds import (
     gen_directed_cycle,
     is_strongly_connected,
     spectral_radius,
-    verify,
     witness_value,
 )
 
@@ -347,14 +346,15 @@ def _batch(graphs):
     for k, g in enumerate(graphs):
         for i, j in g.arcs:
             adj[k, i, j] = True
-    return BoundColumns(adj, [is_strongly_connected(g) for g in graphs])
+    return BoundColumns(adj)
 
 
 def _assert_columns_match_rows(graphs):
     columns = _batch(graphs)
     rows = [all_bounds(g) for g in graphs]
-    # the batched g-star check agrees with the scalar one in classify
-    assert verify._in_g_star_class(columns).tolist() == [
+    # the batched structure checks agree with the scalar ones
+    assert columns.shape.strongly.tolist() == [is_strongly_connected(g) for g in graphs]
+    assert columns.in_g_star_class().tolist() == [
         classify(g).is_in_g_star_class for g in graphs
     ]
     for c, bid in enumerate(ROW_ORDER):
@@ -387,7 +387,7 @@ def test_batched_columns_reject_empty_and_looped_digraphs():
     adj = np.zeros((2, 3, 3), dtype=bool)
     adj[0, 0, 1] = True
     with pytest.raises(ValueError, match="at least one arc"):
-        BoundColumns(adj, [False, False])
+        BoundColumns(adj)
     adj[1, 2, 2] = True
     with pytest.raises(ValueError, match="loop"):
-        BoundColumns(adj, [False, False])
+        BoundColumns(adj)

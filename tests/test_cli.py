@@ -404,6 +404,40 @@ def test_reconstruct_rejects_negative_tolerance(capsys):
     )
 
 
+@pytest.mark.parametrize("flags", [
+    ["--q", "99", "--n", "5", "--row", "arc_deg_sum=1"],
+    ["--q", "5"],
+])
+def test_reconstruct_preset_rejects_custom_target_flags(capsys, flags):
+    _assert_one_usage_line(
+        capsys, ["reconstruct", "--preset", "g1", *flags],
+        "cannot be combined with --preset",
+    )
+
+
+def test_reconstruct_preset_takes_narrowing_flags(capsys):
+    assert main(["reconstruct", "--preset", "gstar"]) == EXIT_OK
+    plain = capsys.readouterr().out
+    # gstar already fixes m = 9 and its tolerance is 5e-4
+    rc = main(["reconstruct", "--preset", "gstar", "--m", "9", "--tol", "5e-4"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
+def test_reconstruct_narrowing_hint_only_on_refusal(capsys):
+    assert main(["reconstruct", "--preset", "g2"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[1].startswith("hint: pass --m")
+    # a bad constraint is a bad target, not a space too large to search
+    for flags, fragment in [
+        (["--n", "3", "--q", "2", "--outdeg-seq", "1,1"], "length"),
+        (["--n", "3", "--q", "2", "--m", "99"], "m must lie in [1, 6]"),
+        (["--preset", "g2", "--m", "99"], "m must lie in [1, 30]"),
+    ]:
+        _assert_one_usage_line(capsys, ["reconstruct", *flags], fragment)
+
+
 # --- golden outputs -----------------------------------------------------------------
 #
 # Each file under data/golden holds the exact stdout of one command. The

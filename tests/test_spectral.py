@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbounds import (
+    INVARIANTS,
     ConvergenceError,
     build_q,
     degree_profile,
@@ -16,11 +17,11 @@ from qbounds import (
     gen_bidirectional_star,
     gen_directed_cycle,
     oval_containment,
-    similarity_row_sums,
     spectral,
     spectral_radii,
     spectral_radius,
 )
+from qbounds.verify import GraphCase
 
 from conftest import digraphs, sc_digraphs
 from oracles import per_block_spectral_radius, spectral_radius_oracle
@@ -238,29 +239,35 @@ def test_plain_row_sums_bracket_q(g):
     assert hi == 2.0 * p.max_outdeg
 
 
+def _bracket_details(g, q):
+    case = GraphCase(label="", g=g, q=q, row=())
+    return [INVARIANTS[name](case) for name in ("bracket_plain_rows", "bracket_deg_avg")]
+
+
 @given(sc_digraphs())
-def test_similarity_row_sums_bracket_q(g):
-    # similarity transforms preserve the spectrum, so every kind brackets q
-    r = spectral_radius(g)
-    for kind in ("plain_Q", "deg_inverse", "deg_sqrt"):
-        sums = similarity_row_sums(g, kind)
-        assert min(sums) - 1e-9 <= r.q <= max(sums) + 1e-9
+def test_row_sum_brackets_hold_q(g):
+    # similarity transforms preserve the spectrum, so both brackets hold q
+    assert _bracket_details(g, spectral_radius(g).q) == [None, None]
 
 
-def test_similarity_row_sums_deg_inverse_closed_form(star4):
-    # D^{-1} Q D has row sums d(i) + m(i)
-    sums = similarity_row_sums(star4, "deg_inverse")
-    assert sums == pytest.approx((3 + 1.0, 1 + 3.0, 1 + 3.0, 1 + 3.0))
+def test_deg_avg_bracket_closed_form(star4):
+    # D^{-1} Q D has row sums d(i) + m(i): 3 + 1 at the center, 1 + 3 at a leaf
+    q = 4.0 + 1e-6
+    detail = INVARIANTS["bracket_deg_avg"](GraphCase(label="", g=star4, q=q, row=()))
+    assert detail == f"q = {q!r} outside degree-average row-sum bracket [4.0, 4.0]"
 
 
-def test_similarity_rejects_zero_outdegree(path3):
-    with pytest.raises(ValueError):
-        similarity_row_sums(path3, "deg_inverse")
+def test_deg_avg_bracket_skips_zero_outdegree(path3):
+    # D^{-1} Q D needs every outdegree positive; path3 ends in a sink
+    plain, deg_avg = _bracket_details(path3, 100.0)
+    assert deg_avg is None
+    assert plain == "q = 100.0 outside plain row-sum bracket [0.0, 2.0]"
 
 
-def test_similarity_rejects_unknown_kind(c3):
-    with pytest.raises(ValueError):
-        similarity_row_sums(c3, "nope")
+def test_row_sum_brackets_reject_wrong_q(c3):
+    plain, deg_avg = _bracket_details(c3, 2.5)
+    assert plain == "q = 2.5 outside plain row-sum bracket [2.0, 2.0]"
+    assert deg_avg == "q = 2.5 outside degree-average row-sum bracket [2.0, 2.0]"
 
 
 # --- ovals --------------------------------------------------------------------

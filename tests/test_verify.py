@@ -28,6 +28,7 @@ from qbounds import (
     spectral_radius,
     sweep,
 )
+import qbounds.bounds as bounds
 import qbounds.verify as verify
 
 from conftest import digraphs
@@ -326,7 +327,7 @@ def test_batched_strong_connectivity_on_wide_rows(n):
             adj[k, i, j] = True
     expected = [is_strongly_connected(g) for g in graphs]
     assert expected == [True, False, True]
-    assert verify._strongly_connected(adj).tolist() == expected
+    assert bounds._strongly_connected(adj).tolist() == expected
 
 
 def test_reconstruct_refuses_unbounded_large_space():
@@ -342,6 +343,23 @@ def test_reconstruct_validates_outdeg_sequence():
         reconstruct(
             ReconstructionTarget(n=3, q=2.0, m=2, outdeg_sequence=(1, 1, 1))
         )
+
+
+def test_target_validates_its_constraints_at_construction():
+    with pytest.raises(ValueError, match="length"):
+        ReconstructionTarget(n=3, q=2.0, outdeg_sequence=(1, 1))
+    with pytest.raises(ValueError, match=re.escape("[0, n-1]")):
+        ReconstructionTarget(n=3, q=2.0, outdeg_sequence=(3, 1, 1))
+    with pytest.raises(ValueError, match="at least one arc"):
+        ReconstructionTarget(n=3, q=2.0, outdeg_sequence=(0, 0, 0))
+    with pytest.raises(ValueError, match="m = 2"):
+        ReconstructionTarget(n=3, q=2.0, m=2, outdeg_sequence=(1, 1, 1))
+    for m in (0, 7):
+        with pytest.raises(ValueError, match=re.escape(f"[1, 6] for n = 3, got {m}")):
+            ReconstructionTarget(n=3, q=2.0, m=m)
+    # the full range is accepted
+    assert ReconstructionTarget(n=3, q=2.0, m=6).m == 6
+    assert ReconstructionTarget(n=3, q=2.0, m=3, outdeg_sequence=(2, 1, 0)).m == 3
 
 
 def test_target_validation():
