@@ -13,10 +13,12 @@ when d(i) = 0. Note d(i) * m(i) = t(i), which several formulas exploit
 to stay on integer arithmetic as long as possible.
 
 Each bound's term is written once, as a numpy expression over integer
-degree data. all_bounds feeds it one digraph's arc or vertex arrays,
-witness_value the witness's own entries, and BoundColumns a batch of
-adjacency tensors broadcast over (N, n, n). All three run the same IEEE
-operations in the same order, so their values agree bitwise.
+degree data, and evaluated in one place: BoundColumns, over a ragged
+batch of digraphs of any sizes laid out one after another. all_bounds is
+a batch of one that renders the reasons; witness_value feeds the term
+the witness's own entries. Elementwise IEEE operations and exact maxima
+and minima give every digraph the same values and witnesses in any
+batch.
 """
 
 import enum
@@ -26,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .digraph import Digraph, is_strongly_connected
+from .digraph import Digraph
 
 
 class BoundId(enum.Enum):
@@ -174,14 +176,14 @@ def _term_maxdeg_plus_2(n, m, hi, lo):
 
 # --- applicability -------------------------------------------------------------
 #
-# A condition is (holds, reason): holds maps a _Shape to a bool or a bool
+# A condition is (holds, reason): holds maps a batch's _Shape to a bool
 # array, reason renders the failure for one digraph's _Shape.
 
 
 class _Shape(NamedTuple):
-    """Graph-level data the applicability conditions read: scalars for one
-    digraph, arrays over a batch. zero_head is the smallest arc head of
-    outdegree 0, or -1."""
+    """Graph-level data the applicability conditions read: arrays over a
+    batch, or one digraph's Python scalars to render a reason. zero_head
+    is the smallest arc head of outdegree 0, or -1."""
 
     n: object
     m: object
@@ -190,11 +192,6 @@ class _Shape(NamedTuple):
     strongly: object
     zero_head: object
 
-    def take(self, rows):
-        return _Shape(
-            self.n, self.m[rows], self.lo[rows], self.hi[rows],
-            self.strongly[rows], self.zero_head[rows],
-        )
 
 
 _SC = (lambda s: s.strongly, lambda s: "not strongly connected")
@@ -262,58 +259,6 @@ _SPECS = {
 }
 
 
-# --- one digraph ------------------------------------------------------------------
-
-
-def _shape(g: Digraph) -> _Shape:
-    data = g.data
-    d, dst = data.outdeg, data.dst
-    zero_heads = dst[d[dst] == 0]
-    return _Shape(
-        n=g.n,
-        m=g.m,
-        lo=int(d.min()),
-        hi=int(d.max()),
-        strongly=is_strongly_connected(g),
-        zero_head=int(zero_heads.min()) if zero_heads.size else -1,
-    )
-
-
-def _sorted_prefix(d):
-    """Non-increasing outdegrees and the sum of the entries before each
-    position."""
-    degs = np.sort(d)[::-1]
-    return degs, np.cumsum(degs) - degs
-
-
-def _evaluate(bid: BoundId, g: Digraph, shape: _Shape) -> BoundValue:
-    spec = _SPECS[bid]
-    reason = _reason(spec.conditions, shape)
-    if reason is not None:
-        return BoundValue(bid, None, reason)
-    data = g.data
-    d, t = data.outdeg, data.two_outdeg
-    if spec.kind == "arc":
-        src, dst = data.src, data.dst
-        values = spec.term(d[src], d[dst], t[src], t[dst])
-        k = int(np.argmax(values))  # first maximizer in sorted arc order
-        return BoundValue(bid, float(values[k]),
-                          witness=(int(src[k]), int(dst[k])))
-    if spec.kind == "vertex":
-        # m(i) is undefined at outdegree 0; the max runs over the rest
-        (vertices,) = np.nonzero(d > 0)
-        values = spec.term(d[vertices], t[vertices], data.insum[vertices])
-        k = int(np.argmax(values))
-        return BoundValue(bid, float(values[k]), witness=int(vertices[k]))
-    if spec.kind == "position":
-        degs, prefix = _sorted_prefix(d)
-        values = spec.term(degs[0], degs, prefix, np.arange(degs.size))
-        k = int(np.argmin(values))
-        return BoundValue(bid, float(values[k]), witness=k)
-    value = spec.term(shape.n, shape.m, shape.hi, shape.lo)
-    return BoundValue(bid, float(value))
-
-
 # --- public API -------------------------------------------------------------
 
 
@@ -343,13 +288,25 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
 
 
 def all_bounds(g: Digraph) -> tuple:
-    """Evaluate the full comparison row in ROW_ORDER.
+    """Evaluate the full comparison row in ROW_ORDER, as a batch of one.
 
     Per-bound hypothesis failures surface as inapplicable entries, never
     exceptions, so the row always has all twelve columns.
     """
-    shape = _shape(g)
-    return tuple(_evaluate(bid, g, shape) for bid in ROW_ORDER)
+    cols = BoundColumns.from_graphs([g])
+    shape = _Shape(*(field[0].item() for field in cols.shape))
+    row = []
+    for bid in ROW_ORDER:
+        reason = _reason(_SPECS[bid].conditions, shape)
+        if reason is not None:
+            row.append(BoundValue(bid, None, reason))
+            continue
+        values, witnesses = cols.values(bid)
+        w = witnesses.item()
+        if _SPECS[bid].kind == "arc":
+            w = (int(cols.tail[w]), int(cols.head[w]))
+        row.append(BoundValue(bid, values.item(), witness=None if w == -1 else w))
+    return tuple(row)
 
 
 def witness_value(g: Digraph, bv: BoundValue) -> float | None:
@@ -358,33 +315,27 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
     Returns None for bounds without witness semantics (deg_extremes,
     maxdeg_plus_2) and for inapplicable values. The replay evaluates the
     evaluator's own term at the witness alone, so a valid witness
-    reproduces the stored value exactly.
+    reproduces the stored value exactly. A witness arc must be an arc of
+    g (ValueError otherwise).
     """
     if bv.value is None or bv.witness is None:
         return None
-    spec = _SPECS[bv.id]
-    data = g.data
-    d, t = data.outdeg, data.two_outdeg
-    if spec.kind == "arc":
-        i, j = bv.witness
-        return float(spec.term(d[i], d[j], t[i], t[j]))
-    if spec.kind == "vertex":
-        v = bv.witness
-        return float(spec.term(d[v], t[v], data.insum[v]))
-    if spec.kind == "position":
-        degs, prefix = _sorted_prefix(d)
-        pos = bv.witness
-        return float(spec.term(degs[0], degs[pos], prefix[pos], pos))
-    return None
+    cols = BoundColumns.from_graphs([g])
+    w = bv.witness
+    if isinstance(w, tuple):  # an arc, by its index among the sorted arcs
+        (w,) = np.flatnonzero((cols.tail == w[0]) & (cols.head == w[1]))
+    return float(cols.replay(bv.id, w))
 
 
 # --- batches -----------------------------------------------------------------
 
-
-def _per_vertex(index, weights, count, n):
-    """Integer sums of weights into a (count, n) array at flat index."""
-    sums = np.bincount(index, weights, count * n)
-    return sums.astype(np.int64).reshape(count, n)
+# BoundColumns.slices cuts a list of digraphs into batches of at most
+# _SLICE_ARCS arcs (a larger digraph makes a batch alone), which bounds a
+# batch's working memory. On the 600-graph sweep corpus (139,136 arcs)
+# one batch took a sweep's peak RSS from 51.2 to 64.7 MB; with slices of
+# 2^13 arcs it stays at 51.2 MB (51.7 MB one graph at a time), and the
+# sweep is as fast within the run-to-run spread.
+_SLICE_ARCS = 1 << 13
 
 
 def _strongly_connected(adj):
@@ -401,50 +352,87 @@ def _strongly_connected(adj):
 
 
 class BoundColumns:
-    """Bound values over a batch of digraphs on the same n vertices.
+    """Bound values over a ragged batch: digraphs of any sizes laid out
+    one after another, as in the arc-list union of spectral._lockstep.
+    Digraph k owns the vertices from vertex_start[k] and the arcs from
+    arc_start[k] on, arcs in sorted (tail, head) order. Arrays per arc:
+    tail, head (vertices numbered across the batch) and arc_graph; per
+    vertex: outdeg, two_outdeg, insum and vertex_graph; per digraph:
+    shape (shape.strongly flags the strongly connected ones).
 
-    adj is a boolean tensor of shape (N, n, n) with adj[k, i, j] set when
-    digraph k has the arc i -> j; like a Digraph, each has at least one
-    arc and no loop. shape.strongly flags the strongly connected ones.
-    applicable(bid) flags the digraphs that meet the bound's hypotheses,
-    in_g_star_class() those in the G* class of classify, and values(bid)
-    equals, bitwise, the value all_bounds reports for each digraph, NaN
-    for an inapplicable one. Reasons are left to all_bounds, which
-    renders them for one digraph at a time.
+    BoundColumns(adj) lays out a boolean (N, n, n) tensor, adj[k, i, j]
+    set when digraph k has the arc i -> j (each with an arc and no loop,
+    like a Digraph), with one np.nonzero and a bitmask Warshall closure
+    for strong connectivity. from_graphs(graphs) lays out Digraphs from
+    their GraphData, and slices(graphs) cuts a list into batches of at
+    most _SLICE_ARCS arcs. values(bid) gives each digraph's value and
+    witness, bitwise those of all_bounds, a batch of one that renders
+    the reasons.
     """
 
     def __init__(self, adj):
-        self.adj = adj = np.asarray(adj, dtype=bool)
+        adj = np.asarray(adj, dtype=bool)
         count, n = adj.shape[:2]
         if adj[:, np.arange(n), np.arange(n)].any():
             raise ValueError("loop arcs are not allowed")
         k, i, j = np.nonzero(adj)
-        self.outdeg = d = adj.sum(axis=2)
-        if not d.any(axis=1).all():
+        m = np.bincount(k, minlength=count)
+        if not m.all():
             raise ValueError("every digraph needs at least one arc")
-        self.two_outdeg = _per_vertex(k * n + i, d[k, j], count, n)
-        self.insum = _per_vertex(k * n + j, d[k, i], count, n)
-        heads = adj.any(axis=1) & (d == 0)
-        self.shape = _Shape(
-            n=adj.shape[1],
-            m=d.sum(axis=1),
-            lo=d.min(axis=1),
-            hi=d.max(axis=1),
-            strongly=_strongly_connected(adj),
-            zero_head=np.where(heads.any(axis=1), heads.argmax(axis=1), -1),
-        )
+        self._lay_out(np.full(count, n), m, k * n + i, k * n + j,
+                      _strongly_connected(adj))
+
+    @classmethod
+    def from_graphs(cls, graphs) -> "BoundColumns":
+        """The batch of a nonempty list of Digraphs, in order."""
+        datas = [g.data for g in graphs]
+        n, m = np.array([g.n for g in graphs]), np.array([g.m for g in graphs])
+        offset = np.repeat(np.cumsum(n) - n, m)
+        cols = object.__new__(cls)
+        cols._lay_out(n, m, np.concatenate([data.src for data in datas]) + offset,
+                      np.concatenate([data.dst for data in datas]) + offset,
+                      np.array([len(data.components) == 1 for data in datas]))
+        return cols
+
+    @classmethod
+    def slices(cls, graphs):
+        """(start, batch) for consecutive runs of graphs holding at most
+        _SLICE_ARCS arcs each, or one larger digraph."""
+        start, arcs = 0, 0
+        for k, g in enumerate(graphs):
+            if arcs and arcs + g.m > _SLICE_ARCS:
+                yield start, cls.from_graphs(graphs[start:k])
+                start, arcs = k, 0
+            arcs += g.m
+        if arcs:
+            yield start, cls.from_graphs(graphs[start:])
+
+    def _lay_out(self, n, m, tail, head, strongly):
+        """Digraphs of n vertices and m arcs each, arcs tail -> head."""
+        index = np.arange(len(n))
+        self.vertex_graph, self.arc_graph = index.repeat(n), index.repeat(m)
+        self.vertex_start, self.arc_start = np.cumsum(n) - n, np.cumsum(m) - m
+        self.tail, self.head = tail, head
+        size, starts = len(self.vertex_graph), self.vertex_start
+        self.outdeg = d = np.bincount(tail, minlength=size)
+        self.two_outdeg = np.bincount(tail, d[head], size).astype(np.int64)
+        self.insum = np.bincount(head, d[tail], size).astype(np.int64)
+        lo, hi = np.minimum.reduceat(d, starts), np.maximum.reduceat(d, starts)
+        heads = np.where(d[head] == 0, head - starts[self.arc_graph], size)
+        zero_head = np.minimum.reduceat(heads, self.arc_start)
+        zero_head[zero_head == size] = -1
+        self.shape = _Shape(n, m, lo, hi, strongly, zero_head)
 
     def __len__(self):
-        return len(self.adj)
+        return len(self.vertex_start)
 
     def select(self, rows) -> "BoundColumns":
-        """The digraphs at rows (a boolean mask or indices), in order."""
+        """The digraphs that a boolean mask over the batch picks, in order."""
+        renumber = np.cumsum(rows[self.vertex_graph]) - 1
+        arcs, s = rows[self.arc_graph], self.shape
         picked = object.__new__(BoundColumns)
-        picked.adj = self.adj[rows]
-        picked.outdeg = self.outdeg[rows]
-        picked.two_outdeg = self.two_outdeg[rows]
-        picked.insum = self.insum[rows]
-        picked.shape = self.shape.take(rows)
+        picked._lay_out(s.n[rows], s.m[rows], renumber[self.tail[arcs]],
+                        renumber[self.head[arcs]], s.strongly[rows])
         return picked
 
     def applicable(self, bid: BoundId):
@@ -455,33 +443,62 @@ class BoundColumns:
 
     def in_g_star_class(self):
         """classify(g).is_in_g_star_class over the batch: the hypotheses of
-        maxdeg_plus_2 (its n >= 3 is implied by the rest) and a
-        max-outdegree vertex with an out-neighbor of outdegree at least 2."""
+        maxdeg_plus_2 (its n >= 3 is implied by the rest) and an arc from
+        a max-outdegree vertex to one of outdegree at least 2."""
         d = self.outdeg
-        hubs = d == self.shape.hi[:, None]
-        reach_two = (self.adj & (d[:, None, :] >= 2)).any(axis=2)
-        return self.applicable(BoundId.MAXDEG_PLUS_2) & (hubs & reach_two).any(axis=1)
+        hubs = d[self.tail] == self.shape.hi[self.arc_graph]
+        found = np.logical_or.reduceat(hubs & (d[self.head] >= 2), self.arc_start)
+        return self.applicable(BoundId.MAXDEG_PLUS_2) & found
+
+    def _inputs(self, kind, at=slice(None)):
+        """The term's arguments at the elements at: arcs, vertices, sorted
+        positions or digraphs, by kind."""
+        d, t = self.outdeg, self.two_outdeg
+        if kind == "arc":
+            i, j = self.tail[at], self.head[at]
+            return d[i], d[j], t[i], t[j]
+        if kind == "vertex":
+            return d[at], t[at], self.insum[at]
+        if kind == "position":
+            # each digraph's outdegrees sorted non-increasing; at each
+            # position the largest, the one there, the sum of those before
+            key = self.vertex_graph * (int(d.max(initial=0)) + 1)
+            degs = key - np.sort(key - d)
+            before = np.cumsum(degs) - degs
+            first = self.vertex_start[self.vertex_graph]
+            pos = np.arange(len(d)) - first
+            return degs[first][at], degs[at], (before - before[first])[at], pos[at]
+        s = self.shape
+        return s.n[at], s.m[at], s.hi[at], s.lo[at]
 
     def values(self, bid: BoundId):
-        """Float array over the batch, NaN where the bound is inapplicable."""
+        """(values, witnesses) over the batch, NaN and -1 where the bound
+        is inapplicable. A witness is the batch index of the first arc,
+        vertex or sorted position attaining the value; a graph bound has
+        none, -1."""
         spec = _SPECS[bid]
-        d, t, s = self.outdeg, self.two_outdeg, self.shape
+        applicable = self.applicable(bid)
         # inapplicable digraphs and vertices of outdegree 0 may divide by
         # zero; both are masked out below
         with np.errstate(divide="ignore", invalid="ignore"):
-            if spec.kind == "arc":
-                # arcs come grouped by digraph, at least one per digraph
-                k, i, j = np.nonzero(self.adj)
-                terms = spec.term(d[k, i], d[k, j], t[k, i], t[k, j])
-                values = np.maximum.reduceat(terms, np.cumsum(s.m) - s.m)
-            elif spec.kind == "vertex":
-                terms = spec.term(d, t, self.insum)
-                values = np.where(d > 0, terms, -np.inf).max(axis=1)
-            elif spec.kind == "position":
-                degs = -np.sort(-d, axis=1)
-                prefix = np.cumsum(degs, axis=1) - degs
-                pos = np.arange(s.n)
-                values = spec.term(degs[:, :1], degs, prefix, pos).min(axis=1)
-            else:
-                values = spec.term(s.n, s.m, s.hi, s.lo)
-        return np.where(self.applicable(bid), values, np.nan)
+            terms = spec.term(*self._inputs(spec.kind))
+        if spec.kind == "graph":
+            return np.where(applicable, terms, np.nan), np.full(len(self), -1)
+        if spec.kind == "vertex":
+            # m(i) is undefined at outdegree 0; the max runs over the rest
+            terms = np.where(self.outdeg > 0, terms, -np.inf)
+        starts, owner = ((self.arc_start, self.arc_graph) if spec.kind == "arc"
+                         else (self.vertex_start, self.vertex_graph))
+        reduce = np.minimum if spec.kind == "position" else np.maximum
+        best = reduce.reduceat(terms, starts)
+        # the first element of each digraph attaining its best term
+        first = np.where(terms == best[owner], np.arange(len(terms)), len(terms))
+        first = np.minimum.reduceat(first, starts)
+        return np.where(applicable, best, np.nan), np.where(applicable, first, -1)
+
+    def replay(self, bid: BoundId, witnesses):
+        """The bound's term at each witness of values(bid) alone;
+        meaningless at -1."""
+        spec = _SPECS[bid]
+        return spec.term(*self._inputs(spec.kind, witnesses))
+

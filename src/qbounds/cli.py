@@ -29,6 +29,7 @@ from .digraph import classify
 from .edgelist import EdgeListParseError, parse_edge_list, serialize_edge_list
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
 from .verify import (
+    DEFAULT_MAX_CANDIDATES,
     PRESETS,
     RandomCorpusSpec,
     ReconstructionTarget,
@@ -99,6 +100,8 @@ def _build_parser():
         help="fix the per-vertex outdegrees, comma-separated",
     )
     p_rec.add_argument("--tol", type=float)
+    p_rec.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
+                       help="refuse a larger candidate space (default %(default)s)")
     p_rec.add_argument("--allow-empty", action="store_true",
                        help="exit 0 even when nothing matches")
     p_rec.add_argument("--format", choices=("table", "json"), default="table")
@@ -423,11 +426,11 @@ def cmd_reconstruct(args):
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     try:
-        report = reconstruct(target)
+        report = reconstruct(target, args.max_candidates)
     except ValueError as exc:
         raise _UsageError(
             f"{exc}\nhint: pass --m (and optionally --outdeg-seq) to narrow "
-            f"the search space"
+            f"the search space, or --max-candidates to raise the budget"
         ) from exc
     if args.format == "json":
         payload = {

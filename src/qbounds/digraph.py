@@ -80,7 +80,6 @@ class GraphData:
                   offsets[i] .. offsets[i + 1] - 1, heads ascending
     outdeg        d+(i);  indeg: d-(i)
     two_outdeg    t+(i), the sum of d+(j) over out-neighbors j
-    insum         the sum of d+(j) over in-neighbors j
     component_of  index of the strong component holding each vertex
     components    the strong components as in SccDecomposition
     """
@@ -91,7 +90,6 @@ class GraphData:
     outdeg: np.ndarray
     indeg: np.ndarray
     two_outdeg: np.ndarray
-    insum: np.ndarray
     component_of: np.ndarray
     components: tuple
 
@@ -111,7 +109,6 @@ def _build_graph_data(g: Digraph) -> GraphData:
         outdeg=outdeg,
         indeg=np.bincount(dst, minlength=n),
         two_outdeg=np.bincount(src, outdeg[dst], n).astype(np.int64),
-        insum=np.bincount(dst, outdeg[src], n).astype(np.int64),
         component_of=np.array(component_of, dtype=np.intp),
     )
     for array in arrays.values():

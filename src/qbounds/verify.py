@@ -6,20 +6,23 @@ Reconstruction searches the space of labeled digraphs on n vertices for
 arc sets whose computed spectral radius and bound row agree with a target
 row within a tolerance. The target can fix the arc count m (enumeration
 over arc subsets of that size), fix a per-vertex outdegree sequence
-(enumeration over out-neighborhood choices), or leave both open, which is
-only allowed up to n = 5. Matches are deduplicated up to digraph
-isomorphism via a minimum-bitstring canonical form.
+(enumeration over out-neighborhood choices), or leave both open. A space
+of more candidates than the budget (DEFAULT_MAX_CANDIDATES unless the
+caller raises it) is refused before the search starts. Matches are
+deduplicated up to digraph isomorphism via a minimum-bitstring canonical
+form.
 
 The search streams the space in chunks of adjacency tensors. Structural
 constraints, strong connectivity and the target's bound columns are
-evaluated as numpy expressions (bounds.BoundColumns, bitwise equal to
-all_bounds), and q as an interval. Only candidates that could still match
-or beat the nearest miss reach the scalar path (spectral_radius,
-all_bounds), which produces every reported number. The nearest miss is
-therefore exact in every mode.
+evaluated as numpy expressions (bounds.BoundColumns over each chunk,
+bitwise equal to all_bounds), and q as an interval. Only candidates
+that could still match or beat the nearest miss reach the scalar path
+(spectral_radius, all_bounds), which produces every reported number.
+The nearest miss is therefore exact in every mode.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -88,12 +91,19 @@ def random_corpus(spec: RandomCorpusSpec) -> list:
 # invariant sweep
 
 
-@dataclass(frozen=True)
 class GraphCase:
-    label: str
-    g: Digraph
-    q: float
-    row: tuple
+    """One graph as an invariant reads it: label, digraph g, computed q,
+    and row, its all_bounds row. A row not given is built on first use,
+    so a sweep builds it only for the graphs whose checks read it."""
+
+    def __init__(self, label: str, g: Digraph, q: float, row: tuple | None = None):
+        self.label, self.g, self.q = label, g, q
+        if row is not None:
+            self.row = row
+
+    @functools.cached_property
+    def row(self) -> tuple:
+        return all_bounds(self.g)
 
 
 def _inv_degree_consistency(case):
@@ -202,6 +212,32 @@ INVARIANTS = {
 }
 
 
+def _array_flags(cols, q):
+    """For each invariant that reads only degrees, q and bound values, the
+    digraphs of a BoundColumns batch with q on which it fails, found by
+    the same IEEE operations as the invariant itself."""
+    s, d, tol = cols.shape, cols.outdeg, DOMINANCE_TOL
+    row = {bid: cols.values(bid) for bid in _bounds.ROW_ORDER}
+
+    def outside(lo, hi):
+        return ~((lo - tol <= q) & (q <= hi + tol))
+
+    # digraphs with a vertex of outdegree 0 and witnesses -1 are masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = d + cols.two_outdeg / d
+        replays = [(w >= 0) & (cols.replay(bid, w) != v) for bid, (v, w) in row.items()]
+    return {
+        "dominance": np.any([q > v + tol for v, _ in row.values()], axis=0),
+        "bracket_plain_rows": outside(2.0 * s.lo, 2.0 * s.hi),
+        "bracket_deg_avg": (s.lo > 0) & outside(
+            np.minimum.reduceat(sums, cols.vertex_start),
+            np.maximum.reduceat(sums, cols.vertex_start)),
+        "regular_equality": (s.lo == s.hi) & (np.abs(q - 2.0 * s.hi) > tol),
+        "q_exceeds_max_outdeg": s.strongly & (q <= s.hi - tol),
+        "witness_consistency": np.any(replays, axis=0),
+    }
+
+
 @dataclass(frozen=True)
 class SweepFailure:
     label: str
@@ -228,33 +264,37 @@ def sweep(corpus, description="") -> SweepReport:
     from one spectral_radii pass over the whole corpus at its default
     tolerance.
 
+    An invariant with an array form over the corpus's BoundColumns
+    slices runs only on the graphs that form flags, yet counts a check
+    on every graph; its own function renders every failure.
+
     Failures are data: each carries the offending graph serialized in the
     edge-list format so a report is reproducible on its own.
     """
     names = tuple(INVARIANTS)
     corpus = list(corpus)
+    graphs = [g for _, g in corpus]
+    radii = [radius.q for radius in spectral_radii(graphs)]
     failures = []
-    checks = 0
-    radii = spectral_radii(g for _, g in corpus)
-    for (label, g), radius in zip(corpus, radii):
-        case = GraphCase(label=label, g=g, q=radius.q, row=all_bounds(g))
-        for name in names:
-            checks += 1
-            detail = INVARIANTS[name](case)
-            if detail is not None:
-                failures.append(
-                    SweepFailure(
-                        label=label,
-                        invariant=name,
-                        detail=detail,
+    for start, cols in BoundColumns.slices(graphs):
+        flags = _array_flags(cols, np.array(radii[start:start + len(cols)]))
+        for k in range(start, start + len(cols)):
+            label, g = corpus[k]
+            case = GraphCase(label, g, radii[k])
+            for name in names:
+                if name in flags and not flags[name][k - start]:
+                    continue
+                detail = INVARIANTS[name](case)
+                if detail is not None:
+                    failures.append(SweepFailure(
+                        label=label, invariant=name, detail=detail,
                         edge_list=serialize_edge_list(g),
-                    )
-                )
+                    ))
     return SweepReport(
         description=description,
         graph_count=len(corpus),
         invariants=names,
-        checks_run=checks,
+        checks_run=len(corpus) * len(names),
         failures=tuple(failures),
     )
 
@@ -292,7 +332,8 @@ class ReconstructionTarget:
     ROW_ORDER) or as (BoundId, value) pairs; every key must be a bound of
     ROW_ORDER, named once. Inapplicable candidates never match a numeric
     expectation. tolerance applies to q and every row entry (absolute
-    deviation). q, tolerance and the row values must be finite.
+    deviation). q, tolerance and the row values must be finite; n, m and
+    the outdegrees integers (Python or numpy ints).
     Structural constraints: require_strongly_connected; require_g_star
     (the G* class of classify); m fixes the arc count, in [1, n(n-1)];
     outdeg_sequence fixes the outdegree of each vertex in order, n entries
@@ -325,6 +366,11 @@ class ReconstructionTarget:
             object.__setattr__(
                 self, "outdeg_sequence", tuple(self.outdeg_sequence)
             )
+        counts = [("n", self.n), ("m", self.m)]
+        counts += [("outdeg_sequence entry", d) for d in self.outdeg_sequence or ()]
+        for name, value in counts:
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("target needs n >= 2")
         if not math.isfinite(self.q):
@@ -419,11 +465,28 @@ _COLUMN_ORDER = (
 )
 
 
-def _candidate_space(target: ReconstructionTarget):
+# The largest candidate space a search takes unless the caller raises the
+# budget: about 40 s at the measured 4 to 6 us per candidate.
+DEFAULT_MAX_CANDIDATES = 1 << 23
+
+
+def _comb_capped(n, k, cap):
+    """comb(n, k), or cap + 1 once it exceeds cap: a few hundred steps at
+    most for a cap of 2^128, whatever n."""
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)  # comb(n, i + 1)
+        if count > cap:
+            return cap + 1
+    return count
+
+
+def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     """Generator of the target's candidates as boolean adjacency chunks of
     shape (c, n, n), c <= _CHUNK, in enumeration order. The target has
-    validated its constraints; the one refusal left here is an
-    unconstrained space above n = 5 (ValueError on the first chunk).
+    validated its constraints; the one refusal left here is a space of
+    more than max_candidates candidates, counted before anything is
+    built (ValueError on the first chunk).
 
     With an outdegree sequence the candidates run through the product of
     per-vertex out-neighborhood combinations, the last vertex fastest;
@@ -432,6 +495,22 @@ def _candidate_space(target: ReconstructionTarget):
     slots are the pairs (i, j), i != j, in lexicographic order.
     """
     n, m, seq = target.n, target.m, target.outdeg_sequence
+    cap = max(max_candidates, 1 << 128)  # larger counts are not computed
+    if seq is not None:
+        total = 1
+        for d in seq:
+            total = min(total * _comb_capped(n - 1, d, cap), cap + 1)
+    elif m is not None:
+        total = _comb_capped(n * (n - 1), m, cap)
+    else:
+        total = (1 << n * (n - 1)) - 1 if n * (n - 1) <= cap.bit_length() else cap + 1
+    if total > max_candidates:
+        count = f"{total:,}" if total <= cap else f"more than 2^{cap.bit_length() - 1}"
+        raise ValueError(
+            f"{count} candidates exceed the budget of {max_candidates:,} and are "
+            f"not desk scale; fix the arc count m or supply an outdegree "
+            f"sequence, or raise max_candidates"
+        )
     slots = np.array([i * n + j for i in range(n) for j in range(n) if i != j])
     if seq is not None:
         # pools[i][c] is the out-neighborhood row of vertex i's c-th choice
@@ -442,17 +521,8 @@ def _candidate_space(target: ReconstructionTarget):
             for c, nbrs in enumerate(itertools.combinations(others, d)):
                 rows[c, list(nbrs)] = True
             pools.append(rows)
-        total = math.prod(len(rows) for rows in pools)
     elif m is not None:
         combos = itertools.combinations(range(len(slots)), m)
-        total = comb(len(slots), m)
-    elif n > 5:
-        raise ValueError(
-            "unconstrained enumeration above n = 5 is not desk scale; fix the "
-            "arc count m or supply an outdegree sequence"
-        )
-    else:
-        total = (1 << len(slots)) - 1
     for start in range(0, total, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, total))
         if seq is not None:
@@ -538,23 +608,23 @@ class _Search:
         cols = BoundColumns(adj)
         keep = self.structural(cols)
         self.counts["structurally_rejected"] += int(np.count_nonzero(~keep))
-        cols = cols.select(keep)
+        adj, cols = adj[keep], cols.select(keep)
 
         # exact row deviation, column by column, dropping candidates as
         # soon as it settles them
         best = self.best()
         dev = np.zeros(len(cols))
         for bid, expected in self.columns:
-            values = cols.values(bid)
+            values, _ = cols.values(bid)
             dev = np.maximum(
                 dev, np.where(np.isnan(values), np.inf, np.abs(values - expected))
             )
             out = self.settled(dev, -np.inf, np.inf, best)
             if out.any():
                 self.counts["bound_rejected"] += int(np.count_nonzero(out))
-                cols, dev = cols.select(~out), dev[~out]
+                adj, cols, dev = adj[~out], cols.select(~out), dev[~out]
 
-        q_lo, q_hi = self.q_interval(cols, dev, best)
+        q_lo, q_hi = self.q_interval(adj, cols, dev, best)
         # the nearest miss moves as candidates are evaluated, in order
         for k in range(len(cols)):
             best = self.best()
@@ -563,7 +633,7 @@ class _Search:
             elif self.settled(dev[k], q_lo[k], q_hi[k], best):
                 self.counts["q_enclosed"] += 1
             else:
-                self.evaluate(cols.adj[k])
+                self.evaluate(adj[k])
 
     def structural(self, cols: BoundColumns):
         target = self.target
@@ -574,7 +644,7 @@ class _Search:
             keep &= cols.in_g_star_class()
         return keep
 
-    def q_interval(self, cols: BoundColumns, dev, best):
+    def q_interval(self, adj, cols: BoundColumns, dev, best):
         """An interval holding q for every candidate: the row-sum bracket
         [2 min d, 2 max d], narrowed by Collatz-Wielandt ratios of Q + I
         for the candidates the bracket leaves unsettled."""
@@ -583,10 +653,10 @@ class _Search:
         (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi, best))
         if not active.size:
             return q_lo, q_hi
-        n = cols.shape.n
+        adj = adj[active]
         # Q + I keeps the iterate positive; its radius is q + 1
-        shifted = cols.adj[active] + np.eye(n) * (cols.outdeg[active] + 1)[:, None]
-        x = np.ones((active.size, n))
+        shifted = adj + np.eye(adj.shape[1]) * (adj.sum(axis=2) + 1)[:, None]
+        x = np.ones(adj.shape[:2])
         for _ in range(_CW_ITERATIONS):
             y = (shifted * x[:, None, :]).sum(axis=2)
             ratios = y / x
@@ -617,10 +687,16 @@ class _Search:
             self.nearest = candidate
 
 
-def reconstruct(target: ReconstructionTarget) -> ReconstructionReport:
+def reconstruct(target: ReconstructionTarget,
+                max_candidates: int = DEFAULT_MAX_CANDIDATES) -> ReconstructionReport:
     """Exhaustively search the target's candidate space for digraphs whose
     computed q (spectral_radius at its default tolerance) and bound row
     sit within tolerance of the target.
+
+    A space of more than max_candidates candidates (a product of
+    binomials for an outdegree sequence, one binomial for a fixed m,
+    2^(n(n-1)) - 1 otherwise) is refused with ValueError before the
+    search starts; the default budget, 2^23, takes about 40 s.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism
@@ -630,7 +706,7 @@ def reconstruct(target: ReconstructionTarget) -> ReconstructionReport:
     search.
     """
     search = _Search(target)
-    for adj in _candidate_space(target):
+    for adj in _candidate_space(target, max_candidates):
         search.visit(adj)
 
     unique = []

@@ -7,7 +7,9 @@ the boolean transitive closure instead of a DFS.  The reconstruction
 oracle evaluates every candidate on the scalar path, with no batching
 and no filter ahead of spectral_radius.  The per-block solver is a frozen
 copy of the one-block-at-a-time loop that spectral_radii replaced: the
-batched solver must reproduce it bitwise.
+batched solver must reproduce it bitwise.  Likewise the bound row and the
+sweep are frozen copies of the one-graph-at-a-time evaluator and sweep
+loop that the ragged BoundColumns batch replaced.
 """
 
 import itertools
@@ -16,15 +18,22 @@ import math
 import numpy as np
 
 from qbounds import (
+    BoundValue,
     Digraph,
+    ROW_ORDER,
     ReconstructionMatch,
+    SweepFailure,
+    SweepReport,
     all_bounds,
+    bounds,
     build_q,
     canonical_form,
     classify,
     is_strongly_connected,
+    serialize_edge_list,
     spectral,
     spectral_radius,
+    verify,
 )
 from qbounds.spectral import ConvergenceError, SpectralResult
 
@@ -322,4 +331,85 @@ def per_block_spectral_radius(g: Digraph, tol=spectral.DEFAULT_TOL,
         per_component=tuple(per_component),
         lo=max(lo for lo, _ in enclosures),
         hi=max(hi for _, hi in enclosures),
+    )
+
+
+# --- the bound row and the sweep, one graph at a time --------------------------
+# They read the bound table from bounds and the solver, INVARIANTS and
+# GraphCase from verify at call time, so a test that patches those
+# patches both sides alike.
+
+
+def _shape_oracle(g: Digraph):
+    data = g.data
+    d, dst = data.outdeg, data.dst
+    zero_heads = dst[d[dst] == 0]
+    return bounds._Shape(
+        n=g.n,
+        m=g.m,
+        lo=int(d.min()),
+        hi=int(d.max()),
+        strongly=is_strongly_connected(g),
+        zero_head=int(zero_heads.min()) if zero_heads.size else -1,
+    )
+
+
+def _evaluate_oracle(bid, g: Digraph, shape) -> BoundValue:
+    spec = bounds._SPECS[bid]
+    reason = bounds._reason(spec.conditions, shape)
+    if reason is not None:
+        return BoundValue(bid, None, reason)
+    data = g.data
+    d, t = data.outdeg, data.two_outdeg
+    if spec.kind == "arc":
+        src, dst = data.src, data.dst
+        values = spec.term(d[src], d[dst], t[src], t[dst])
+        k = int(np.argmax(values))  # first maximizer in sorted arc order
+        return BoundValue(bid, float(values[k]),
+                          witness=(int(src[k]), int(dst[k])))
+    if spec.kind == "vertex":
+        (vertices,) = np.nonzero(d > 0)
+        insum = np.bincount(data.dst, d[data.src], g.n).astype(np.int64)
+        values = spec.term(d[vertices], t[vertices], insum[vertices])
+        k = int(np.argmax(values))
+        return BoundValue(bid, float(values[k]), witness=int(vertices[k]))
+    if spec.kind == "position":
+        degs = np.sort(d)[::-1]
+        prefix = np.cumsum(degs) - degs
+        values = spec.term(degs[0], degs, prefix, np.arange(degs.size))
+        k = int(np.argmin(values))
+        return BoundValue(bid, float(values[k]), witness=k)
+    value = spec.term(shape.n, shape.m, shape.hi, shape.lo)
+    return BoundValue(bid, float(value))
+
+
+def bound_row_oracle(g: Digraph) -> tuple:
+    """The all_bounds row of g from per-graph arrays: np.argmax or
+    np.argmin over the digraph's own arcs, vertices or sorted positions."""
+    shape = _shape_oracle(g)
+    return tuple(_evaluate_oracle(bid, g, shape) for bid in ROW_ORDER)
+
+
+def sweep_oracle(corpus, description="") -> SweepReport:
+    """sweep as a loop that builds every graph's all_bounds row and runs
+    every invariant on every graph."""
+    names = tuple(verify.INVARIANTS)
+    corpus = list(corpus)
+    failures = []
+    radii = verify.spectral_radii(g for _, g in corpus)
+    for (label, g), radius in zip(corpus, radii):
+        case = verify.GraphCase(label=label, g=g, q=radius.q, row=all_bounds(g))
+        for name in names:
+            detail = verify.INVARIANTS[name](case)
+            if detail is not None:
+                failures.append(SweepFailure(
+                    label=label, invariant=name, detail=detail,
+                    edge_list=serialize_edge_list(g),
+                ))
+    return SweepReport(
+        description=description,
+        graph_count=len(corpus),
+        invariants=names,
+        checks_run=len(corpus) * len(names),
+        failures=tuple(failures),
     )

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from qbounds import (
     BoundValue,
     Digraph,
     ROW_ORDER,
+    RandomCorpusSpec,
     TABLE_ORDER,
     all_bounds,
     bound_generic_f,
@@ -21,12 +23,14 @@ from qbounds import (
     gen_bidirectional_complete,
     gen_directed_cycle,
     is_strongly_connected,
+    random_corpus,
     spectral_radius,
     witness_value,
 )
+import qbounds.bounds as bounds
 
 from conftest import bound, sc_digraphs, digraphs
-from oracles import generic_f_oracle
+from oracles import bound_row_oracle, generic_f_oracle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -349,6 +353,18 @@ def _batch(graphs):
     return BoundColumns(adj)
 
 
+def _witness(cols, k, w, like):
+    """The batch witness w of digraph k in the form of the BoundValue
+    witness like: a local arc (i, j), a local vertex or position, or
+    None for -1."""
+    if w < 0:
+        return None
+    start = cols.vertex_start[k]
+    if isinstance(like, tuple):
+        return (int(cols.tail[w] - start), int(cols.head[w] - start))
+    return int(w - start)
+
+
 def _assert_columns_match_rows(graphs):
     columns = _batch(graphs)
     rows = [all_bounds(g) for g in graphs]
@@ -358,13 +374,15 @@ def _assert_columns_match_rows(graphs):
         classify(g).is_in_g_star_class for g in graphs
     ]
     for c, bid in enumerate(ROW_ORDER):
-        values = columns.values(bid)
+        values, witnesses = columns.values(bid)
         for k, row in enumerate(rows):
             bv = row[c]
             if bv.value is None:
                 assert math.isnan(values[k])
+                assert witnesses[k] == -1
             else:
                 assert values[k] == bv.value, (bid, graphs[k])  # bitwise
+                assert _witness(columns, k, witnesses[k], bv.witness) == bv.witness
 
 
 def test_batched_columns_equal_rows_on_every_4_vertex_digraph():
@@ -391,3 +409,75 @@ def test_batched_columns_reject_empty_and_looped_digraphs():
     adj[1, 2, 2] = True
     with pytest.raises(ValueError, match="loop"):
         BoundColumns(adj)
+
+
+# --- the ragged batch against the per-graph evaluator ------------------------
+
+
+def _sweep_corpus():
+    # the benchmark's sweep corpus: 600 digraphs, n = 3..60
+    spec = RandomCorpusSpec(count=600, n_min=3, n_max=60,
+                            arc_probabilities=(0.02, 0.05, 0.1, 0.5), seed=0)
+    return [g for _, g in random_corpus(spec)]
+
+
+def _every_4_vertex_digraph():
+    pool = [(i, j) for i in range(4) for j in range(4) if i != j]
+    return [
+        Digraph(4, frozenset(a for b, a in enumerate(pool) if mask >> b & 1))
+        for mask in range(1, 1 << len(pool))
+    ]
+
+
+def _assert_batch_equals_oracle(cols, graphs):
+    """Values and witnesses of a batch, bitwise those of the per-graph
+    evaluator, and all_bounds (reasons included) equal to its row."""
+    rows = [bound_row_oracle(g) for g in graphs]
+    assert len(cols) == len(graphs)
+    for c, bid in enumerate(ROW_ORDER):
+        values, witnesses = cols.values(bid)
+        for k, row in enumerate(rows):
+            bv = row[c]
+            if bv.value is None:
+                assert math.isnan(values[k]) and witnesses[k] == -1
+            else:
+                assert values[k] == bv.value, (bid, graphs[k])
+                assert _witness(cols, k, witnesses[k], bv.witness) == bv.witness
+    for g, row in zip(graphs, rows):
+        # repr also tells a numpy scalar from a Python one
+        assert repr(all_bounds(g)) == repr(row)
+
+
+def test_ragged_batch_equals_oracle_on_sweep_corpus():
+    graphs = _sweep_corpus()
+    random.Random(0).shuffle(graphs)
+    _assert_batch_equals_oracle(BoundColumns.from_graphs(graphs), graphs)
+
+
+def test_ragged_batch_equals_oracle_on_every_4_vertex_digraph():
+    graphs = _every_4_vertex_digraph()
+    assert len(graphs) == 4095
+    _assert_batch_equals_oracle(BoundColumns.from_graphs(graphs), graphs)
+
+
+@given(st.lists(digraphs(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_ragged_batch_equals_oracle_on_mixed_batches(graphs, rng):
+    # every batch also holds a 2-vertex digraph and a path, which is not
+    # strongly connected and has an arc head of outdegree 0
+    graphs = graphs + [from_arc_list(2, [(1, 0)]), from_arc_list(3, [(2, 0), (0, 1)])]
+    rng.shuffle(graphs)
+    _assert_batch_equals_oracle(BoundColumns.from_graphs(graphs), graphs)
+
+
+@pytest.mark.parametrize("cap", [1, 200])
+def test_slices_equal_oracle_under_a_tiny_cap(monkeypatch, cap):
+    monkeypatch.setattr(bounds, "_SLICE_ARCS", cap)
+    graphs = _sweep_corpus()[:80]
+    covered = 0
+    for start, cols in BoundColumns.slices(graphs):
+        part = graphs[start:start + len(cols)]
+        assert start == covered
+        assert len(part) == 1 or sum(g.m for g in part) <= cap
+        _assert_batch_equals_oracle(cols, part)
+        covered += len(cols)
+    assert covered == len(graphs)

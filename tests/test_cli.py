@@ -424,6 +424,30 @@ def test_reconstruct_preset_takes_narrowing_flags(capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_reconstruct_refuses_a_space_over_the_budget_at_once(capsys):
+    # C(40 * 39, 5) candidates: counted, not enumerated
+    assert main(["reconstruct", "--n", "40", "--q", "3", "--m", "5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2
+    assert "76,498,888,674,312 candidates" in err[0]
+    assert "not desk scale" in err[0]
+    assert err[1].startswith("hint: ")
+
+
+def test_reconstruct_max_candidates_sets_the_budget(capsys):
+    # the n = 3 space holds 2^6 - 1 = 63 candidates
+    argv = ["reconstruct", "--n", "3", "--q", "2.0", "--row", "arc_deg_sum=2.0",
+            "--tol", "1e-6"]
+    assert main(argv + ["--max-candidates", "62"]) == EXIT_USAGE
+    assert "63 candidates exceed the budget of 62" in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert main(argv + ["--max-candidates", "63"]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
 def test_reconstruct_narrowing_hint_only_on_refusal(capsys):
     assert main(["reconstruct", "--preset", "g2"]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()

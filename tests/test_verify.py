@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -20,6 +21,7 @@ from qbounds import (
     degree_profile,
     from_arc_list,
     gen_bidirectional_complete,
+    gen_bipartite_semiregular,
     gen_directed_cycle,
     is_strongly_connected,
     random_corpus,
@@ -32,7 +34,7 @@ import qbounds.bounds as bounds
 import qbounds.verify as verify
 
 from conftest import digraphs
-from oracles import canonical_form_oracle, reconstruct_oracle
+from oracles import canonical_form_oracle, reconstruct_oracle, sweep_oracle
 
 
 # --- corpus -------------------------------------------------------------------
@@ -91,6 +93,102 @@ def test_sweep_reports_failures(monkeypatch, c3, star4):
     assert "synthetic failure" in failure.detail
     # the failing graph travels with the report as a parsable edge list
     assert failure.edge_list.startswith("n 3")
+
+
+def _perturbations():
+    """Ways to move q, cycled over a corpus: far off, and onto each side
+    of every threshold an array invariant tests."""
+    tol = verify.DOMINANCE_TOL
+
+    def up(x):
+        return math.nextafter(x, math.inf)
+
+    def down(x):
+        return math.nextafter(x, -math.inf)
+
+    def extremes(g):
+        d = g.data.outdeg
+        return int(d.min()), int(d.max())
+
+    def lowest_bound(g):
+        return min(bv.value for bv in all_bounds(g) if bv.applicable)
+
+    def deg_avg_low(g):
+        d = g.data.outdeg
+        if d.min() == 0:
+            return math.inf
+        return float((d + g.data.two_outdeg / d).min())
+
+    return [
+        lambda g, q: q,
+        lambda g, q: q + 10.0,
+        lambda g, q: q - 10.0,
+        lambda g, q: q + 1e-8,
+        lambda g, q: 2.0 * extremes(g)[1] + tol,
+        lambda g, q: up(2.0 * extremes(g)[1] + tol),
+        lambda g, q: 2.0 * extremes(g)[0] - tol,
+        lambda g, q: down(2.0 * extremes(g)[0] - tol),
+        lambda g, q: extremes(g)[1] - tol,
+        lambda g, q: up(extremes(g)[1] - tol),
+        lambda g, q: lowest_bound(g) + tol,
+        lambda g, q: up(lowest_bound(g) + tol),
+        lambda g, q: min(q, deg_avg_low(g) - tol),
+        lambda g, q: min(q, down(deg_avg_low(g) - tol)),
+    ]
+
+
+def _oracle_corpus(c3, star4, two_islands, path3, arc2):
+    spec = RandomCorpusSpec(
+        count=150, n_min=2, n_max=9, arc_probabilities=(0.0, 0.2, 0.5, 1.0), seed=5
+    )
+    handmade = [("c3", c3), ("star", star4), ("islands", two_islands),
+                ("path", path3), ("arc", arc2),
+                ("k4", gen_bidirectional_complete(4)),
+                ("semiregular", gen_bipartite_semiregular(2, 4, 2, 1))]
+    return random_corpus(spec) + handmade * 2
+
+
+@pytest.mark.parametrize("cap", [None, 1, 24])
+def test_sweep_equals_oracle_with_perturbed_q(monkeypatch, cap, c3, star4,
+                                               two_islands, path3, arc2):
+    corpus = _oracle_corpus(c3, star4, two_islands, path3, arc2)
+    solve, moves = verify.spectral_radii, _perturbations()
+
+    def perturbed(graphs):
+        graphs = list(graphs)
+        return [dataclasses.replace(r, q=moves[k % len(moves)](g, r.q))
+                for k, (g, r) in enumerate(zip(graphs, solve(graphs)))]
+
+    monkeypatch.setattr(verify, "spectral_radii", perturbed)
+    if cap is not None:
+        monkeypatch.setattr(bounds, "_SLICE_ARCS", cap)
+    report = sweep(corpus, description="perturbed")
+    assert report == sweep_oracle(corpus, description="perturbed")
+    # every invariant with an array form but the witness replay is tripped
+    tripped = {failure.invariant for failure in report.failures}
+    assert tripped >= {"dominance", "bracket_plain_rows", "bracket_deg_avg",
+                       "regular_equality", "q_exceeds_max_outdeg"}
+
+
+@pytest.mark.parametrize("bid, first", [(BoundId.HONG_YOU, "vertex_start"),
+                                        (BoundId.OVAL_AVG, "arc_start")])
+def test_sweep_equals_oracle_with_a_corrupted_witness(monkeypatch, bid, first, c3,
+                                                       star4, two_islands, path3, arc2):
+    # the bound's witness names the first sorted position or arc of every
+    # digraph instead of the one attaining the value
+    values = bounds.BoundColumns.values
+
+    def corrupted(cols, which):
+        got, witnesses = values(cols, which)
+        if which is bid:
+            witnesses = np.where(witnesses >= 0, getattr(cols, first), -1)
+        return got, witnesses
+
+    monkeypatch.setattr(bounds.BoundColumns, "values", corrupted)
+    corpus = _oracle_corpus(c3, star4, two_islands, path3, arc2)
+    report = sweep(corpus)
+    assert report == sweep_oracle(corpus)
+    assert {f.invariant for f in report.failures} == {"witness_consistency"}
 
 
 def test_empty_corpus_passes_trivially():
@@ -334,6 +432,48 @@ def test_reconstruct_refuses_unbounded_large_space():
     target = ReconstructionTarget(n=6, q=4.2, name="too big")
     with pytest.raises(ValueError, match="not desk scale"):
         reconstruct(target)
+
+
+def test_reconstruct_counts_its_space_before_enumerating():
+    # each space is counted and refused before a single chunk is built
+    for target, count in [
+        (ReconstructionTarget(n=40, q=3.0, m=5), "76,498,888,674,312"),
+        (PRESETS["g2"], "1,073,741,823"),
+        (ReconstructionTarget(n=12, q=3.0, outdeg_sequence=(5,) * 12),
+         f"{math.comb(11, 5) ** 12:,}"),
+        # counts past 2^128 are neither computed nor printed
+        (ReconstructionTarget(n=300, q=3.0), re.escape("more than 2^128")),
+        (ReconstructionTarget(n=3000, q=3.0, m=4_000_000), re.escape("more than 2^128")),
+    ]:
+        with pytest.raises(ValueError, match=f"{count} candidates .*not desk scale"):
+            reconstruct(target)
+    # the unconstrained n = 5 space, 2^20 - 1 candidates, is within budget
+    space = verify._candidate_space(ReconstructionTarget(n=5, q=3.0),
+                                    verify.DEFAULT_MAX_CANDIDATES)
+    assert next(space).shape == (verify._CHUNK, 5, 5)
+
+
+def test_reconstruct_budget_is_raised_explicitly():
+    target = _c3_target()  # 63 candidates
+    with pytest.raises(ValueError, match="63 candidates exceed the budget of 62"):
+        reconstruct(target, max_candidates=62)
+    assert reconstruct(target, max_candidates=63) == reconstruct(target)
+    big = ReconstructionTarget(n=6, q=4.2, m=9)  # C(30, 9) = 14,307,150
+    with pytest.raises(ValueError, match="14,307,150 candidates"):
+        reconstruct(big)
+
+
+def test_target_rejects_non_integer_counts():
+    with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+        ReconstructionTarget(n=3, q=2.0, m=2.5)
+    with pytest.raises(ValueError, match="entry must be an integer, got 1.5"):
+        ReconstructionTarget(n=3, q=2.0, outdeg_sequence=(1.5, 1, 0.5))
+    with pytest.raises(ValueError, match="n must be an integer, got 3.0"):
+        ReconstructionTarget(n=3.0, q=2.0)
+    # numpy integers count as integers
+    target = ReconstructionTarget(n=np.int64(3), q=2.0, m=np.int32(3),
+                                  outdeg_sequence=np.array([1, 1, 1]))
+    assert reconstruct(target).found
 
 
 def test_reconstruct_validates_outdeg_sequence():
