@@ -30,6 +30,7 @@ from .edgelist import EdgeListParseError, parse_edge_list, serialize_edge_list
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
 from .verify import (
     DEFAULT_MAX_CANDIDATES,
+    CandidateBudgetError,
     PRESETS,
     RandomCorpusSpec,
     ReconstructionTarget,
@@ -141,9 +142,12 @@ def _witness_payload(bv):
 
 
 def _compute_report(g, tol, max_iter):
+    try:
+        result = spectral_radius(g, tol=tol, max_iter=max_iter)
+    except ValueError as exc:  # the solver's own check of --tol and --max-iter
+        raise _UsageError(str(exc)) from exc
     outdeg = g.data.outdeg
     flags = classify(g)
-    result = spectral_radius(g, tol=tol, max_iter=max_iter)
     bound_entries = []
     for bv in all_bounds(g):
         kind, payload = _witness_payload(bv)
@@ -234,10 +238,6 @@ def _render_compute_csv(report):
 
 def cmd_compute(args):
     g = _read_graph(args)
-    if not args.tol > 0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
-    if args.max_iter < 1:
-        raise _UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     report = _compute_report(g, args.tol, args.max_iter)
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -423,15 +423,14 @@ def _deviation_lines(target, match):
 def cmd_reconstruct(args):
     try:
         target = _build_target(args)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    try:
         report = reconstruct(target, args.max_candidates)
-    except ValueError as exc:
+    except CandidateBudgetError as exc:
         raise _UsageError(
             f"{exc}\nhint: pass --m (and optionally --outdeg-seq) to narrow "
             f"the search space, or --max-candidates to raise the budget"
         ) from exc
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     if args.format == "json":
         payload = {
             "target": target.name,

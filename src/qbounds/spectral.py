@@ -270,8 +270,8 @@ def spectral_radii(graphs, tol: float = DEFAULT_TOL,
     max_iter matvecs raises ConvergenceError for the first such graph in
     input order, with the message and enclosure spectral_radius gives.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     graphs = list(graphs)

@@ -22,24 +22,22 @@ The nearest miss is therefore exact in every mode.
 """
 
 import dataclasses
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import bounds as _bounds
-from .bounds import BoundColumns, BoundId, BoundValue, all_bounds, witness_value
+from .bounds import BoundColumns, BoundId, BoundValue, all_bounds
 from .digraph import (
     Digraph,
     classify,
     degree_profile,
     gen_random_strongly_connected,
-    is_strongly_connected,
 )
 from .edgelist import serialize_edge_list
 from .spectral import DEFAULT_TOL, oval_containment, spectral_radii, spectral_radius
@@ -91,114 +89,128 @@ def random_corpus(spec: RandomCorpusSpec) -> list:
 # invariant sweep
 
 
-class GraphCase:
-    """One graph as an invariant reads it: label, digraph g, computed q,
-    and row, its all_bounds row. A row not given is built on first use,
-    so a sweep builds it only for the graphs whose checks read it."""
+class SweepSlice(NamedTuple):
+    """A run of sweep digraphs, their BoundColumns batch, q per digraph and
+    the batch's bound row {bid: (values, witnesses)} in ROW_ORDER."""
 
-    def __init__(self, label: str, g: Digraph, q: float, row: tuple | None = None):
-        self.label, self.g, self.q = label, g, q
-        if row is not None:
-            self.row = row
+    graphs: list
+    cols: BoundColumns
+    q: np.ndarray
+    row: dict
 
-    @functools.cached_property
-    def row(self) -> tuple:
-        return all_bounds(self.g)
-
-
-def _inv_degree_consistency(case):
-    profile = degree_profile(case.g)
-    if sum(profile.outdeg) != case.g.m or sum(profile.indeg) != case.g.m:
-        return f"degree sums disagree with arc count {case.g.m}"
-    return None
+    @classmethod
+    def of(cls, graphs, q, cols=None) -> "SweepSlice":
+        """The slice of nonempty graphs and their q; cols is their batch."""
+        cols = BoundColumns.from_graphs(graphs) if cols is None else cols
+        row = {bid: cols.values(bid) for bid in _bounds.ROW_ORDER}
+        return cls(graphs, cols, np.asarray(q, dtype=float), row)
 
 
-def _inv_dominance(case):
-    for bv in case.row:
-        if bv.value is not None and case.q > bv.value + DOMINANCE_TOL:
-            return (
-                f"q = {case.q!r} exceeds {bv.id.value} = {bv.value!r}"
-            )
-    return None
+def _details(flags, render):
+    """render(k) for each digraph k that flags marks, None elsewhere."""
+    return [render(k) if flag else None for k, flag in enumerate(flags.tolist())]
 
 
-def _row_sum_bracket(case, sums, name):
-    """q against the min and max row sums of a matrix similar to Q."""
-    lo, hi = float(sums.min()), float(sums.max())
-    if not (lo - DOMINANCE_TOL <= case.q <= hi + DOMINANCE_TOL):
-        return f"q = {case.q!r} outside {name} row-sum bracket [{lo!r}, {hi!r}]"
-    return None
+def _first_bound(s, off, render):
+    """render(bid, k) for each digraph k that a row of off, one per bound,
+    marks, bid the first such bound; None elsewhere."""
+    bids, first = list(s.row), off.argmax(axis=0)
+    return _details(off.any(axis=0), lambda k: render(bids[first[k]], k))
 
 
-def _inv_bracket_plain_rows(case):
+def _inv_degree_consistency(s):
+    return [f"degree sums disagree with arc count {g.m}"
+            if sum(p.outdeg) != g.m or sum(p.indeg) != g.m else None
+            for g, p in zip(s.graphs, map(degree_profile, s.graphs))]
+
+
+def _inv_dominance(s):
+    # NaN, an inapplicable bound, is never exceeded
+    off = np.array([s.q > v + DOMINANCE_TOL for v, _ in s.row.values()])
+    return _first_bound(s, off, lambda bid, k: (
+        f"q = {s.q[k].item()!r} exceeds {bid.value} = {s.row[bid][0][k].item()!r}"
+    ))
+
+
+def _row_sum_bracket(s, lo, hi, name, where=True):
+    """q against the min and max row sums of a matrix similar to Q, on the
+    digraphs where the matrix is defined."""
+    inside = (lo - DOMINANCE_TOL <= s.q) & (s.q <= hi + DOMINANCE_TOL)
+    return _details(where & ~inside, lambda k: (
+        f"q = {s.q[k].item()!r} outside {name} row-sum bracket "
+        f"[{lo[k].item()!r}, {hi[k].item()!r}]"
+    ))
+
+
+def _inv_bracket_plain_rows(s):
     # rows of Q: 2 d(i)
-    return _row_sum_bracket(case, 2.0 * case.g.data.outdeg, "plain")
+    shape = s.cols.shape
+    return _row_sum_bracket(s, 2.0 * shape.lo, 2.0 * shape.hi, "plain")
 
 
-def _inv_bracket_deg_avg(case):
+def _inv_bracket_deg_avg(s):
     # rows of D^-1 Q D: d(i) + m(i), defined when every outdegree is positive
-    d = case.g.data.outdeg
-    if d.min() == 0:
-        return None
-    return _row_sum_bracket(case, d + case.g.data.two_outdeg / d, "degree-average")
+    cols = s.cols
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = cols.outdeg + cols.two_outdeg / cols.outdeg
+    return _row_sum_bracket(s, np.minimum.reduceat(sums, cols.vertex_start),
+                            np.maximum.reduceat(sums, cols.vertex_start),
+                            "degree-average", cols.shape.lo > 0)
 
 
-def _inv_oval_contains_q(case):
-    if not is_strongly_connected(case.g):
-        return None
-    check = oval_containment(case.g, case.q)
-    if not check.contained:
-        return f"q = {case.q!r} escapes every per-arc oval"
-    return None
+def _inv_oval_contains_q(s):
+    return [f"q = {q!r} escapes every per-arc oval"
+            if strongly and not oval_containment(g, q).contained else None
+            for g, q, strongly in zip(s.graphs, s.q.tolist(), s.cols.shape.strongly)]
 
 
-def _inv_regular_equality(case):
-    d = case.g.data.outdeg
-    if d.min() != d.max():
-        return None
-    expected = 2.0 * int(d.max())
-    if abs(case.q - expected) > DOMINANCE_TOL:
-        return f"regular digraph with q = {case.q!r}, expected {expected}"
-    return None
+def _inv_regular_equality(s):
+    shape = s.cols.shape
+    expected = 2.0 * shape.hi
+    return _details(
+        (shape.lo == shape.hi) & (np.abs(s.q - expected) > DOMINANCE_TOL),
+        lambda k: (f"regular digraph with q = {s.q[k].item()!r}, "
+                   f"expected {expected[k].item()}"))
 
 
-def _inv_semiregular_equality(case):
-    flags = classify(case.g)
-    if not (flags.is_bipartite_semiregular and flags.is_strongly_connected):
-        return None
-    geo = next(bv for bv in case.row if bv.id == BoundId.OVAL_GEOMEAN)
-    if geo.value is None or abs(geo.value - case.q) > DOMINANCE_TOL:
-        return (
-            f"bipartite semiregular digraph should attain oval_geomean; "
-            f"q = {case.q!r}, bound = {geo.value!r}"
-        )
-    return None
+def _inv_semiregular_equality(s):
+    # oval_geomean applies to every strongly connected digraph
+    geo = s.row[BoundId.OVAL_GEOMEAN][0].tolist()
+    details = []
+    for g, q, value in zip(s.graphs, s.q.tolist(), geo):
+        flags = classify(g)
+        bad = (flags.is_bipartite_semiregular and flags.is_strongly_connected
+               and abs(value - q) > DOMINANCE_TOL)
+        details.append("bipartite semiregular digraph should attain oval_geomean; "
+                       f"q = {q!r}, bound = {value!r}" if bad else None)
+    return details
 
 
-def _inv_q_exceeds_max_outdeg(case):
+def _inv_q_exceeds_max_outdeg(s):
     # A theorem: for a strongly connected digraph with n >= 2, Q is
     # irreducible, so its radius exceeds that of every proper principal
     # submatrix (Perron-Frobenius; Horn & Johnson, Matrix Analysis, ch. 8),
     # among them the 1x1 block max outdegree. A failure is a solver bug.
-    if not is_strongly_connected(case.g):
-        return None
-    max_outdeg = int(case.g.data.outdeg.max())
-    if case.q <= max_outdeg - DOMINANCE_TOL:
-        return f"q = {case.q!r} not above max outdegree {max_outdeg}"
-    return None
+    shape = s.cols.shape
+    return _details(
+        shape.strongly & (s.q <= shape.hi - DOMINANCE_TOL),
+        lambda k: (f"q = {s.q[k].item()!r} not above max outdegree "
+                   f"{shape.hi[k].item()}"))
 
 
-def _inv_witness_consistency(case):
-    for bv in case.row:
-        replay = witness_value(case.g, bv)
-        if replay is not None and replay != bv.value:
-            return (
-                f"witness replay for {bv.id.value} gives {replay!r}, "
-                f"stored {bv.value!r}"
-            )
-    return None
+def _inv_witness_consistency(s):
+    # graph bounds and inapplicable ones have witness -1 and are skipped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        replays = {bid: s.cols.replay(bid, w) for bid, (_, w) in s.row.items()}
+    off = np.array([(w >= 0) & (replays[bid] != v) for bid, (v, w) in s.row.items()])
+    return _first_bound(s, off, lambda bid, k: (
+        f"witness replay for {bid.value} gives {replays[bid][k].item()!r}, "
+        f"stored {s.row[bid][0][k].item()!r}"
+    ))
 
 
+# Each invariant is the one implementation of its rule: it takes a
+# SweepSlice and returns a failure detail or None per digraph of the slice.
 INVARIANTS = {
     "degree_consistency": _inv_degree_consistency,
     "dominance": _inv_dominance,
@@ -210,32 +222,6 @@ INVARIANTS = {
     "q_exceeds_max_outdeg": _inv_q_exceeds_max_outdeg,
     "witness_consistency": _inv_witness_consistency,
 }
-
-
-def _array_flags(cols, q):
-    """For each invariant that reads only degrees, q and bound values, the
-    digraphs of a BoundColumns batch with q on which it fails, found by
-    the same IEEE operations as the invariant itself."""
-    s, d, tol = cols.shape, cols.outdeg, DOMINANCE_TOL
-    row = {bid: cols.values(bid) for bid in _bounds.ROW_ORDER}
-
-    def outside(lo, hi):
-        return ~((lo - tol <= q) & (q <= hi + tol))
-
-    # digraphs with a vertex of outdegree 0 and witnesses -1 are masked out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sums = d + cols.two_outdeg / d
-        replays = [(w >= 0) & (cols.replay(bid, w) != v) for bid, (v, w) in row.items()]
-    return {
-        "dominance": np.any([q > v + tol for v, _ in row.values()], axis=0),
-        "bracket_plain_rows": outside(2.0 * s.lo, 2.0 * s.hi),
-        "bracket_deg_avg": (s.lo > 0) & outside(
-            np.minimum.reduceat(sums, cols.vertex_start),
-            np.maximum.reduceat(sums, cols.vertex_start)),
-        "regular_equality": (s.lo == s.hi) & (np.abs(q - 2.0 * s.hi) > tol),
-        "q_exceeds_max_outdeg": s.strongly & (q <= s.hi - tol),
-        "witness_consistency": np.any(replays, axis=0),
-    }
 
 
 @dataclass(frozen=True)
@@ -262,34 +248,28 @@ class SweepReport:
 def sweep(corpus, description="") -> SweepReport:
     """Run every entry of INVARIANTS over (label, digraph) pairs, with q
     from one spectral_radii pass over the whole corpus at its default
-    tolerance.
+    tolerance. Each slice of BoundColumns.slices goes to each invariant
+    once.
 
-    An invariant with an array form over the corpus's BoundColumns
-    slices runs only on the graphs that form flags, yet counts a check
-    on every graph; its own function renders every failure.
-
-    Failures are data: each carries the offending graph serialized in the
-    edge-list format so a report is reproducible on its own.
+    Failures are data, in corpus order and then INVARIANTS order: each
+    carries the offending graph serialized in the edge-list format so a
+    report is reproducible on its own.
     """
     names = tuple(INVARIANTS)
     corpus = list(corpus)
     graphs = [g for _, g in corpus]
-    radii = [radius.q for radius in spectral_radii(graphs)]
+    radii = np.array([radius.q for radius in spectral_radii(graphs)])
     failures = []
     for start, cols in BoundColumns.slices(graphs):
-        flags = _array_flags(cols, np.array(radii[start:start + len(cols)]))
-        for k in range(start, start + len(cols)):
-            label, g = corpus[k]
-            case = GraphCase(label, g, radii[k])
-            for name in names:
-                if name in flags and not flags[name][k - start]:
-                    continue
-                detail = INVARIANTS[name](case)
-                if detail is not None:
-                    failures.append(SweepFailure(
-                        label=label, invariant=name, detail=detail,
-                        edge_list=serialize_edge_list(g),
-                    ))
+        stop = start + len(cols)
+        s = SweepSlice.of(graphs[start:stop], radii[start:stop], cols)
+        details = zip(*(INVARIANTS[name](s) for name in names))
+        for (label, g), found in zip(corpus[start:stop], details):
+            failures.extend(
+                SweepFailure(label=label, invariant=name, detail=detail,
+                             edge_list=serialize_edge_list(g))
+                for name, detail in zip(names, found) if detail is not None
+            )
     return SweepReport(
         description=description,
         graph_count=len(corpus),
@@ -469,6 +449,14 @@ _COLUMN_ORDER = (
 # budget: about 40 s at the measured 4 to 6 us per candidate.
 DEFAULT_MAX_CANDIDATES = 1 << 23
 
+# The most vertices a search takes: past it the bitmask rows of
+# bounds._strongly_connected become Python integers, 9x slower per candidate.
+_MAX_SEARCH_N = 62
+
+
+class CandidateBudgetError(ValueError):
+    """A candidate space larger than the search budget."""
+
 
 def _comb_capped(n, k, cap):
     """comb(n, k), or cap + 1 once it exceeds cap: a few hundred steps at
@@ -484,9 +472,10 @@ def _comb_capped(n, k, cap):
 def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     """Generator of the target's candidates as boolean adjacency chunks of
     shape (c, n, n), c <= _CHUNK, in enumeration order. The target has
-    validated its constraints; the one refusal left here is a space of
-    more than max_candidates candidates, counted before anything is
-    built (ValueError on the first chunk).
+    validated its constraints; the refusals left here, on the first
+    chunk and before anything is built, are a space of more than
+    max_candidates candidates (CandidateBudgetError), counted first, and
+    then n above _MAX_SEARCH_N (ValueError).
 
     With an outdegree sequence the candidates run through the product of
     per-vertex out-neighborhood combinations, the last vertex fastest;
@@ -506,11 +495,14 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
         total = (1 << n * (n - 1)) - 1 if n * (n - 1) <= cap.bit_length() else cap + 1
     if total > max_candidates:
         count = f"{total:,}" if total <= cap else f"more than 2^{cap.bit_length() - 1}"
-        raise ValueError(
+        raise CandidateBudgetError(
             f"{count} candidates exceed the budget of {max_candidates:,} and are "
             f"not desk scale; fix the arc count m or supply an outdegree "
             f"sequence, or raise max_candidates"
         )
+    if n > _MAX_SEARCH_N:
+        raise ValueError(
+            f"n = {n} is above the search limit of {_MAX_SEARCH_N} vertices")
     slots = np.array([i * n + j for i in range(n) for j in range(n) if i != j])
     if seq is not None:
         # pools[i][c] is the out-neighborhood row of vertex i's c-th choice
@@ -695,8 +687,10 @@ def reconstruct(target: ReconstructionTarget,
 
     A space of more than max_candidates candidates (a product of
     binomials for an outdegree sequence, one binomial for a fixed m,
-    2^(n(n-1)) - 1 otherwise) is refused with ValueError before the
-    search starts; the default budget, 2^23, takes about 40 s.
+    2^(n(n-1)) - 1 otherwise) is refused with CandidateBudgetError, a
+    ValueError, before the search starts; the default budget, 2^23,
+    takes about 40 s. A space within it is refused with ValueError if n
+    is above 62.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism

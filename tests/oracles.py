@@ -9,15 +9,18 @@ and no filter ahead of spectral_radius.  The per-block solver is a frozen
 copy of the one-block-at-a-time loop that spectral_radii replaced: the
 batched solver must reproduce it bitwise.  Likewise the bound row and the
 sweep are frozen copies of the one-graph-at-a-time evaluator and sweep
-loop that the ragged BoundColumns batch replaced.
+loop that the ragged BoundColumns batch replaced; the sweep runs its own
+copies of the nine scalar invariants, not verify.INVARIANTS.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from qbounds import (
+    BoundId,
     BoundValue,
     Digraph,
     ROW_ORDER,
@@ -29,11 +32,14 @@ from qbounds import (
     build_q,
     canonical_form,
     classify,
+    degree_profile,
     is_strongly_connected,
+    oval_containment,
     serialize_edge_list,
     spectral,
     spectral_radius,
     verify,
+    witness_value,
 )
 from qbounds.spectral import ConvergenceError, SpectralResult
 
@@ -335,9 +341,133 @@ def per_block_spectral_radius(g: Digraph, tol=spectral.DEFAULT_TOL,
 
 
 # --- the bound row and the sweep, one graph at a time --------------------------
-# They read the bound table from bounds and the solver, INVARIANTS and
-# GraphCase from verify at call time, so a test that patches those
-# patches both sides alike.
+# They read the bound table from bounds and the solver from verify at call
+# time, so a test that patches those patches both sides alike. The sweep
+# oracle runs frozen copies of the one-graph-at-a-time invariants that the
+# slice invariants of verify.INVARIANTS replaced.
+
+DOMINANCE_TOL = verify.DOMINANCE_TOL
+
+
+class GraphCase:
+    """One graph as an invariant reads it: label, digraph g, computed q,
+    and row, its all_bounds row. A row not given is built on first use,
+    so a sweep builds it only for the graphs whose checks read it."""
+
+    def __init__(self, label: str, g: Digraph, q: float, row: tuple | None = None):
+        self.label, self.g, self.q = label, g, q
+        if row is not None:
+            self.row = row
+
+    @functools.cached_property
+    def row(self) -> tuple:
+        return all_bounds(self.g)
+
+
+def _inv_degree_consistency(case):
+    profile = degree_profile(case.g)
+    if sum(profile.outdeg) != case.g.m or sum(profile.indeg) != case.g.m:
+        return f"degree sums disagree with arc count {case.g.m}"
+    return None
+
+
+def _inv_dominance(case):
+    for bv in case.row:
+        if bv.value is not None and case.q > bv.value + DOMINANCE_TOL:
+            return (
+                f"q = {case.q!r} exceeds {bv.id.value} = {bv.value!r}"
+            )
+    return None
+
+
+def _row_sum_bracket(case, sums, name):
+    """q against the min and max row sums of a matrix similar to Q."""
+    lo, hi = float(sums.min()), float(sums.max())
+    if not (lo - DOMINANCE_TOL <= case.q <= hi + DOMINANCE_TOL):
+        return f"q = {case.q!r} outside {name} row-sum bracket [{lo!r}, {hi!r}]"
+    return None
+
+
+def _inv_bracket_plain_rows(case):
+    # rows of Q: 2 d(i)
+    return _row_sum_bracket(case, 2.0 * case.g.data.outdeg, "plain")
+
+
+def _inv_bracket_deg_avg(case):
+    # rows of D^-1 Q D: d(i) + m(i), defined when every outdegree is positive
+    d = case.g.data.outdeg
+    if d.min() == 0:
+        return None
+    return _row_sum_bracket(case, d + case.g.data.two_outdeg / d, "degree-average")
+
+
+def _inv_oval_contains_q(case):
+    if not is_strongly_connected(case.g):
+        return None
+    check = oval_containment(case.g, case.q)
+    if not check.contained:
+        return f"q = {case.q!r} escapes every per-arc oval"
+    return None
+
+
+def _inv_regular_equality(case):
+    d = case.g.data.outdeg
+    if d.min() != d.max():
+        return None
+    expected = 2.0 * int(d.max())
+    if abs(case.q - expected) > DOMINANCE_TOL:
+        return f"regular digraph with q = {case.q!r}, expected {expected}"
+    return None
+
+
+def _inv_semiregular_equality(case):
+    flags = classify(case.g)
+    if not (flags.is_bipartite_semiregular and flags.is_strongly_connected):
+        return None
+    geo = next(bv for bv in case.row if bv.id == BoundId.OVAL_GEOMEAN)
+    if geo.value is None or abs(geo.value - case.q) > DOMINANCE_TOL:
+        return (
+            f"bipartite semiregular digraph should attain oval_geomean; "
+            f"q = {case.q!r}, bound = {geo.value!r}"
+        )
+    return None
+
+
+def _inv_q_exceeds_max_outdeg(case):
+    # A theorem: for a strongly connected digraph with n >= 2, Q is
+    # irreducible, so its radius exceeds that of every proper principal
+    # submatrix (Perron-Frobenius; Horn & Johnson, Matrix Analysis, ch. 8),
+    # among them the 1x1 block max outdegree. A failure is a solver bug.
+    if not is_strongly_connected(case.g):
+        return None
+    max_outdeg = int(case.g.data.outdeg.max())
+    if case.q <= max_outdeg - DOMINANCE_TOL:
+        return f"q = {case.q!r} not above max outdegree {max_outdeg}"
+    return None
+
+
+def _inv_witness_consistency(case):
+    for bv in case.row:
+        replay = witness_value(case.g, bv)
+        if replay is not None and replay != bv.value:
+            return (
+                f"witness replay for {bv.id.value} gives {replay!r}, "
+                f"stored {bv.value!r}"
+            )
+    return None
+
+
+SCALAR_INVARIANTS = {
+    "degree_consistency": _inv_degree_consistency,
+    "dominance": _inv_dominance,
+    "bracket_plain_rows": _inv_bracket_plain_rows,
+    "bracket_deg_avg": _inv_bracket_deg_avg,
+    "oval_contains_q": _inv_oval_contains_q,
+    "regular_equality": _inv_regular_equality,
+    "semiregular_equality": _inv_semiregular_equality,
+    "q_exceeds_max_outdeg": _inv_q_exceeds_max_outdeg,
+    "witness_consistency": _inv_witness_consistency,
+}
 
 
 def _shape_oracle(g: Digraph):
@@ -392,15 +522,15 @@ def bound_row_oracle(g: Digraph) -> tuple:
 
 def sweep_oracle(corpus, description="") -> SweepReport:
     """sweep as a loop that builds every graph's all_bounds row and runs
-    every invariant on every graph."""
-    names = tuple(verify.INVARIANTS)
+    every scalar invariant on every graph."""
+    names = tuple(SCALAR_INVARIANTS)
     corpus = list(corpus)
     failures = []
     radii = verify.spectral_radii(g for _, g in corpus)
     for (label, g), radius in zip(corpus, radii):
-        case = verify.GraphCase(label=label, g=g, q=radius.q, row=all_bounds(g))
+        case = GraphCase(label=label, g=g, q=radius.q, row=all_bounds(g))
         for name in names:
-            detail = verify.INVARIANTS[name](case)
+            detail = SCALAR_INVARIANTS[name](case)
             if detail is not None:
                 failures.append(SweepFailure(
                     label=label, invariant=name, detail=detail,

@@ -196,6 +196,15 @@ def test_compute_bad_tol_and_iter(capsys):
     assert main(["compute", "--inline", "1 2; 2 1", "--max-iter", "0"]) == EXIT_USAGE
 
 
+def test_compute_rejects_infinite_tol(capsys):
+    # without the check q would be 3.0 after one step; it is 2.618...
+    argv = ["compute", "--inline", "n 4; 1 2; 2 3; 3 4; 4 1; 1 3", "--format", "csv"]
+    assert main(argv + ["--tol", "inf"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be positive" in captured.err
+
+
 def test_compute_non_convergence_exit(capsys):
     # the star needs two matvecs to close its enclosure
     rc = main(["compute", "--inline", STAR.replace("\n", ";"), "--max-iter", "1"])
@@ -434,6 +443,14 @@ def test_reconstruct_refuses_a_space_over_the_budget_at_once(capsys):
     assert "76,498,888,674,312 candidates" in err[0]
     assert "not desk scale" in err[0]
     assert err[1].startswith("hint: ")
+
+
+def test_reconstruct_refuses_more_than_62_vertices_without_a_hint(capsys):
+    # 3,906 candidates fit the budget; n = 63 does not fit the search
+    _assert_one_usage_line(
+        capsys, ["reconstruct", "--n", "63", "--q", "3", "--m", "1"],
+        "n = 63 is above the search limit of 62 vertices",
+    )
 
 
 def test_reconstruct_max_candidates_sets_the_budget(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qbounds import (
     INVARIANTS,
     ConvergenceError,
+    SweepSlice,
     build_q,
     degree_profile,
     from_arc_list,
@@ -21,7 +22,6 @@ from qbounds import (
     spectral_radii,
     spectral_radius,
 )
-from qbounds.verify import GraphCase
 
 from conftest import digraphs, sc_digraphs
 from oracles import per_block_spectral_radius, spectral_radius_oracle
@@ -103,6 +103,13 @@ def test_bad_tolerance_rejected(c3):
         spectral_radius(c3, tol=0.0)
     with pytest.raises(ValueError):
         spectral_radius(c3, tol=-1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_non_finite_tolerance_rejected(c3, tol):
+    # an infinite tolerance would close every enclosure after one step
+    with pytest.raises(ValueError, match="tol must be positive"):
+        spectral_radii([c3], tol=tol)
 
 
 def test_bad_max_iter_rejected(c3):
@@ -240,8 +247,9 @@ def test_plain_row_sums_bracket_q(g):
 
 
 def _bracket_details(g, q):
-    case = GraphCase(label="", g=g, q=q, row=())
-    return [INVARIANTS[name](case) for name in ("bracket_plain_rows", "bracket_deg_avg")]
+    # a slice of one digraph with the chosen q
+    s = SweepSlice.of([g], [q])
+    return [INVARIANTS[name](s)[0] for name in ("bracket_plain_rows", "bracket_deg_avg")]
 
 
 @given(sc_digraphs())
@@ -253,7 +261,7 @@ def test_row_sum_brackets_hold_q(g):
 def test_deg_avg_bracket_closed_form(star4):
     # D^{-1} Q D has row sums d(i) + m(i): 3 + 1 at the center, 1 + 3 at a leaf
     q = 4.0 + 1e-6
-    detail = INVARIANTS["bracket_deg_avg"](GraphCase(label="", g=star4, q=q, row=()))
+    (detail,) = INVARIANTS["bracket_deg_avg"](SweepSlice.of([star4], [q]))
     assert detail == f"q = {q!r} outside degree-average row-sum bracket [4.0, 4.0]"
 
 

@@ -15,6 +15,7 @@ from qbounds import (
     PRESETS,
     RandomCorpusSpec,
     ReconstructionTarget,
+    SweepSlice,
     all_bounds,
     canonical_form,
     classify,
@@ -80,8 +81,8 @@ def test_sweep_runs_on_handmade_corpus(c3, star4, two_islands, path3):
 
 
 def test_sweep_reports_failures(monkeypatch, c3, star4):
-    def always_unhappy(case):
-        return f"synthetic failure for {case.label}"
+    def always_unhappy(s):
+        return [f"synthetic failure for digraph {k}" for k in range(len(s.graphs))]
 
     monkeypatch.setitem(INVARIANTS, "always_unhappy", always_unhappy)
     report = sweep([("c3", c3), ("star", star4)])
@@ -189,6 +190,36 @@ def test_sweep_equals_oracle_with_a_corrupted_witness(monkeypatch, bid, first, c
     report = sweep(corpus)
     assert report == sweep_oracle(corpus)
     assert {f.invariant for f in report.failures} == {"witness_consistency"}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sweep_equals_oracle_on_every_labeled_digraph(n):
+    # all 2^(n(n-1)) - 1 arc sets: sinks, sources, isolated vertices and
+    # digraphs that are not strongly connected among them
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    corpus = [(f"mask {mask}", Digraph(n, frozenset(
+        s for b, s in enumerate(slots) if mask >> b & 1)))
+        for mask in range(1, 1 << len(slots))]
+    report = sweep(corpus)
+    assert report.graph_count == 2 ** len(slots) - 1
+    assert report.passed
+    assert report == sweep_oracle(corpus)
+
+
+def test_semiregular_equality_skips_a_one_way_bipartite_digraph():
+    # Bipartite {1, 2} | {3, 4, 5} with constant outdegree on each side and
+    # q = oval_geomean, but 1 -> 3 has no reverse arc, so classify's working
+    # definition (README "Two fine points") does not call it semiregular
+    # and the invariant does not look at it. Pinned until the paper's
+    # definition settles the question.
+    g = from_arc_list(5, [(0, 2), (0, 4), (1, 2), (1, 3), (2, 1), (3, 0), (4, 0)])
+    q = spectral_radius(g).q
+    geo = all_bounds(g)[bounds.ROW_ORDER.index(BoundId.OVAL_GEOMEAN)].value
+    assert q == pytest.approx(3.0, abs=1e-12)
+    assert geo == pytest.approx(3.0, abs=1e-12)
+    assert not classify(g).is_bipartite_semiregular
+    s = SweepSlice.of([g], [q])
+    assert INVARIANTS["semiregular_equality"](s) == [None]
 
 
 def test_empty_corpus_passes_trivially():
@@ -461,6 +492,21 @@ def test_reconstruct_budget_is_raised_explicitly():
     big = ReconstructionTarget(n=6, q=4.2, m=9)  # C(30, 9) = 14,307,150
     with pytest.raises(ValueError, match="14,307,150 candidates"):
         reconstruct(big)
+
+
+def test_reconstruct_refuses_more_than_62_vertices():
+    # the count refusal comes first; within the budget n itself is refused
+    with pytest.raises(verify.CandidateBudgetError, match="more than 2"):
+        reconstruct(ReconstructionTarget(n=63, q=3.0))
+    for target in [ReconstructionTarget(n=63, q=3.0, m=1),
+                   ReconstructionTarget(n=2000, q=3.0, m=1)]:
+        space = verify._candidate_space(target, verify.DEFAULT_MAX_CANDIDATES)
+        with pytest.raises(ValueError, match=f"n = {target.n} .* limit of 62") as info:
+            next(space)
+        assert not isinstance(info.value, verify.CandidateBudgetError)
+    space = verify._candidate_space(ReconstructionTarget(n=62, q=3.0, m=1),
+                                    verify.DEFAULT_MAX_CANDIDATES)
+    assert next(space).shape == (verify._CHUNK, 62, 62)
 
 
 def test_target_rejects_non_integer_counts():
