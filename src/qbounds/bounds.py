@@ -338,13 +338,17 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
 _SLICE_ARCS = 1 << 13
 
 
+# The most vertices BoundColumns(adj) takes: its strong connectivity runs
+# on int64 bitmask rows, one bit per vertex. from_graphs takes any n.
+MAX_TENSOR_N = 62
+
+
 def _strongly_connected(adj):
-    """Strong connectivity of each digraph in an adjacency batch, from
-    Warshall's transitive closure on bitmask rows: bit j of reach[:, i]
-    says that i reaches j. Rows wider than int64 fall back to Python
-    integers."""
+    """Strong connectivity of each digraph in an adjacency batch of at most
+    MAX_TENSOR_N vertices, from Warshall's transitive closure on int64
+    bitmask rows: bit j of reach[:, i] says that i reaches j."""
     n = adj.shape[1]
-    bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
+    bits = np.array([1 << j for j in range(n)], dtype=np.int64)
     reach = (adj * bits).sum(axis=2) | bits
     for k in range(n):
         reach |= np.where(reach & bits[k], reach[:, k:k + 1], 0)
@@ -362,17 +366,21 @@ class BoundColumns:
 
     BoundColumns(adj) lays out a boolean (N, n, n) tensor, adj[k, i, j]
     set when digraph k has the arc i -> j (each with an arc and no loop,
-    like a Digraph), with one np.nonzero and a bitmask Warshall closure
-    for strong connectivity. from_graphs(graphs) lays out Digraphs from
-    their GraphData, and slices(graphs) cuts a list into batches of at
-    most _SLICE_ARCS arcs. values(bid) gives each digraph's value and
-    witness, bitwise those of all_bounds, a batch of one that renders
-    the reasons.
+    like a Digraph, and n at most MAX_TENSOR_N), with one np.nonzero and
+    a bitmask Warshall closure for strong connectivity. from_graphs(graphs)
+    lays out Digraphs of any n from their GraphData, and slices(graphs)
+    cuts a list into batches of at most _SLICE_ARCS arcs. values(bid)
+    gives each digraph's value and witness, bitwise those of all_bounds,
+    a batch of one that renders the reasons.
     """
 
     def __init__(self, adj):
         adj = np.asarray(adj, dtype=bool)
         count, n = adj.shape[:2]
+        if n > MAX_TENSOR_N:
+            raise ValueError(
+                f"BoundColumns(adj) takes at most {MAX_TENSOR_N} vertices, got "
+                f"n = {n}; lay out larger digraphs with BoundColumns.from_graphs")
         if adj[:, np.arange(n), np.arange(n)].any():
             raise ValueError("loop arcs are not allowed")
         k, i, j = np.nonzero(adj)

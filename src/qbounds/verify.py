@@ -15,10 +15,10 @@ form.
 The search streams the space in chunks of adjacency tensors. Structural
 constraints, strong connectivity and the target's bound columns are
 evaluated as numpy expressions (bounds.BoundColumns over each chunk,
-bitwise equal to all_bounds), and q as an interval. Only candidates
-that could still match or beat the nearest miss reach the scalar path
-(spectral_radius, all_bounds), which produces every reported number.
-The nearest miss is therefore exact in every mode.
+bitwise equal to all_bounds), giving the exact row deviation, and q as
+an interval. Only candidates that could still match or beat the nearest
+miss reach the scalar path, spectral_radius for q, so the nearest miss
+is exact in every mode. all_bounds renders the reported digraphs' rows.
 """
 
 import dataclasses
@@ -53,7 +53,8 @@ DOMINANCE_TOL = 1e-9
 class RandomCorpusSpec:
     """Deterministic random corpus: a master Random(seed) draws, per graph,
     n uniformly from [n_min, n_max], an arc probability from the given
-    tuple, and a 64-bit seed for gen_random_strongly_connected."""
+    tuple, and a 64-bit seed for gen_random_strongly_connected. A bad
+    spec raises ValueError at construction."""
 
     count: int
     n_min: int
@@ -63,14 +64,15 @@ class RandomCorpusSpec:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError("count must be nonnegative")
+            raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.n_min < 2 or self.n_max < self.n_min:
-            raise ValueError("need 2 <= n_min <= n_max")
-        if not self.arc_probabilities:
+            raise ValueError(f"need 2 <= n_min <= n_max, got {self.n_min}, {self.n_max}")
+        probs = tuple(self.arc_probabilities)
+        if not probs:
             raise ValueError("need at least one arc probability")
-        object.__setattr__(
-            self, "arc_probabilities", tuple(self.arc_probabilities)
-        )
+        if not all(0.0 <= p <= 1.0 for p in probs):  # NaN fails too
+            raise ValueError(f"arc probabilities must lie in [0, 1], got {probs}")
+        object.__setattr__(self, "arc_probabilities", probs)
 
 
 def random_corpus(spec: RandomCorpusSpec) -> list:
@@ -449,9 +451,7 @@ _COLUMN_ORDER = (
 # budget: about 40 s at the measured 4 to 6 us per candidate.
 DEFAULT_MAX_CANDIDATES = 1 << 23
 
-# The most vertices a search takes: past it the bitmask rows of
-# bounds._strongly_connected become Python integers, 9x slower per candidate.
-_MAX_SEARCH_N = 62
+_MAX_SEARCH_N = _bounds.MAX_TENSOR_N
 
 
 class CandidateBudgetError(ValueError):
@@ -540,16 +540,6 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
         yield flat.reshape(-1, n, n)
 
 
-def _row_deviation(target, q, row_by_id):
-    devs = [abs(q - target.q)]
-    for bid, expected in target.row:
-        bv = row_by_id[bid]
-        if bv.value is None:
-            return math.inf
-        devs.append(abs(bv.value - expected))
-    return max(devs)
-
-
 class _Search:
     """One reconstruction, fed the candidate space chunk by chunk in
     enumeration order.
@@ -558,10 +548,10 @@ class _Search:
     can neither match nor beat the nearest miss so far (ties go to the
     earlier candidate). Its row deviation is exact, because BoundColumns
     agrees bitwise with all_bounds; its q deviation is bounded below by a
-    q interval. Every other candidate goes through the scalar path
-    (spectral_radius, all_bounds, _row_deviation), so every reported
-    number comes from there. Which candidates settle, and at which stage,
-    does not depend on _CHUNK.
+    q interval. Every other candidate goes through the scalar path, which
+    adds only q from spectral_radius to the batch's row deviation; the
+    search never calls all_bounds. Which candidates settle, and at which
+    stage, does not depend on _CHUNK.
     """
 
     def __init__(self, target: ReconstructionTarget):
@@ -577,13 +567,9 @@ class _Search:
         }
         self.matches = []
         self.nearest = None
-
-    def best(self):
-        """Deviation a candidate must undercut to become the nearest miss;
-        once something matches no nearest miss is reported."""
-        if self.matches:
-            return -math.inf
-        return self.nearest.max_deviation if self.nearest else math.inf
+        # the deviation a candidate must undercut to become the nearest
+        # miss; -inf once something matches, as no nearest miss is reported
+        self.best = math.inf
 
     def settled(self, dev, q_lo, q_hi, best):
         """Whether the deviation, bounded below from the exact row deviation
@@ -604,7 +590,7 @@ class _Search:
 
         # exact row deviation, column by column, dropping candidates as
         # soon as it settles them
-        best = self.best()
+        best = self.best
         dev = np.zeros(len(cols))
         for bid, expected in self.columns:
             values, _ = cols.values(bid)
@@ -619,13 +605,13 @@ class _Search:
         q_lo, q_hi = self.q_interval(adj, cols, dev, best)
         # the nearest miss moves as candidates are evaluated, in order
         for k in range(len(cols)):
-            best = self.best()
+            best = self.best
             if self.settled(dev[k], -np.inf, np.inf, best):
                 self.counts["bound_rejected"] += 1
             elif self.settled(dev[k], q_lo[k], q_hi[k], best):
                 self.counts["q_enclosed"] += 1
             else:
-                self.evaluate(adj[k])
+                self.evaluate(adj[k], dev[k].item())
 
     def structural(self, cols: BoundColumns):
         target = self.target
@@ -661,22 +647,19 @@ class _Search:
             x = y / y.max(axis=1, keepdims=True)
         return q_lo, q_hi
 
-    def evaluate(self, adj):
-        target = self.target
+    def evaluate(self, adj, dev):
+        """The scalar path; the row deviation dev is finite, else settled."""
         src, dst = np.nonzero(adj)
-        g = Digraph(target.n, frozenset(zip(src.tolist(), dst.tolist())))
-        result = spectral_radius(g)
-        row = all_bounds(g)
-        deviation = _row_deviation(target, result.q, {bv.id: bv for bv in row})
-        candidate = ReconstructionMatch(
-            digraph=g, q=result.q, row=row, max_deviation=deviation
-        )
+        g = Digraph(self.target.n, frozenset(zip(src.tolist(), dst.tolist())))
+        q = spectral_radius(g).q
+        dev = max(dev, abs(q - self.target.q))
         self.counts["scalar_evaluated"] += 1
-        if deviation <= target.tolerance:
+        if dev <= self.target.tolerance:
             self.counts["matched"] += 1
-            self.matches.append(candidate)
-        elif math.isfinite(deviation) and deviation < self.best():
-            self.nearest = candidate
+            self.matches.append((g, q, dev))
+            self.best = -math.inf
+        elif dev < self.best:
+            self.nearest, self.best = (g, q, dev), dev
 
 
 def reconstruct(target: ReconstructionTarget,
@@ -690,7 +673,8 @@ def reconstruct(target: ReconstructionTarget,
     2^(n(n-1)) - 1 otherwise) is refused with CandidateBudgetError, a
     ValueError, before the search starts; the default budget, 2^23,
     takes about 40 s. A space within it is refused with ValueError if n
-    is above 62.
+    is above bounds.MAX_TENSOR_N = 62, and a budget below 1 is refused
+    before anything is counted.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism
@@ -699,24 +683,29 @@ def reconstruct(target: ReconstructionTarget,
     earliest one on ties. stages says where the candidates left the
     search.
     """
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be positive, got {max_candidates}")
     search = _Search(target)
     for adj in _candidate_space(target, max_candidates):
         search.visit(adj)
 
-    unique = []
-    seen = set()
-    for match in search.matches:
-        key = canonical_form(match.digraph)
-        if key not in seen:
-            seen.add(key)
-            unique.append(match)
+    unique = {}
+    for found in search.matches:
+        unique.setdefault(canonical_form(found[0]), found)
+    matches = tuple(_rendered(*found) for found in unique.values())
     return ReconstructionReport(
         target=target,
-        matches=tuple(unique),
+        matches=matches,
         candidates_visited=search.visited,
-        nearest_miss=search.nearest if not unique else None,
+        nearest_miss=(_rendered(*search.nearest)
+                      if search.nearest and not matches else None),
         stages=ReconstructionStages(**search.counts),
     )
+
+
+def _rendered(g, q, deviation) -> ReconstructionMatch:
+    """A reported digraph, with its full bound row."""
+    return ReconstructionMatch(g, q, all_bounds(g), deviation)
 
 
 # Bundled reference targets. gstar pins a 4-vertex, 9-arc family where the

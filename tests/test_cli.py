@@ -463,6 +463,10 @@ def test_reconstruct_max_candidates_sets_the_budget(capsys):
     plain = capsys.readouterr().out
     assert main(argv + ["--max-candidates", "63"]) == EXIT_OK
     assert capsys.readouterr().out == plain
+    # a nonpositive budget is a usage error with no narrowing hint
+    _assert_one_usage_line(capsys, ["reconstruct", "--preset", "g1",
+                                    "--max-candidates", "-3"],
+                           "max_candidates must be positive, got -3")
 
 
 def test_reconstruct_narrowing_hint_only_on_refusal(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbounds import (
+    BoundColumns,
     BoundId,
     Digraph,
     INVARIANTS,
@@ -58,6 +59,14 @@ def test_corpus_spec_validation():
         RandomCorpusSpec(count=1, n_min=5, n_max=3, arc_probabilities=(0.2,), seed=0)
     with pytest.raises(ValueError):
         RandomCorpusSpec(count=1, n_min=3, n_max=5, arc_probabilities=(), seed=0)
+
+
+@pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1])
+def test_corpus_spec_checks_probabilities_at_construction(p):
+    # before, the spec built and random_corpus failed mid-generation
+    with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+        RandomCorpusSpec(count=2, n_min=3, n_max=4, arc_probabilities=(0.5, p), seed=0)
+    assert RandomCorpusSpec(2, 3, 4, (0.0, 1.0), 0).arc_probabilities == (0.0, 1.0)
 
 
 # --- invariant sweep ------------------------------------------------------------
@@ -426,6 +435,22 @@ def test_reconstruct_equals_scalar_oracle_on_drawn_targets(data):
     assert report.nearest_miss == nearest
 
 
+# structurally_rejected, bound_rejected, q_enclosed, scalar_evaluated and
+# matched of each target: which candidates reach the scalar path is part
+# of the search's contract
+EQUIVALENCE_STAGES = {
+    "degree_bounded": (2907, 1185, 0, 3, 0),
+    "fixed_m": (608, 311, 0, 5, 0),
+    "g1": (2489, 1531, 45, 30, 24),
+    "gstar": (112, 0, 57, 51, 48),
+    "outdeg_sequence": (2079, 638, 698, 41, 0),
+    "q_only": (2489, 0, 1574, 32, 0),
+    "reducible": (0, 3497, 540, 58, 0),
+    "triangle": (45, 15, 0, 3, 2),
+    "triangle_miss": (45, 15, 0, 3, 0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
 def test_reconstruct_stage_counts_add_up(name):
     report = reconstruct(EQUIVALENCE_TARGETS[name])
@@ -438,12 +463,32 @@ def test_reconstruct_stage_counts_add_up(name):
     ) == report.candidates_visited
     assert len(report.matches) <= stages.matched <= stages.scalar_evaluated
     assert reconstruct(EQUIVALENCE_TARGETS[name]).stages == stages
+    assert dataclasses.astuple(stages) == EQUIVALENCE_STAGES[name]
+
+
+@pytest.mark.parametrize("name, reported", [("g1", 1), ("gstar", 2),
+                                            ("triangle_miss", 1)])
+def test_reconstruct_renders_rows_of_reported_digraphs_only(monkeypatch, name,
+                                                            reported):
+    # the search decides from the batch row deviation and q alone
+    rendered = []
+
+    def counting_all_bounds(g):
+        rendered.append(g)
+        return all_bounds(g)
+
+    monkeypatch.setattr(verify, "all_bounds", counting_all_bounds)
+    report = reconstruct(EQUIVALENCE_TARGETS[name])
+    shown = [m.digraph for m in report.matches]
+    shown += [report.nearest_miss.digraph] if report.nearest_miss else []
+    assert len(rendered) == reported
+    assert rendered == shown
 
 
 @pytest.mark.parametrize("n", [62, 63, 64])
 def test_batched_strong_connectivity_on_wide_rows(n):
-    # from n = 63 on the reach bitmasks no longer fit in int64 and the rows
-    # switch to Python integers
+    # int64 reach bitmasks hold n = 62; a wider tensor is refused, and
+    # from_graphs lays out digraphs of any n
     cycle = [(i, (i + 1) % n) for i in range(n)]
     graphs = [
         Digraph(n, frozenset(cycle)),
@@ -456,7 +501,14 @@ def test_batched_strong_connectivity_on_wide_rows(n):
             adj[k, i, j] = True
     expected = [is_strongly_connected(g) for g in graphs]
     assert expected == [True, False, True]
-    assert bounds._strongly_connected(adj).tolist() == expected
+    assert BoundColumns.from_graphs(graphs).shape.strongly.tolist() == expected
+    if n > bounds.MAX_TENSOR_N:
+        refusal = f"at most 62 vertices, got n = {n}.*from_graphs"
+        with pytest.raises(ValueError, match=refusal):
+            BoundColumns(adj)
+    else:
+        assert bounds._strongly_connected(adj).tolist() == expected
+        assert BoundColumns(adj).shape.strongly.tolist() == expected
 
 
 def test_reconstruct_refuses_unbounded_large_space():
@@ -489,6 +541,11 @@ def test_reconstruct_budget_is_raised_explicitly():
     with pytest.raises(ValueError, match="63 candidates exceed the budget of 62"):
         reconstruct(target, max_candidates=62)
     assert reconstruct(target, max_candidates=63) == reconstruct(target)
+    # a budget below 1 is a bad argument, refused before the space is counted
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=f"must be positive, got {budget}") as info:
+            reconstruct(PRESETS["g2"], max_candidates=budget)
+        assert not isinstance(info.value, verify.CandidateBudgetError)
     big = ReconstructionTarget(n=6, q=4.2, m=9)  # C(30, 9) = 14,307,150
     with pytest.raises(ValueError, match="14,307,150 candidates"):
         reconstruct(big)
