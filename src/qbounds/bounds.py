@@ -349,7 +349,10 @@ def _strongly_connected(adj):
     bitmask rows: bit j of reach[:, i] says that i reaches j."""
     n = adj.shape[1]
     bits = np.array([1 << j for j in range(n)], dtype=np.int64)
-    reach = (adj * bits).sum(axis=2) | bits
+    # byte b of a little-endian packed row holds bits 8b to 8b + 7
+    packed = np.packbits(adj, axis=2, bitorder="little")
+    reach = bits | sum(packed[:, :, b].astype(np.int64) << 8 * b
+                       for b in range(packed.shape[2]))
     for k in range(n):
         reach |= np.where(reach & bits[k], reach[:, k:k + 1], 0)
     return (reach == (1 << n) - 1).all(axis=1)
@@ -371,10 +374,12 @@ class BoundColumns:
     lays out Digraphs of any n from their GraphData, and slices(graphs)
     cuts a list into batches of at most _SLICE_ARCS arcs. values(bid)
     gives each digraph's value and witness, bitwise those of all_bounds,
-    a batch of one that renders the reasons.
+    a batch of one that renders the reasons; values_only(bid) gives the
+    same values without the two passes that find the witnesses.
     """
 
-    def __init__(self, adj):
+    def __init__(self, adj, _strongly=None):
+        # _strongly: _strongly_connected(adj), from a caller that has it
         adj = np.asarray(adj, dtype=bool)
         count, n = adj.shape[:2]
         if n > MAX_TENSOR_N:
@@ -388,7 +393,7 @@ class BoundColumns:
         if not m.all():
             raise ValueError("every digraph needs at least one arc")
         self._lay_out(np.full(count, n), m, k * n + i, k * n + j,
-                      _strongly_connected(adj))
+                      _strongly_connected(adj) if _strongly is None else _strongly)
 
     @classmethod
     def from_graphs(cls, graphs) -> "BoundColumns":
@@ -479,30 +484,42 @@ class BoundColumns:
         s = self.shape
         return s.n[at], s.m[at], s.hi[at], s.lo[at]
 
+    def _reduced(self, bid: BoundId):
+        """(values, terms): each digraph's best term, NaN where the bound
+        is inapplicable, and the terms it was taken from."""
+        spec = _SPECS[bid]
+        # inapplicable digraphs and vertices of outdegree 0 may divide by
+        # zero; both are masked out below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = best = spec.term(*self._inputs(spec.kind))
+        if spec.kind == "vertex":
+            # m(i) is undefined at outdegree 0; the max runs over the rest
+            terms = np.where(self.outdeg > 0, terms, -np.inf)
+        if spec.kind != "graph":
+            starts = self.arc_start if spec.kind == "arc" else self.vertex_start
+            reduce = np.minimum if spec.kind == "position" else np.maximum
+            best = reduce.reduceat(terms, starts)
+        return np.where(self.applicable(bid), best, np.nan), terms
+
+    def values_only(self, bid: BoundId):
+        """The values of values(bid), without finding the witnesses."""
+        return self._reduced(bid)[0]
+
     def values(self, bid: BoundId):
         """(values, witnesses) over the batch, NaN and -1 where the bound
         is inapplicable. A witness is the batch index of the first arc,
         vertex or sorted position attaining the value; a graph bound has
         none, -1."""
-        spec = _SPECS[bid]
-        applicable = self.applicable(bid)
-        # inapplicable digraphs and vertices of outdegree 0 may divide by
-        # zero; both are masked out below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = spec.term(*self._inputs(spec.kind))
-        if spec.kind == "graph":
-            return np.where(applicable, terms, np.nan), np.full(len(self), -1)
-        if spec.kind == "vertex":
-            # m(i) is undefined at outdegree 0; the max runs over the rest
-            terms = np.where(self.outdeg > 0, terms, -np.inf)
-        starts, owner = ((self.arc_start, self.arc_graph) if spec.kind == "arc"
+        kind = _SPECS[bid].kind
+        values, terms = self._reduced(bid)
+        if kind == "graph":
+            return values, np.full(len(self), -1)
+        starts, owner = ((self.arc_start, self.arc_graph) if kind == "arc"
                          else (self.vertex_start, self.vertex_graph))
-        reduce = np.minimum if spec.kind == "position" else np.maximum
-        best = reduce.reduceat(terms, starts)
-        # the first element of each digraph attaining its best term
-        first = np.where(terms == best[owner], np.arange(len(terms)), len(terms))
+        # the first element of each digraph attaining its value
+        first = np.where(terms == values[owner], np.arange(len(terms)), len(terms))
         first = np.minimum.reduceat(first, starts)
-        return np.where(applicable, best, np.nan), np.where(applicable, first, -1)
+        return values, np.where(np.isnan(values), -1, first)
 
     def replay(self, bid: BoundId, witnesses):
         """The bound's term at each witness of values(bid) alone;

@@ -12,13 +12,15 @@ caller raises it) is refused before the search starts. Matches are
 deduplicated up to digraph isomorphism via a minimum-bitstring canonical
 form.
 
-The search streams the space in chunks of adjacency tensors. Structural
-constraints, strong connectivity and the target's bound columns are
-evaluated as numpy expressions (bounds.BoundColumns over each chunk,
-bitwise equal to all_bounds), giving the exact row deviation, and q as
-an interval. Only candidates that could still match or beat the nearest
-miss reach the scalar path, spectral_radius for q, so the nearest miss
-is exact in every mode. all_bounds renders the reported digraphs' rows.
+The search streams the space in chunks of adjacency tensors. Strong
+connectivity is settled on each chunk's tensor, and the rest are laid
+out as a bounds.BoundColumns batch: the G* constraint and the target's
+bound columns, read without witnesses, are numpy expressions over it,
+bitwise equal to all_bounds. They give the exact row deviation, and q
+enters as an interval. Only candidates that could still match or beat
+the nearest miss reach the scalar path, spectral_radius for q, so the
+nearest miss is exact in every mode. all_bounds renders the reported
+digraphs' rows.
 """
 
 import dataclasses
@@ -54,7 +56,7 @@ class RandomCorpusSpec:
     """Deterministic random corpus: a master Random(seed) draws, per graph,
     n uniformly from [n_min, n_max], an arc probability from the given
     tuple, and a 64-bit seed for gen_random_strongly_connected. A bad
-    spec raises ValueError at construction."""
+    spec, non-integer counts or seed too, raises ValueError at construction."""
 
     count: int
     n_min: int
@@ -63,6 +65,11 @@ class RandomCorpusSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("count", "n_min", "n_max", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # random.Random wants int
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.n_min < 2 or self.n_max < self.n_min:
@@ -418,9 +425,15 @@ class ReconstructionReport:
         return bool(self.matches)
 
 
-# Candidates are enumerated and filtered this many at a time. The chunk
-# bounds the search's working memory: a few (chunk, n, n) arrays.
-_CHUNK = 512
+# A chunk of candidates, enumerated and filtered together, holds at most
+# _CHUNK candidates and _CHUNK_CELLS adjacency cells; it bounds the
+# search's working memory, a few (chunk, n, n) arrays. Smaller chunks pay
+# more numpy call overhead. Larger ones give the first chunk, searched
+# before any nearest miss exists, more q intervals to iterate, and past
+# 2^21 cells their float arrays outgrow the cache: at n = 62 chunks of
+# 2,048 took 2.2 times as long as chunks of 512.
+_CHUNK = 2048
+_CHUNK_CELLS = 1 << 21
 
 # Most Collatz-Wielandt steps spent on one candidate's q interval.
 _CW_ITERATIONS = 64
@@ -448,7 +461,8 @@ _COLUMN_ORDER = (
 
 
 # The largest candidate space a search takes unless the caller raises the
-# budget: about 40 s at the measured 4 to 6 us per candidate.
+# budget: 10 to 60 s at the 1.2 to 7 us per candidate measured on the
+# unconstrained n = 5 space, with a bound row and with q alone.
 DEFAULT_MAX_CANDIDATES = 1 << 23
 
 _MAX_SEARCH_N = _bounds.MAX_TENSOR_N
@@ -471,11 +485,11 @@ def _comb_capped(n, k, cap):
 
 def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     """Generator of the target's candidates as boolean adjacency chunks of
-    shape (c, n, n), c <= _CHUNK, in enumeration order. The target has
-    validated its constraints; the refusals left here, on the first
-    chunk and before anything is built, are a space of more than
-    max_candidates candidates (CandidateBudgetError), counted first, and
-    then n above _MAX_SEARCH_N (ValueError).
+    shape (c, n, n), c <= _CHUNK and c n^2 <= _CHUNK_CELLS, in enumeration
+    order. The target has validated its constraints; the refusals left
+    here, on the first chunk and before anything is built, are a space of
+    more than max_candidates candidates (CandidateBudgetError), counted
+    first, and then n above _MAX_SEARCH_N (ValueError).
 
     With an outdegree sequence the candidates run through the product of
     per-vertex out-neighborhood combinations, the last vertex fastest;
@@ -515,8 +529,9 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
             pools.append(rows)
     elif m is not None:
         combos = itertools.combinations(range(len(slots)), m)
-    for start in range(0, total, _CHUNK):
-        index = np.arange(start, min(start + _CHUNK, total))
+    size = min(_CHUNK, _CHUNK_CELLS // (n * n))
+    for start in range(0, total, size):
+        index = np.arange(start, min(start + size, total))
         if seq is not None:
             adj = np.empty((len(index), n, n), dtype=bool)
             for i in reversed(range(n)):
@@ -582,18 +597,24 @@ class _Search:
         return (lower > self.target.tolerance) & (lower >= best)
 
     def visit(self, adj):
-        self.visited += len(adj)
-        cols = BoundColumns(adj)
-        keep = self.structural(cols)
-        self.counts["structurally_rejected"] += int(np.count_nonzero(~keep))
-        adj, cols = adj[keep], cols.select(keep)
+        count = len(adj)
+        self.visited += count
+        # strong connectivity is settled on the tensor, before the layout
+        strongly = _bounds._strongly_connected(adj)
+        if self.target.require_strongly_connected:
+            adj, strongly = adj[strongly], strongly[strongly]
+        cols = BoundColumns(adj, _strongly=strongly)
+        if self.target.require_g_star:
+            keep = cols.in_g_star_class()
+            adj, cols = adj[keep], cols.select(keep)
+        self.counts["structurally_rejected"] += count - len(adj)
 
         # exact row deviation, column by column, dropping candidates as
         # soon as it settles them
         best = self.best
         dev = np.zeros(len(cols))
         for bid, expected in self.columns:
-            values, _ = cols.values(bid)
+            values = cols.values_only(bid)
             dev = np.maximum(
                 dev, np.where(np.isnan(values), np.inf, np.abs(values - expected))
             )
@@ -612,15 +633,6 @@ class _Search:
                 self.counts["q_enclosed"] += 1
             else:
                 self.evaluate(adj[k], dev[k].item())
-
-    def structural(self, cols: BoundColumns):
-        target = self.target
-        keep = np.ones(len(cols), dtype=bool)
-        if target.require_strongly_connected:
-            keep &= cols.shape.strongly
-        if target.require_g_star:
-            keep &= cols.in_g_star_class()
-        return keep
 
     def q_interval(self, adj, cols: BoundColumns, dev, best):
         """An interval holding q for every candidate: the row-sum bracket
@@ -672,7 +684,7 @@ def reconstruct(target: ReconstructionTarget,
     binomials for an outdegree sequence, one binomial for a fixed m,
     2^(n(n-1)) - 1 otherwise) is refused with CandidateBudgetError, a
     ValueError, before the search starts; the default budget, 2^23,
-    takes about 40 s. A space within it is refused with ValueError if n
+    takes 10 to 60 s. A space within it is refused with ValueError if n
     is above bounds.MAX_TENSOR_N = 62, and a budget below 1 is refused
     before anything is counted.
 

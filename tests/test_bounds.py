@@ -401,6 +401,39 @@ def test_batched_columns_equal_rows(graphs):
     _assert_columns_match_rows([Digraph(n, g.arcs) for g in graphs])
 
 
+@pytest.mark.parametrize("n", [8, 9, 62])
+def test_strongly_connected_bit_rows_cross_bytes(n):
+    # the reach rows are packed bytes shifted into int64: n = 9 crosses a
+    # byte boundary and n = 62 reaches bit 61, the top one used
+    rng = np.random.default_rng(n)
+    p = np.linspace(1.0, 6.0, 60)[:, None, None] * math.log(n) / n / 2
+    adj = rng.random((60, n, n)) < p
+    adj[:, np.arange(n), np.arange(n)] = False
+    cycle = np.roll(np.eye(n, dtype=bool), 1, axis=1)  # i -> i + 1 mod n
+    adj[0] = cycle
+    adj[1] = cycle
+    adj[1, n - 2, n - 1] = False  # the last vertex loses its only in-arc
+    graphs = [Digraph(n, frozenset(zip(*map(np.ndarray.tolist, np.nonzero(a)))))
+              for a in adj]
+    expected = [is_strongly_connected(g) for g in graphs]
+    assert expected[:2] == [True, False] and True in expected[2:]
+    assert False in expected[2:]
+    assert bounds._strongly_connected(adj).tolist() == expected
+
+
+def test_values_only_equals_values_bitwise():
+    # on a tensor batch and a ragged one, both with inapplicable entries
+    path = from_arc_list(3, [(2, 0), (0, 1)])
+    ragged = _sweep_corpus()[:40] + [path, from_arc_list(2, [(1, 0)])]
+    for cols in (_batch(_every_4_vertex_digraph()), BoundColumns.from_graphs(ragged)):
+        inapplicable = 0
+        for bid in ROW_ORDER:
+            got, (want, _) = cols.values_only(bid), cols.values(bid)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), bid
+            inapplicable += int(np.isnan(got).sum())
+        assert inapplicable
+
+
 def test_batched_columns_reject_empty_and_looped_digraphs():
     adj = np.zeros((2, 3, 3), dtype=bool)
     adj[0, 0, 1] = True

@@ -69,6 +69,24 @@ def test_corpus_spec_checks_probabilities_at_construction(p):
     assert RandomCorpusSpec(2, 3, 4, (0.0, 1.0), 0).arc_probabilities == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("args", [
+    (2.5, 3, 4, (0.5,), 0),
+    (2, 3.5, 4, (0.5,), 0),
+    (2, 3, 4, (0.5,), 1.5),
+])
+def test_corpus_spec_checks_integers_at_construction(args):
+    # before, the spec built: random_corpus raised TypeError on the float
+    # count and ValueError mid-run on the float n_min, and seeded itself
+    # with the float seed
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        RandomCorpusSpec(*args)
+
+
+def test_corpus_spec_takes_numpy_integers():
+    spec = RandomCorpusSpec(np.int64(3), np.int64(3), np.int64(5), (0.5,), np.int64(7))
+    assert random_corpus(spec) == random_corpus(RandomCorpusSpec(3, 3, 5, (0.5,), 7))
+
+
 # --- invariant sweep ------------------------------------------------------------
 
 
@@ -466,6 +484,21 @@ def test_reconstruct_stage_counts_add_up(name):
     assert dataclasses.astuple(stages) == EQUIVALENCE_STAGES[name]
 
 
+@pytest.mark.parametrize("name", ["g1", "gstar", "reducible"])
+@pytest.mark.parametrize("limit, value", [
+    ("_CHUNK", 512), ("_CHUNK", 2048), ("_CHUNK", 4096),
+    ("_CHUNK_CELLS", 100 * 4 ** 2),  # 100 candidates of 4 vertices
+])
+def test_reconstruct_chunk_sizes_equivalent(monkeypatch, name, limit, value):
+    # g1 and reducible span 4,095 candidates, so the chunk sizes cut their
+    # spaces at different places
+    full = reconstruct(EQUIVALENCE_TARGETS[name])
+    monkeypatch.setattr(verify, limit, value)
+    report = reconstruct(EQUIVALENCE_TARGETS[name])
+    assert report == full
+    assert dataclasses.astuple(report.stages) == EQUIVALENCE_STAGES[name]
+
+
 @pytest.mark.parametrize("name, reported", [("g1", 1), ("gstar", 2),
                                             ("triangle_miss", 1)])
 def test_reconstruct_renders_rows_of_reported_digraphs_only(monkeypatch, name,
@@ -563,7 +596,8 @@ def test_reconstruct_refuses_more_than_62_vertices():
         assert not isinstance(info.value, verify.CandidateBudgetError)
     space = verify._candidate_space(ReconstructionTarget(n=62, q=3.0, m=1),
                                     verify.DEFAULT_MAX_CANDIDATES)
-    assert next(space).shape == (verify._CHUNK, 62, 62)
+    # 545 candidates, the most that fit 2^21 adjacency cells
+    assert next(space).shape == (verify._CHUNK_CELLS // 62 ** 2, 62, 62)
 
 
 def test_target_rejects_non_integer_counts():
