@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Classification, Digraph
 
 
 class BoundId(enum.Enum):
@@ -375,7 +375,8 @@ class BoundColumns:
     cuts a list into batches of at most _SLICE_ARCS arcs. values(bid)
     gives each digraph's value and witness, bitwise those of all_bounds,
     a batch of one that renders the reasons; values_only(bid) gives the
-    same values without the two passes that find the witnesses.
+    same values without the two passes that find the witnesses, and
+    classification() the flags of classify, also a batch of one.
     """
 
     def __init__(self, adj, _strongly=None):
@@ -455,13 +456,65 @@ class BoundColumns:
         return mask
 
     def in_g_star_class(self):
-        """classify(g).is_in_g_star_class over the batch: the hypotheses of
-        maxdeg_plus_2 (its n >= 3 is implied by the rest) and an arc from
-        a max-outdegree vertex to one of outdegree at least 2."""
+        """The G* class over the batch: the hypotheses of maxdeg_plus_2
+        (its n >= 3 is implied by the rest) and an arc from a
+        max-outdegree vertex to one of outdegree at least 2."""
         d = self.outdeg
         hubs = d[self.tail] == self.shape.hi[self.arc_graph]
         found = np.logical_or.reduceat(hubs & (d[self.head] >= 2), self.arc_start)
         return self.applicable(BoundId.MAXDEG_PLUS_2) & found
+
+    def classification(self) -> Classification:
+        """The flags of classify over the batch, as bool arrays. Bipartite
+        semiregular is the working definition of the README's "Two fine
+        points": every arc bidirected, positive outdegrees, and parts of a
+        proper 2-coloring with one outdegree each."""
+        s, d, size = self.shape, self.outdeg, len(self.outdeg)
+        di, dj, own = d[self.tail], d[self.head], self.arc_graph
+        # every arc is bidirected when the reversed arcs, sorted, are the
+        # arcs; reversal keeps each digraph's arcs in its own block
+        bidirected = np.logical_and.reduceat(
+            np.sort(self.head * size + self.tail) == self.tail * size + self.head,
+            self.arc_start)
+        regular, possible = s.lo == s.hi, bidirected & (s.lo > 0)
+        # with two outdegrees the parts are the outdegree classes, which
+        # every arc joins; with one, a BFS looks for a 2-coloring
+        semiregular = possible & ~regular & np.logical_and.reduceat(
+            (np.minimum(di, dj) == s.lo[own]) & (np.maximum(di, dj) == s.hi[own]),
+            self.arc_start)
+        for k in np.flatnonzero(possible & regular).tolist():
+            semiregular[k] = self._two_colorable(k)
+        return Classification(
+            is_strongly_connected=s.strongly,
+            is_regular=regular,
+            is_directed_cycle=s.strongly & (s.hi == 1),
+            # a center of outdegree n - 1, every arc bidirected: the star
+            is_bidirectional_star=(bidirected & (s.hi == s.n - 1)
+                                   & (s.m == 2 * (s.n - 1))),
+            is_bipartite_semiregular=semiregular,
+            is_in_g_star_class=self.in_g_star_class(),
+        )
+
+    def _two_colorable(self, k):
+        """Whether digraph k, every arc bidirected, has a proper 2-coloring:
+        a BFS over its sorted arcs, O(n + m)."""
+        first, n = self.vertex_start[k], self.shape.n[k]
+        heads = (self.head[self.arc_start[k]:][:self.shape.m[k]] - first).tolist()
+        offsets = [0] + np.cumsum(self.outdeg[first:first + n]).tolist()
+        color = [-1] * n
+        for start in range(n):
+            if color[start] >= 0:
+                continue
+            color[start], queue = 0, [start]
+            while queue:
+                v = queue.pop()
+                for w in heads[offsets[v]:offsets[v + 1]]:
+                    if color[w] < 0:
+                        color[w] = 1 - color[v]
+                        queue.append(w)
+                    elif color[w] == color[v]:
+                        return False  # an odd cycle
+        return True
 
     def _inputs(self, kind, at=slice(None)):
         """The term's arguments at the elements at: arcs, vertices, sorted

@@ -76,8 +76,6 @@ class GraphData:
     """What the package reads of one digraph, as read-only integer arrays.
 
     src, dst      arc tails and heads in sorted (src, dst) order
-    offsets       CSR offsets over src: the arcs leaving i sit at
-                  offsets[i] .. offsets[i + 1] - 1, heads ascending
     outdeg        d+(i);  indeg: d-(i)
     two_outdeg    t+(i), the sum of d+(j) over out-neighbors j
     component_of  index of the strong component holding each vertex
@@ -86,7 +84,6 @@ class GraphData:
 
     src: np.ndarray
     dst: np.ndarray
-    offsets: np.ndarray
     outdeg: np.ndarray
     indeg: np.ndarray
     two_outdeg: np.ndarray
@@ -105,7 +102,6 @@ def _build_graph_data(g: Digraph) -> GraphData:
     arrays = dict(
         src=src,
         dst=dst,
-        offsets=offsets,
         outdeg=outdeg,
         indeg=np.bincount(dst, minlength=n),
         two_outdeg=np.bincount(src, outdeg[dst], n).astype(np.int64),
@@ -245,6 +241,9 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 @dataclass(frozen=True)
 class Classification:
+    """The structural flags of the bound catalog's equality cases: bools
+    from classify, bool arrays from bounds.BoundColumns.classification."""
+
     is_strongly_connected: bool
     is_regular: bool
     is_directed_cycle: bool
@@ -254,77 +253,11 @@ class Classification:
 
 
 def classify(g: Digraph) -> Classification:
-    """Structural flags used by the equality cases of the bound catalog."""
-    outdeg = g.data.outdeg
-    strongly = is_strongly_connected(g)
-    return Classification(
-        is_strongly_connected=strongly,
-        is_regular=bool(outdeg.min() == outdeg.max()),
-        is_directed_cycle=strongly and bool(outdeg.max() == 1),
-        is_bidirectional_star=_is_bidirectional_star(g),
-        is_bipartite_semiregular=_is_bipartite_semiregular(g),
-        is_in_g_star_class=_is_in_g_star_class(g, strongly),
-    )
+    """The flags of g, as a batch of one."""
+    from .bounds import BoundColumns  # bounds imports this module
 
-
-def _is_bidirectional_star(g: Digraph) -> bool:
-    # one center joined to every other vertex by a bidirected pair, nothing
-    # else: 2 (n - 1) arcs, all at a center of in- and outdegree n - 1
-    data = g.data
-    if g.m != 2 * (g.n - 1):
-        return False
-    return bool(((data.outdeg == g.n - 1) & (data.indeg == g.n - 1)).any())
-
-
-def _is_bipartite_semiregular(g: Digraph) -> bool:
-    """True when some bipartition (X, Y) carries all arcs as bidirected
-    cross pairs with one common outdegree on X and one on Y.
-
-    The check is existential over the 2-colorings of the underlying graph,
-    so disconnected unions with a consistent (r, s) also qualify.
-    """
-    data, n = g.data, g.n
-    d = data.outdeg
-    # every arc is bidirected when the reversed arcs, sorted, are the arcs
-    if not np.array_equal(np.sort(data.dst * n + data.src), data.src * n + data.dst):
-        return False
-    if d.min() == 0:
-        # a vertex without arcs cannot sit in either part: parts must
-        # exchange arcs in both directions, forcing positive outdegrees
-        return False
-    if d.min() != d.max():
-        # r != s: the parts are the two outdegree classes, and every arc
-        # must run between them
-        return len(np.unique(d)) == 2 and bool((d[data.src] != d[data.dst]).all())
-    # r == s: any proper 2-coloring of the underlying graph will do
-    heads, offsets = data.dst.tolist(), data.offsets.tolist()
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in heads[offsets[v]:offsets[v + 1]]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False  # odd cycle in the underlying graph
-    return True
-
-
-def _is_in_g_star_class(g: Digraph, strongly: bool) -> bool:
-    """Strongly connected, min outdegree 1, max outdegree at least
-    (m - (n - 1)) / 2, and some maximum-outdegree vertex has an
-    out-neighbor of outdegree at least 2."""
-    data = g.data
-    d = data.outdeg
-    hi = d.max()
-    if not strongly or d.min() != 1 or hi < (g.m - (g.n - 1)) / 2:
-        return False
-    return bool(((d[data.src] == hi) & (d[data.dst] >= 2)).any())
+    flags = vars(BoundColumns.from_graphs([g]).classification())
+    return Classification(**{name: flag.item() for name, flag in flags.items()})
 
 
 # ---------------------------------------------------------------------------

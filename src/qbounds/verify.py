@@ -184,15 +184,13 @@ def _inv_regular_equality(s):
 
 def _inv_semiregular_equality(s):
     # oval_geomean applies to every strongly connected digraph
-    geo = s.row[BoundId.OVAL_GEOMEAN][0].tolist()
-    details = []
-    for g, q, value in zip(s.graphs, s.q.tolist(), geo):
-        flags = classify(g)
-        bad = (flags.is_bipartite_semiregular and flags.is_strongly_connected
-               and abs(value - q) > DOMINANCE_TOL)
-        details.append("bipartite semiregular digraph should attain oval_geomean; "
-                       f"q = {q!r}, bound = {value!r}" if bad else None)
-    return details
+    flags = s.cols.classification()
+    geo = s.row[BoundId.OVAL_GEOMEAN][0]
+    return _details(
+        flags.is_bipartite_semiregular & flags.is_strongly_connected
+        & (np.abs(geo - s.q) > DOMINANCE_TOL),
+        lambda k: ("bipartite semiregular digraph should attain oval_geomean; "
+                   f"q = {s.q[k].item()!r}, bound = {geo[k].item()!r}"))
 
 
 def _inv_q_exceeds_max_outdeg(s):
@@ -300,12 +298,21 @@ def canonical_form(g: Digraph):
     cost (an n! x m array); meant for the small matches that come out of
     a reconstruction (n <= 6), not for bulk candidate filtering.
     """
-    n = g.n
+    return _canonical_forms([g])[0]
+
+
+def _canonical_forms(graphs) -> list:
+    """canonical_form of each digraph of a list sharing one n, from one
+    n! x n permutation array."""
+    if not graphs:
+        return []
+    n = graphs[0].n
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
                         np.intp, count=math.factorial(n) * n).reshape(-1, n)
-    bits = np.sort(perms[:, g.data.src] * n + perms[:, g.data.dst], axis=1)
-    best = bits[np.lexsort(bits.T)[0]]  # lexsort keys on the last column first
-    return (n, sum(1 << bit for bit in best.tolist()))
+    bits = (np.sort(perms[:, g.data.src] * n + perms[:, g.data.dst], axis=1)
+            for g in graphs)
+    # lexsort keys on the last column first
+    return [(n, sum(1 << bit for bit in b[np.lexsort(b.T)[0]].tolist())) for b in bits]
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +468,9 @@ _COLUMN_ORDER = (
 
 
 # The largest candidate space a search takes unless the caller raises the
-# budget: 10 to 60 s at the 1.2 to 7 us per candidate measured on the
-# unconstrained n = 5 space, with a bound row and with q alone.
+# budget: 13 to 20 s at the 1.6 to 2.3 us per candidate measured on the
+# unconstrained n = 5 space, with a full bound row, one column or q alone
+# (one core of a shared 2-core x86-64 machine).
 DEFAULT_MAX_CANDIDATES = 1 << 23
 
 _MAX_SEARCH_N = _bounds.MAX_TENSOR_N
@@ -624,15 +632,19 @@ class _Search:
                 adj, cols, dev = adj[~out], cols.select(~out), dev[~out]
 
         q_lo, q_hi = self.q_interval(adj, cols, dev, best)
-        # the nearest miss moves as candidates are evaluated, in order
-        for k in range(len(cols)):
-            best = self.best
-            if self.settled(dev[k], -np.inf, np.inf, best):
-                self.counts["bound_rejected"] += 1
-            elif self.settled(dev[k], q_lo[k], q_hi[k], best):
-                self.counts["q_enclosed"] += 1
-            else:
-                self.evaluate(adj[k], dev[k].item())
+        # only evaluate moves best, so each stretch up to the next candidate
+        # to evaluate settles as one array; what by_row settles, by_q does
+        k = 0
+        while k < len(cols):
+            by_row = self.settled(dev[k:], -np.inf, np.inf, self.best)
+            by_q = self.settled(dev[k:], q_lo[k:], q_hi[k:], self.best)
+            stop = k + int(np.append(by_q, False).argmin())  # first open or end
+            rejected = int(np.count_nonzero(by_row[:stop - k]))
+            self.counts["bound_rejected"] += rejected
+            self.counts["q_enclosed"] += stop - k - rejected
+            if stop < len(cols):
+                self.evaluate(adj[stop], dev[stop].item())
+            k = stop + 1
 
     def q_interval(self, adj, cols: BoundColumns, dev, best):
         """An interval holding q for every candidate: the row-sum bracket
@@ -684,7 +696,7 @@ def reconstruct(target: ReconstructionTarget,
     binomials for an outdegree sequence, one binomial for a fixed m,
     2^(n(n-1)) - 1 otherwise) is refused with CandidateBudgetError, a
     ValueError, before the search starts; the default budget, 2^23,
-    takes 10 to 60 s. A space within it is refused with ValueError if n
+    takes 13 to 20 s. A space within it is refused with ValueError if n
     is above bounds.MAX_TENSOR_N = 62, and a budget below 1 is refused
     before anything is counted.
 
@@ -702,8 +714,9 @@ def reconstruct(target: ReconstructionTarget,
         search.visit(adj)
 
     unique = {}
-    for found in search.matches:
-        unique.setdefault(canonical_form(found[0]), found)
+    forms = _canonical_forms([g for g, _, _ in search.matches])
+    for form, found in zip(forms, search.matches):
+        unique.setdefault(form, found)
     matches = tuple(_rendered(*found) for found in unique.values())
     return ReconstructionReport(
         target=target,

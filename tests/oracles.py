@@ -122,17 +122,19 @@ def generic_f_oracle(g: Digraph, f) -> tuple:
 
 
 def classify_oracle(g: Digraph) -> dict:
-    """The flags of classify that look past the degree extremes, from
-    their definitions over the arc set, by brute force over the centers
-    and over the 2-colorings of the vertices."""
+    """The flags of classify from their definitions over the arc set:
+    strong connectivity from the transitive closure, and brute force over
+    the centers and over the 2-colorings of the vertices, tried only when
+    the arc count or the bidirected arcs leave the flag open."""
     n, arcs = g.n, set(g.arcs)
     out = [sum(1 for i, _ in arcs if i == v) for v in range(n)]
-    star = any(
+    strongly = is_strongly_connected_oracle(g)
+    star = len(arcs) == 2 * (n - 1) and any(
         arcs == {(c, v) for v in range(n) if v != c} | {(v, c) for v in range(n) if v != c}
         for c in range(n)
     )
-    semiregular = any(
-        all(colors[i] != colors[j] and (j, i) in arcs for i, j in arcs)
+    semiregular = all((j, i) in arcs for i, j in arcs) and any(
+        all(colors[i] != colors[j] for i, j in arcs)
         and all(
             len({out[v] for v in range(n) if colors[v] == side}) == 1
             for side in (0, 1)
@@ -141,12 +143,16 @@ def classify_oracle(g: Digraph) -> dict:
     )
     hi = max(out)
     g_star = (
-        is_strongly_connected_oracle(g)
+        strongly
         and min(out) == 1
         and hi >= (len(arcs) - (n - 1)) / 2
         and any(out[i] == hi and out[j] >= 2 for i, j in arcs)
     )
     return {
+        "is_strongly_connected": strongly,
+        "is_regular": min(out) == hi,
+        # one cycle through every vertex: one arc leaving each
+        "is_directed_cycle": strongly and out == [1] * n,
         "is_bidirectional_star": star,
         "is_bipartite_semiregular": semiregular,
         "is_in_g_star_class": g_star,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -17,10 +18,11 @@ from qbounds import (
     TABLE_ORDER,
     all_bounds,
     bound_generic_f,
-    classify,
     degree_profile,
     from_arc_list,
     gen_bidirectional_complete,
+    gen_bidirectional_star,
+    gen_bipartite_semiregular,
     gen_directed_cycle,
     is_strongly_connected,
     random_corpus,
@@ -30,7 +32,7 @@ from qbounds import (
 import qbounds.bounds as bounds
 
 from conftest import bound, sc_digraphs, digraphs
-from oracles import bound_row_oracle, generic_f_oracle
+from oracles import bound_row_oracle, classify_oracle, generic_f_oracle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -368,10 +370,10 @@ def _witness(cols, k, w, like):
 def _assert_columns_match_rows(graphs):
     columns = _batch(graphs)
     rows = [all_bounds(g) for g in graphs]
-    # the batched structure checks agree with the scalar ones
+    # the batched structure checks agree with their definitions
     assert columns.shape.strongly.tolist() == [is_strongly_connected(g) for g in graphs]
     assert columns.in_g_star_class().tolist() == [
-        classify(g).is_in_g_star_class for g in graphs
+        classify_oracle(g)["is_in_g_star_class"] for g in graphs
     ]
     for c, bid in enumerate(ROW_ORDER):
         values, witnesses = columns.values(bid)
@@ -432,6 +434,81 @@ def test_values_only_equals_values_bitwise():
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), bid
             inapplicable += int(np.isnan(got).sum())
         assert inapplicable
+
+
+def _bidirected_cycles(*lengths):
+    """Disjoint bidirected cycles of the given lengths, side by side."""
+    arcs, first = [], 0
+    for n in lengths:
+        for i in range(n):
+            j = first + (i + 1) % n
+            arcs += [(first + i, j), (j, first + i)]
+        first += n
+    return from_arc_list(first, arcs)
+
+
+def _classification_cases():
+    """Digraphs on every side of the structural flags."""
+    k12 = [(0, 1), (1, 0), (0, 2), (2, 0)]
+    return [
+        gen_bipartite_semiregular(3, 3, 2, 2),  # r = s
+        gen_bipartite_semiregular(2, 4, 2, 1),  # r != s
+        gen_bipartite_semiregular(3, 6, 4, 2),
+        from_arc_list(6, k12 + [(3, 4), (4, 3), (3, 5), (5, 3)]),  # equal stars
+        from_arc_list(7, k12 + [(3, j) for j in (4, 5, 6)]
+                      + [(j, 3) for j in (4, 5, 6)]),  # unequal stars
+        _bidirected_cycles(5),
+        _bidirected_cycles(6),
+        _bidirected_cycles(5, 6),  # an odd cycle next to an even one
+        _bidirected_cycles(4, 6),
+        _bidirected_cycles(3, 3),
+        gen_bidirectional_star(4),
+        gen_bidirectional_star(7),
+        from_arc_list(2, [(0, 1), (1, 0)]),
+        gen_directed_cycle(5),
+        gen_bidirectional_complete(4),
+        from_arc_list(3, [(0, 1), (0, 2), (1, 0), (2, 0), (1, 2)]),  # in G*
+        from_arc_list(3, [(0, 1), (1, 2)]),
+        # bipartite, one outdegree per side, but 0 -> 2 is one-way
+        from_arc_list(5, [(0, 2), (0, 4), (1, 2), (1, 3), (2, 1), (3, 0), (4, 0)]),
+    ]
+
+
+def _assert_classification_equals_oracle(cols, graphs):
+    flags = cols.classification()
+    expected = [classify_oracle(g) for g in graphs]
+    for field in dataclasses.fields(flags):
+        column = getattr(flags, field.name)
+        assert column.dtype == bool, field.name
+        assert column.tolist() == [e[field.name] for e in expected], field.name
+
+
+def test_classification_equals_oracle_on_ragged_batches():
+    cases = _classification_cases()
+    flags = [classify_oracle(g) for g in cases]
+    for name in ("is_bipartite_semiregular", "is_bidirectional_star"):
+        assert {f[name] for f in flags} == {True, False}
+    graphs = cases + _sweep_corpus()
+    random.Random(1).shuffle(graphs)
+    _assert_classification_equals_oracle(BoundColumns.from_graphs(graphs), graphs)
+    for g in cases:
+        _assert_classification_equals_oracle(BoundColumns.from_graphs([g]), [g])
+
+
+def test_classification_equals_oracle_on_tensor_batches():
+    six = [g for g in _classification_cases() if g.n == 6]
+    assert len(six) == 5
+    for graphs in (six, _every_4_vertex_digraph()):
+        _assert_classification_equals_oracle(_batch(graphs), graphs)
+
+
+@given(st.lists(digraphs(), min_size=1, max_size=6), st.data())
+def test_classification_equals_oracle_on_mixed_batches(graphs, data):
+    # each digraph with its arcs made bidirected or not, so the 2-coloring
+    # is reached
+    graphs = [Digraph(g.n, g.arcs | {(j, i) for i, j in g.arcs})
+              if data.draw(st.booleans()) else g for g in graphs]
+    _assert_classification_equals_oracle(BoundColumns.from_graphs(graphs), graphs)
 
 
 def test_batched_columns_reject_empty_and_looped_digraphs():

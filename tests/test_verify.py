@@ -23,6 +23,7 @@ from qbounds import (
     degree_profile,
     from_arc_list,
     gen_bidirectional_complete,
+    gen_bidirectional_star,
     gen_bipartite_semiregular,
     gen_directed_cycle,
     is_strongly_connected,
@@ -36,7 +37,13 @@ import qbounds.bounds as bounds
 import qbounds.verify as verify
 
 from conftest import digraphs
-from oracles import canonical_form_oracle, reconstruct_oracle, sweep_oracle
+from oracles import (
+    SCALAR_INVARIANTS,
+    GraphCase,
+    canonical_form_oracle,
+    reconstruct_oracle,
+    sweep_oracle,
+)
 
 
 # --- corpus -------------------------------------------------------------------
@@ -247,6 +254,19 @@ def test_semiregular_equality_skips_a_one_way_bipartite_digraph():
     assert not classify(g).is_bipartite_semiregular
     s = SweepSlice.of([g], [q])
     assert INVARIANTS["semiregular_equality"](s) == [None]
+
+
+def test_semiregular_equality_failure_renders_as_the_scalar_copy():
+    # a q shifted by 1e-6 off oval_geomean on one semiregular digraph of
+    # the slice; the star next to it is semiregular too and keeps its q
+    graphs = [gen_directed_cycle(3), gen_bipartite_semiregular(2, 3, 3, 2),
+              gen_bidirectional_star(4)]
+    q = [spectral_radius(g).q for g in graphs]
+    q[1] += 1e-6
+    details = INVARIANTS["semiregular_equality"](SweepSlice.of(graphs, q))
+    assert details == [SCALAR_INVARIANTS["semiregular_equality"](GraphCase("", g, x))
+                       for g, x in zip(graphs, q)]
+    assert [d is None for d in details] == [True, False, True]
 
 
 def test_empty_corpus_passes_trivially():
