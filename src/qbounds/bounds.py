@@ -315,15 +315,22 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
     Returns None for bounds without witness semantics (deg_extremes,
     maxdeg_plus_2) and for inapplicable values. The replay evaluates the
     evaluator's own term at the witness alone, so a valid witness
-    reproduces the stored value exactly. A witness arc must be an arc of
-    g (ValueError otherwise).
+    reproduces the stored value exactly. A witness the bound could not
+    have given raises ValueError: an arc not in g, a position outside
+    [0, n), or a vertex outside [0, n) or of outdegree 0.
     """
     if bv.value is None or bv.witness is None:
         return None
     cols = BoundColumns.from_graphs([g])
-    w = bv.witness
-    if isinstance(w, tuple):  # an arc, by its index among the sorted arcs
+    kind, w = _SPECS[bv.id].kind, bv.witness
+    if kind == "arc":  # replayed by its index among the sorted arcs
+        if w not in g.arcs:
+            raise ValueError(f"{bv.id.value} witness {w!r} is not an arc of g")
         (w,) = np.flatnonzero((cols.tail == w[0]) & (cols.head == w[1]))
+    elif not 0 <= w < g.n:
+        raise ValueError(f"{bv.id.value} witness {w!r} lies outside [0, {g.n})")
+    elif kind == "vertex" and cols.outdeg[w] == 0:
+        raise ValueError(f"{bv.id.value} witness {w!r} has outdegree 0")
     return float(cols.replay(bv.id, w))
 
 

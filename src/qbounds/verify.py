@@ -1,6 +1,5 @@
-"""Verification machinery: invariant sweeps over graph corpora, exhaustive
-reconstruction of small digraphs from target value rows, and the
-smallest-bound ranking report.
+"""Verification machinery: invariant sweeps over graph corpora and
+exhaustive reconstruction of small digraphs from target value rows.
 
 Reconstruction searches the space of labeled digraphs on n vertices for
 arc sets whose computed spectral radius and bound row agree with a target
@@ -10,7 +9,7 @@ over arc subsets of that size), fix a per-vertex outdegree sequence
 of more candidates than the budget (DEFAULT_MAX_CANDIDATES unless the
 caller raises it) is refused before the search starts. Matches are
 deduplicated up to digraph isomorphism via a minimum-bitstring canonical
-form.
+form, whose n! relabelings count against the same budget.
 
 The search streams the space in chunks of adjacency tensors. Strong
 connectivity is settled on each chunk's tensor, and the rest are laid
@@ -34,13 +33,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import bounds as _bounds
-from .bounds import BoundColumns, BoundId, BoundValue, all_bounds
-from .digraph import (
-    Digraph,
-    classify,
-    degree_profile,
-    gen_random_strongly_connected,
-)
+from .bounds import BoundColumns, BoundId, all_bounds
+from .digraph import Digraph, degree_profile, gen_random_strongly_connected
 from .edgelist import serialize_edge_list
 from .spectral import DEFAULT_TOL, oval_containment, spectral_radii, spectral_radius
 
@@ -295,8 +289,9 @@ def canonical_form(g: Digraph):
 
     A relabeling perm sets bits perm[i] * n + perm[j], m of them, so the
     minimum is the one whose bits, highest first, sort first. Factorial
-    cost (an n! x m array); meant for the small matches that come out of
-    a reconstruction (n <= 6), not for bulk candidate filtering.
+    cost (n! x n and n! x m arrays, about 3.5 GB at n = 11); meant for the
+    small matches that come out of a reconstruction, not for bulk
+    candidate filtering.
     """
     return _canonical_forms([g])[0]
 
@@ -480,24 +475,14 @@ class CandidateBudgetError(ValueError):
     """A candidate space larger than the search budget."""
 
 
-def _comb_capped(n, k, cap):
-    """comb(n, k), or cap + 1 once it exceeds cap: a few hundred steps at
-    most for a cap of 2^128, whatever n."""
-    count = 1
-    for i in range(min(k, n - k)):
-        count = count * (n - i) // (i + 1)  # comb(n, i + 1)
-        if count > cap:
-            return cap + 1
-    return count
-
-
 def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     """Generator of the target's candidates as boolean adjacency chunks of
     shape (c, n, n), c <= _CHUNK and c n^2 <= _CHUNK_CELLS, in enumeration
     order. The target has validated its constraints; the refusals left
-    here, on the first chunk and before anything is built, are a space of
-    more than max_candidates candidates (CandidateBudgetError), counted
-    first, and then n above _MAX_SEARCH_N (ValueError).
+    here, on the first chunk and before anything is built, are n above
+    _MAX_SEARCH_N (ValueError), which no narrowing helps, and then a space
+    of more than max_candidates candidates (CandidateBudgetError). The
+    count is exact: at n <= 62 the largest, 2^3782 - 1, takes microseconds.
 
     With an outdegree sequence the candidates run through the product of
     per-vertex out-neighborhood combinations, the last vertex fastest;
@@ -506,25 +491,23 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     slots are the pairs (i, j), i != j, in lexicographic order.
     """
     n, m, seq = target.n, target.m, target.outdeg_sequence
-    cap = max(max_candidates, 1 << 128)  # larger counts are not computed
+    if n > _MAX_SEARCH_N:
+        raise ValueError(
+            f"n = {n} is above the search limit of {_MAX_SEARCH_N} vertices")
     if seq is not None:
-        total = 1
-        for d in seq:
-            total = min(total * _comb_capped(n - 1, d, cap), cap + 1)
+        total = math.prod(comb(n - 1, d) for d in seq)
     elif m is not None:
-        total = _comb_capped(n * (n - 1), m, cap)
+        total = comb(n * (n - 1), m)
     else:
-        total = (1 << n * (n - 1)) - 1 if n * (n - 1) <= cap.bit_length() else cap + 1
+        total = (1 << int(n * (n - 1))) - 1  # a numpy n would wrap the shift
     if total > max_candidates:
-        count = f"{total:,}" if total <= cap else f"more than 2^{cap.bit_length() - 1}"
+        # a count past 2^128 runs to hundreds of digits; it is not printed
+        count = f"{total:,}" if total <= 1 << 128 else "more than 2^128"
         raise CandidateBudgetError(
             f"{count} candidates exceed the budget of {max_candidates:,} and are "
             f"not desk scale; fix the arc count m or supply an outdegree "
             f"sequence, or raise max_candidates"
         )
-    if n > _MAX_SEARCH_N:
-        raise ValueError(
-            f"n = {n} is above the search limit of {_MAX_SEARCH_N} vertices")
     slots = np.array([i * n + j for i in range(n) for j in range(n) if i != j])
     if seq is not None:
         # pools[i][c] is the out-neighborhood row of vertex i's c-th choice
@@ -692,17 +675,19 @@ def reconstruct(target: ReconstructionTarget,
     computed q (spectral_radius at its default tolerance) and bound row
     sit within tolerance of the target.
 
-    A space of more than max_candidates candidates (a product of
+    Before the search starts, a budget below 1 is refused with
+    ValueError, then n above bounds.MAX_TENSOR_N = 62 with ValueError,
+    and then a space of more than max_candidates candidates (a product of
     binomials for an outdegree sequence, one binomial for a fixed m,
-    2^(n(n-1)) - 1 otherwise) is refused with CandidateBudgetError, a
-    ValueError, before the search starts; the default budget, 2^23,
-    takes 13 to 20 s. A space within it is refused with ValueError if n
-    is above bounds.MAX_TENSOR_N = 62, and a budget below 1 is refused
-    before anything is counted.
+    2^(n(n-1)) - 1 otherwise) with CandidateBudgetError, a ValueError;
+    the default budget, 2^23, takes 13 to 20 s.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism
-    class, in candidate order. Without a match, the nearest miss is exact:
+    class, in candidate order. That takes n! relabelings when there are
+    two or more, so it too is refused with CandidateBudgetError, after
+    the search, when n! exceeds max_candidates (from n = 11 under the
+    default budget). Without a match, the nearest miss is exact:
     the constraint-satisfying candidate of smallest maximum deviation, the
     earliest one on ties. stages says where the candidates left the
     search.
@@ -713,11 +698,20 @@ def reconstruct(target: ReconstructionTarget,
     for adj in _candidate_space(target, max_candidates):
         search.visit(adj)
 
-    unique = {}
-    forms = _canonical_forms([g for g, _, _ in search.matches])
-    for form, found in zip(forms, search.matches):
-        unique.setdefault(form, found)
-    matches = tuple(_rendered(*found) for found in unique.values())
+    found = search.matches
+    if len(found) > 1:  # one match needs no permutation array
+        relabelings = math.factorial(target.n)
+        if relabelings > max_candidates:
+            raise CandidateBudgetError(
+                f"deduplicating {len(found):,} matches on n = {target.n} vertices "
+                f"takes {relabelings:,} relabelings, over the budget of "
+                f"{max_candidates:,}; narrow the target or raise max_candidates"
+            )
+        unique = {}
+        for form, match in zip(_canonical_forms([g for g, _, _ in found]), found):
+            unique.setdefault(form, match)
+        found = list(unique.values())
+    matches = tuple(_rendered(*match) for match in found)
     return ReconstructionReport(
         target=target,
         matches=matches,
@@ -784,55 +778,3 @@ PRESETS = {
         name="g2",
     ),
 }
-
-
-# ---------------------------------------------------------------------------
-# smallest-bound ranking
-
-
-@dataclass(frozen=True)
-class RemarkReport:
-    """Comparison record around the conditional maxdeg_plus_2 bound and the
-    ranking of the eleven always-reported bounds.
-
-    For members of the g-star class, maxdeg_plus_2 <= arc_deg_sum must
-    hold (the max-outdegree vertex has an out-neighbor of outdegree >= 2,
-    so some arc already sums past max outdegree + 2).
-    """
-
-    in_g_star_class: bool
-    maxdeg_plus_2: BoundValue
-    arc_deg_sum: BoundValue
-    g_star_inequality_holds: bool | None
-    ranking: tuple
-    smallest: BoundId | None
-    second_smallest: BoundId | None
-
-
-def remark_check(g: Digraph) -> RemarkReport:
-    flags = classify(g)
-    row = all_bounds(g)
-    row_by_id = {bv.id: bv for bv in row}
-    plus2 = row_by_id[BoundId.MAXDEG_PLUS_2]
-    arcsum = row_by_id[BoundId.ARC_DEG_SUM]
-    holds = None
-    if flags.is_in_g_star_class and plus2.value is not None and arcsum.value is not None:
-        holds = plus2.value <= arcsum.value
-    applicable = [
-        (bv.id, bv.value)
-        for bv in row
-        if bv.id in _bounds.TABLE_ORDER and bv.value is not None
-    ]
-    order_index = {bid: k for k, bid in enumerate(_bounds.TABLE_ORDER)}
-    ranking = tuple(
-        sorted(applicable, key=lambda item: (item[1], order_index[item[0]]))
-    )
-    return RemarkReport(
-        in_g_star_class=flags.is_in_g_star_class,
-        maxdeg_plus_2=plus2,
-        arc_deg_sum=arcsum,
-        g_star_inequality_holds=holds,
-        ranking=ranking,
-        smallest=ranking[0][0] if ranking else None,
-        second_smallest=ranking[1][0] if len(ranking) > 1 else None,
-    )

@@ -22,6 +22,7 @@ from qbounds import (
     BoundId,
     Digraph,
     RandomCorpusSpec,
+    TABLE_ORDER,
     all_bounds,
     bound_generic_f,
     degree_profile,
@@ -33,7 +34,6 @@ from qbounds import (
     parse_edge_list,
     random_corpus,
     reconstruct,
-    remark_check,
     spectral_radius,
     sweep,
 )
@@ -278,15 +278,22 @@ def test_criterion_7_generic_weight_properties():
             )
 
 
+def _ranking(g):
+    """The applicable TABLE_ORDER entries of g's bound row as (bid, value),
+    smallest value first; the sort is stable, so ties keep column order."""
+    values = {bv.id: bv.value for bv in all_bounds(g)}
+    applicable = [(bid, values[bid]) for bid in TABLE_ORDER if values[bid] is not None]
+    return sorted(applicable, key=lambda item: item[1])
+
+
 def test_criterion_8_smallest_bound_rankings():
     with criterion(8, "tightest-bound ordering on the worked examples"):
         # reconstructed g1: the averaged oval bound wins strictly, the
         # degree-sum weighted bound is runner-up
-        match = _g1_report().matches[0]
-        rep = remark_check(match.digraph)
-        assert rep.smallest is BoundId.OVAL_AVG
-        assert rep.second_smallest is BoundId.WEIGHT_DEG_SUM
-        assert rep.ranking[0][1] < rep.ranking[1][1]  # strict, not tied
+        ranking = _ranking(_g1_report().matches[0].digraph)
+        assert ranking[0][0] is BoundId.OVAL_AVG
+        assert ranking[1][0] is BoundId.WEIGHT_DEG_SUM
+        assert ranking[0][1] < ranking[1][1]  # strict, not tied
 
         # the stored g2 row is internally consistent with the claimed
         # ordering: its smallest entry is the sqrt-product column, then
@@ -299,6 +306,6 @@ def test_criterion_8_smallest_bound_rankings():
         # the ordering claim has no witness; on the bundled candidate,
         # which matches every other column, the actual ranking is
         assert _g2_narrowed_report().matches == ()
-        rep2 = remark_check(_g2_candidate())
-        assert rep2.smallest is BoundId.WEIGHT_DEG_SUM
-        assert rep2.second_smallest is BoundId.OVAL_AVG
+        ranking = _ranking(_g2_candidate())
+        assert ranking[0][0] is BoundId.WEIGHT_DEG_SUM
+        assert ranking[1][0] is BoundId.OVAL_AVG

@@ -183,6 +183,30 @@ def test_witness_value_inapplicable_returns_none(path3):
     assert witness_value(path3, bv) is None
 
 
+@pytest.mark.parametrize("bid, witness, refusal", [
+    # a negative index would wrap to the last vertex and replay 4.0
+    (BoundId.DEG_PLUS_AVG, -1, "witness -1 lies outside"),
+    (BoundId.DEG_PLUS_AVG, 4, "witness 4 lies outside"),
+    (BoundId.INDEG_SQRT, 7, "witness 7 lies outside"),
+    (BoundId.HONG_YOU, -2, "witness -2 lies outside"),
+    (BoundId.HONG_YOU, 4, "witness 4 lies outside"),
+    (BoundId.ARC_DEG_SUM, (0, 0), r"witness \(0, 0\) is not an arc"),
+    (BoundId.OVAL_AVG, (1, 2), r"witness \(1, 2\) is not an arc"),
+])
+def test_witness_value_refuses_witnesses_outside_g(star4, bid, witness, refusal):
+    bv = dataclasses.replace(bound(star4, bid), witness=witness)
+    with pytest.raises(ValueError, match=f"{bid.value} {refusal}"):
+        witness_value(star4, bv)
+
+
+def test_witness_value_refuses_a_vertex_of_outdegree_0(path3):
+    # deg_plus_avg ranges over the vertices of positive outdegree
+    bv = bound(path3, BoundId.DEG_PLUS_AVG)
+    assert witness_value(path3, bv) == bv.value
+    with pytest.raises(ValueError, match="witness 2 has outdegree 0"):
+        witness_value(path3, dataclasses.replace(bv, witness=2))
+
+
 # --- dominance and cross-bound relations ---------------------------------------
 
 

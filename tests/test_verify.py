@@ -29,7 +29,6 @@ from qbounds import (
     is_strongly_connected,
     random_corpus,
     reconstruct,
-    remark_check,
     spectral_radius,
     sweep,
 )
@@ -577,11 +576,14 @@ def test_reconstruct_counts_its_space_before_enumerating():
         (PRESETS["g2"], "1,073,741,823"),
         (ReconstructionTarget(n=12, q=3.0, outdeg_sequence=(5,) * 12),
          f"{math.comb(11, 5) ** 12:,}"),
-        # counts past 2^128 are neither computed nor printed
-        (ReconstructionTarget(n=300, q=3.0), re.escape("more than 2^128")),
-        (ReconstructionTarget(n=3000, q=3.0, m=4_000_000), re.escape("more than 2^128")),
+        # counts past 2^128 are computed exactly but not printed
+        (ReconstructionTarget(n=62, q=3.0), re.escape("more than 2^128")),
+        (ReconstructionTarget(n=62, q=3.0, m=1891), re.escape("more than 2^128")),
+        # a numpy n is counted as the Python int it stands for
+        (ReconstructionTarget(n=np.int64(9), q=3.0), f"{2 ** 72 - 1:,}"),
     ]:
-        with pytest.raises(ValueError, match=f"{count} candidates .*not desk scale"):
+        with pytest.raises(verify.CandidateBudgetError,
+                           match=f"{count} candidates .*not desk scale"):
             reconstruct(target)
     # the unconstrained n = 5 space, 2^20 - 1 candidates, is within budget
     space = verify._candidate_space(ReconstructionTarget(n=5, q=3.0),
@@ -605,19 +607,48 @@ def test_reconstruct_budget_is_raised_explicitly():
 
 
 def test_reconstruct_refuses_more_than_62_vertices():
-    # the count refusal comes first; within the budget n itself is refused
-    with pytest.raises(verify.CandidateBudgetError, match="more than 2"):
-        reconstruct(ReconstructionTarget(n=63, q=3.0))
-    for target in [ReconstructionTarget(n=63, q=3.0, m=1),
-                   ReconstructionTarget(n=2000, q=3.0, m=1)]:
-        space = verify._candidate_space(target, verify.DEFAULT_MAX_CANDIDATES)
+    # the n limit comes before the count, whatever the space's size
+    for target in [ReconstructionTarget(n=63, q=3.0),
+                   ReconstructionTarget(n=63, q=3.0, m=1),
+                   ReconstructionTarget(n=300, q=3.0),
+                   ReconstructionTarget(n=2000, q=3.0, m=1),
+                   ReconstructionTarget(n=3000, q=3.0, m=4_000_000)]:
         with pytest.raises(ValueError, match=f"n = {target.n} .* limit of 62") as info:
-            next(space)
+            reconstruct(target)
         assert not isinstance(info.value, verify.CandidateBudgetError)
     space = verify._candidate_space(ReconstructionTarget(n=62, q=3.0, m=1),
                                     verify.DEFAULT_MAX_CANDIDATES)
     # 545 candidates, the most that fit 2^21 adjacency cells
     assert next(space).shape == (verify._CHUNK_CELLS // 62 ** 2, 62, 62)
+
+
+def _single_arc_target(n):
+    # each of the n(n - 1) single-arc digraphs has q = 1, and all are
+    # isomorphic
+    return ReconstructionTarget(n=n, q=1.0, m=1, require_strongly_connected=False)
+
+
+def test_reconstruct_refuses_to_deduplicate_past_the_budget(monkeypatch):
+    def unbuilt(graphs):
+        raise AssertionError("the permutation array was built")
+
+    monkeypatch.setattr(verify, "_canonical_forms", unbuilt)
+    # 11! = 39,916,800 relabelings exceed the default budget of 2^23
+    with pytest.raises(verify.CandidateBudgetError,
+                       match="110 matches on n = 11 vertices takes 39,916,800"):
+        reconstruct(_single_arc_target(11))
+    with pytest.raises(verify.CandidateBudgetError,
+                       match="90 matches on n = 10 vertices .* budget of 1,000,000"):
+        reconstruct(_single_arc_target(10), max_candidates=10**6)
+    # a single match needs no relabeling: the one complete digraph
+    complete = ReconstructionTarget(n=11, q=20.0, outdeg_sequence=(10,) * 11)
+    assert len(reconstruct(complete, max_candidates=1).matches) == 1
+
+
+def test_reconstruct_deduplicates_within_the_budget():
+    report = reconstruct(_single_arc_target(9))  # 9! = 362,880 relabelings
+    assert report.stages.matched == 72
+    assert [m.digraph for m in report.matches] == [from_arc_list(9, [(0, 1)])]
 
 
 def test_target_rejects_non_integer_counts():
@@ -731,22 +762,23 @@ def test_preset_gstar_constraints():
         assert (profile.max_outdeg, profile.min_outdeg) == (3, 1)
 
 
-# --- remark helper ---------------------------------------------------------------
+# --- the G* inequality ----------------------------------------------------------
 
 
-def test_remark_check_on_complete(k3):
-    rep = remark_check(k3)
-    assert not rep.in_g_star_class
-    assert rep.maxdeg_plus_2.value is None  # min outdegree is 2
-    assert rep.g_star_inequality_holds is None
-    assert rep.ranking[0][1] <= rep.ranking[-1][1]
-    assert rep.smallest in {bid for bid, _ in rep.ranking}
-
-
-def test_remark_check_g_star_inequality():
-    g = from_arc_list(3, [(0, 1), (0, 2), (1, 0), (2, 0), (1, 2)])
-    rep = remark_check(g)
-    assert rep.in_g_star_class
-    assert rep.maxdeg_plus_2.value == 4.0
-    assert rep.arc_deg_sum.value == 4.0
-    assert rep.g_star_inequality_holds
+def test_g_star_members_have_maxdeg_plus_2_at_most_arc_deg_sum():
+    # a G* member's max-outdegree vertex has an out-neighbor of outdegree
+    # at least 2, so that arc's degree sum reaches max outdegree + 2
+    members = {}
+    for n in (2, 3, 4):
+        slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+        masks = np.arange(1, 1 << len(slots))
+        adj = np.zeros((len(masks), n, n), dtype=bool)
+        for b, (i, j) in enumerate(slots):
+            adj[:, i, j] = masks >> b & 1
+        cols = BoundColumns(adj)  # every labeled digraph on n vertices
+        g_star = cols.in_g_star_class()
+        plus2 = cols.values_only(BoundId.MAXDEG_PLUS_2)[g_star]
+        arc_sum = cols.values_only(BoundId.ARC_DEG_SUM)[g_star]
+        assert (plus2 <= arc_sum).all()
+        members[n] = int(np.count_nonzero(g_star))
+    assert members == {2: 0, 3: 6, 4: 1188}  # as classify_oracle counts them
