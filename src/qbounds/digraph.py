@@ -21,20 +21,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_INT = (int, np.integer)
+
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable digraph on vertices 0..n-1 with a nonempty arc set."""
+    """Immutable digraph on vertices 0..n-1 with a nonempty arc set. n
+    and the arc endpoints are Python or numpy ints; anything else raises
+    ValueError."""
 
     n: int
     arcs: frozenset
 
     def __post_init__(self):
+        if not isinstance(self.n, _INT):
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         object.__setattr__(self, "arcs", frozenset(self.arcs))
         for arc in self.arcs:
             i, j = arc
+            if not (isinstance(i, _INT) and isinstance(j, _INT)):
+                raise ValueError(f"arc endpoints must be integers, got ({i!r}, {j!r})")
             if i == j:
                 raise ValueError(f"loop arc ({i}, {j}) is not allowed")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -68,7 +76,7 @@ class Digraph:
 
 def from_arc_list(n: int, pairs) -> Digraph:
     """Build a digraph from an iterable of (i, j) pairs; duplicates collapse."""
-    return Digraph(n, frozenset((int(i), int(j)) for i, j in pairs))
+    return Digraph(n, frozenset((i, j) for i, j in pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +101,10 @@ class GraphData:
 
 def _build_graph_data(g: Digraph) -> GraphData:
     n = g.n
-    keys = np.fromiter((i * n + j for i, j in g.arcs), np.int64, g.m)
+    # int64 arithmetic whatever the endpoints' int type: i * n on an
+    # np.int32 endpoint would wrap once n > 46,340
+    ends = np.fromiter(itertools.chain.from_iterable(g.arcs), np.int64, 2 * g.m)
+    keys = ends[0::2] * n + ends[1::2]
     keys.sort()
     src, dst = np.divmod(keys, n)
     outdeg = np.bincount(src, minlength=n)

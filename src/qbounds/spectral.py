@@ -27,14 +27,13 @@ check, and from the switch on the block's enclosure is the running
 [max lo, min hi] over its iterates.
 
 No n x n matrix is built for the whole graph. Each block is read from
-the sorted arc arrays and multiplies either as a dense n_b x n_b array,
-when it is full enough that a gemv beats a gather (n_b^2 <= _DENSE_FILL
-* (m_b + n_b)), or straight from its arc lists. spectral_radii runs the
-blocks of a whole batch in lockstep groups (dense blocks stacked by exact
-size, arc-list blocks as one disjoint union), each bitwise as it would
-run alone. A group holds O(_GROUP_ENTRIES) floats, plus one dense n_b x
-n_b shifted matrix (and the solver's copy of it) per block of at most
-_NODA_MAX vertices taking Noda steps.
+the sorted arc arrays and multiplies straight from its arc lists, as
+diag * x + bincount(src, x[dst]), with no BLAS call. spectral_radii runs
+the blocks of a whole batch in lockstep groups, each group one disjoint
+union of arc lists, and each block bitwise as it would run alone. A
+group holds O(_GROUP_ENTRIES) floats, plus one dense n_b x n_b shifted
+matrix (and the solver's copy of it) per block of at most _NODA_MAX
+vertices taking Noda steps.
 """
 
 import itertools
@@ -65,16 +64,6 @@ class ConvergenceError(RuntimeError):
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
 
-# A block is stored dense when n_b^2 <= _DENSE_FILL * (m_b + n_b). A gemv
-# streams n_b^2 floats; the arc lists gather and scatter m_b entries at a
-# few times the cost per entry plus a fixed numpy overhead. One matvec on
-# one x86-64 core (OpenBLAS, one thread): n_b = 60 with 400 arcs (ratio
-# 7.8) takes 2.5 us dense and 5.7 us from arcs; n_b = 200 with 1,600 arcs
-# (ratio 22) 9.4 us and 12.1 us; n_b = 400 with 401 arcs 25 us and 6.1 us.
-# Beyond 8 the two are close, and 8 bounds dense storage by 8 (m + n)
-# floats.
-_DENSE_FILL = 8
-
 # A block still open after _NODA_AFTER power steps switches to Noda
 # steps when it has at most _NODA_MAX vertices (its dense shifted matrix
 # then takes at most 2 MB), for at most _NODA_STEPS solves. On a directed
@@ -88,9 +77,10 @@ _NODA_MAX = 512
 _NODA_STEPS = 64
 
 # A lockstep group takes blocks until they hold _GROUP_ENTRIES vertices
-# and arcs; a dense block stores at most _DENSE_FILL floats per entry. A
-# larger block runs alone. This bounds the memory of any batch.
-_GROUP_ENTRIES = 1 << 17
+# and arcs; a larger block runs alone. This bounds the memory of any
+# batch: on 600 random graphs with n = 3..60 the solver's tracemalloc
+# peak is 1.3 MiB at 2^15 and 5.2 MiB at 2^17, with the same results.
+_GROUP_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -118,16 +108,11 @@ class SpectralResult:
 
 
 def _dense_q(diag: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The one place that lays out Q: diag on the diagonal, 1.0 at every
-    arc (src, dst), zero elsewhere. A (k, s) diag lays out k blocks of s
-    vertices as a (k, s, s) stack, vertex v being row v % s of block
-    v // s; no arc may join two blocks."""
-    size = diag.shape[-1]
-    q = np.zeros(diag.shape + (size,))
-    rows = q.reshape(-1, size)
-    vertex = np.arange(diag.size)
-    rows[vertex, vertex % size] = diag.ravel()
-    rows[src, dst % size] = 1.0
+    """The one place that lays out Q, for build_q and for a block's Noda
+    steps: diag on the diagonal, 1.0 at every arc (src, dst), zero
+    elsewhere."""
+    q = np.diag(diag.astype(float))
+    q[src, dst] = 1.0
     return q
 
 
@@ -151,11 +136,11 @@ def _noda_step(shifted: np.ndarray, shifted_diag: np.ndarray, x: np.ndarray):
     return z if np.isfinite(z).all() and (z > 0).all() else None
 
 
-def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
+def _lockstep(graphs, members, tol, max_iter, closed, failed):
     """Collatz-Wielandt iteration on the primitive blocks in members,
     (index, cid) pairs of graph index and component id in graph order,
-    advanced together as one (k, size, size) stack of dense blocks or,
-    for size 0, as one disjoint union of arc lists.
+    advanced together as one disjoint union of arc lists: each step is
+    one y = diag * x + bincount(src, x[dst]) over the whole union.
 
     Every iterate x is positive, so the min and max of (Bx)_i / x_i over
     a block's rows enclose its spectral radius; the first _NODA_AFTER
@@ -188,18 +173,12 @@ def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
     diag, src, dst = (np.concatenate(parts) for parts in (diag, src, dst))
     sizes = np.array(sizes)
     starts = np.cumsum(sizes) - sizes
-    stack = _dense_q(diag.reshape(-1, size), src, dst) if size else None
-    if size:  # from here on the stack holds the arcs
-        src = dst = None
     owners = list(members)
     switched = np.zeros(len(owners), dtype=bool)
     noda = []  # from the switch on, per block: [-B, solves] or None
     x = np.ones(len(diag))
     for iteration in range(1, max_iter + 1):
-        if size:
-            y = (stack @ x.reshape(-1, size, 1)).reshape(-1)
-        else:
-            y = diag * x + np.bincount(src, weights=x[dst], minlength=len(x))
+        y = diag * x + np.bincount(src, weights=x[dst], minlength=len(x))
         ratios = y / x
         hi = np.maximum.reduceat(ratios, starts)
         lo = np.minimum.reduceat(ratios, starts)
@@ -219,12 +198,10 @@ def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
                 return
             # drop the closed blocks and renumber the vertices left
             open_vertex = np.repeat(keep, sizes)
-            if not size:
-                renumber = np.cumsum(open_vertex) - 1
-                arcs = open_vertex[src]
-                src, dst = renumber[src[arcs]], renumber[dst[arcs]]
+            renumber = np.cumsum(open_vertex) - 1
+            arcs = open_vertex[src]
+            src, dst = renumber[src[arcs]], renumber[dst[arcs]]
             x, y, diag = x[open_vertex], y[open_vertex], diag[open_vertex]
-            stack = stack[keep] if size else None
             lo, hi, sizes, switched = lo[keep], hi[keep], sizes[keep], switched[keep]
             starts = np.cumsum(sizes) - sizes
             kept = keep.tolist()
@@ -235,9 +212,6 @@ def _lockstep(graphs, members, size, tol, max_iter, closed, failed):
             switched = sizes <= _NODA_MAX
             noda = [None] * len(owners)
             for b in np.flatnonzero(switched).tolist():
-                if size:
-                    noda[b] = [-stack[b], 0]
-                    continue
                 a, n_b = starts[b], sizes[b]
                 arcs = (src >= a) & (src < a + n_b)
                 noda[b] = [-_dense_q(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a), 0]
@@ -262,37 +236,35 @@ def spectral_radii(graphs, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> list:
     """The SpectralResult of each digraph in graphs, in order.
 
-    A first pass finds every block of size > 1 and its storage. Dense
-    blocks are grouped by exact size, the others by arc lists, up to
-    _GROUP_ENTRIES a group; each group is built, run in lockstep
-    (_lockstep) and dropped before the next. Each result is bitwise
-    independent of the rest of the batch. A block still open after
+    A first pass finds every block of size > 1 and groups the blocks, in
+    input order, up to _GROUP_ENTRIES vertices and arcs a group; each
+    group is built, run in lockstep (_lockstep) and dropped before the
+    next. Each result is bitwise independent of the rest of the batch.
+    max_iter must be an integer of at least 1. A block still open after
     max_iter matvecs raises ConvergenceError for the first such graph in
     input order, with the message and enclosure spectral_radius gives.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     graphs = list(graphs)
-    groups, loads = {}, {}  # (dense block size or 0 for arcs, part): blocks
+    groups, load = [], 0
     for index, g in enumerate(graphs):
         data = g.data
         sizes = np.bincount(data.component_of)
         tails = data.component_of[data.src]
-        arc_counts = np.bincount(tails[tails == data.component_of[data.dst]],
-                                 minlength=len(sizes))
+        entries = sizes + np.bincount(tails[tails == data.component_of[data.dst]],
+                                      minlength=len(sizes))
         for cid in np.flatnonzero(sizes > 1).tolist():
-            size, entries = int(sizes[cid]), int(arc_counts[cid] + sizes[cid])
-            kind = size if size * size <= _DENSE_FILL * entries else 0
-            part, load = loads.get(kind, (0, 0))
-            if load and load + entries > _GROUP_ENTRIES:
-                part, load = part + 1, 0
-            loads[kind] = (part, load + entries)
-            groups.setdefault((kind, part), []).append((index, cid))
+            if not groups or load + entries[cid] > _GROUP_ENTRIES:
+                groups.append([])
+                load = 0
+            load += entries[cid]
+            groups[-1].append((index, cid))
     closed, failed = {}, []
-    for (size, _), members in groups.items():
-        _lockstep(graphs, members, size, tol, max_iter, closed, failed)
+    for members in groups:
+        _lockstep(graphs, members, tol, max_iter, closed, failed)
     if failed:
         _, _, size, lo, hi = min(failed)
         raise ConvergenceError(

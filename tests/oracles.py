@@ -245,11 +245,7 @@ def _dense_block(diag, src, dst):
 
 
 def _block_matvec(diag, src, dst):
-    size = len(diag)
-    if size * size <= spectral._DENSE_FILL * (len(src) + size):
-        block = _dense_block(diag, src, dst)
-        return lambda x: block @ x
-    return lambda x: diag * x + np.bincount(src, weights=x[dst], minlength=size)
+    return lambda x: diag * x + np.bincount(src, weights=x[dst], minlength=len(diag))
 
 
 def _noda_step(shifted, shifted_diag, x):

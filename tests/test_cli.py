@@ -487,11 +487,12 @@ def test_reconstruct_narrowing_hint_only_on_refusal(capsys):
 
 # --- golden outputs -----------------------------------------------------------------
 #
-# Each file under data/golden holds the exact stdout of one command. The
+# Each file under data/golden holds the exact stdout of one command. Most
 # commands print no number that depends on floating-point summation
 # order: regular digraphs, where q = 2d after one matvec with residual 0,
 # reducible digraphs made of size-one blocks, and the tables and pass
-# counts of sweep and reconstruct.
+# counts of sweep and reconstruct. The g2 candidate and the G* search
+# print q to the last bit, so they pin the solver's summation order.
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CYCLE5 = "n 5; 1 2; 2 3; 3 4; 4 5; 5 1"
@@ -506,9 +507,14 @@ GOLDEN_COMMANDS = {
     "compute_k4_json": ["compute", "--inline", K4, "--format", "json"],
     "compute_k4_csv": ["compute", "--inline", K4, "--format", "csv"],
     "compute_path3_table": ["compute", "--inline", "n 3; 1 2; 2 3"],
+    "compute_g2_candidate_json": [
+        "compute", "--input", str(Path(__file__).parent / "data" / "g2_candidate.edges"),
+        "--format", "json",
+    ],
     "sweep_readme_table": README_SWEEP,
     "sweep_readme_json": README_SWEEP + ["--format", "json"],
     "reconstruct_gstar_table": ["reconstruct", "--preset", "gstar"],
+    "reconstruct_gstar_json": ["reconstruct", "--preset", "gstar", "--format", "json"],
     "reconstruct_g1_table": ["reconstruct", "--preset", "g1"],
     "reconstruct_custom_n3_table": [
         "reconstruct", "--n", "3", "--q", "2.0", "--row", "arc_deg_sum=2.0",

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,36 @@ def test_rejects_empty_arc_set():
 def test_rejects_nonpositive_order():
     with pytest.raises(ValueError):
         Digraph(0, frozenset([(0, 1)]))
+
+
+@pytest.mark.parametrize("n, arcs, value", [
+    # 0.5 * 3 + 1 would truncate to the key of the arc (0, 2)
+    (3, [(0.5, 1), (1, 2), (2, 0)], "0.5"),
+    (3, [(0, 1), (1, 2.0), (2, 0)], "2.0"),
+    (3, [(0, 1), (1, 2), (2, "0")], "'0'"),
+    # 3.0 would compare equal to 3 but fail every array cast
+    (3.0, [(0, 1), (1, 2), (2, 0)], "3.0"),
+    (np.float64(3), [(0, 1), (1, 2), (2, 0)], "3.0"),
+])
+def test_rejects_non_integers(n, arcs, value):
+    with pytest.raises(ValueError, match=re.escape(value)):
+        Digraph(n, frozenset(arcs))
+
+
+def test_from_arc_list_does_not_truncate():
+    with pytest.raises(ValueError, match="1.9"):
+        from_arc_list(3, [(1.9, 0), (0, 2), (2, 1)])
+
+
+def test_numpy_ints_are_integers():
+    arcs = [(0, 1), (1, 2), (2, 0)]
+    g = Digraph(np.int64(3), frozenset((np.int32(i), np.int64(j)) for i, j in arcs))
+    assert g == from_arc_list(3, arcs)
+    assert g.data.src.tolist() == [0, 1, 2]
+    # 49,999 * 50,000 does not fit an int32
+    ends = np.int32(0), np.int32(49_999)
+    wide = from_arc_list(50_000, [ends, ends[::-1]])
+    assert wide.sorted_arcs() == [(0, 49_999), (49_999, 0)]
 
 
 def test_duplicate_arcs_collapse():

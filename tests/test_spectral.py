@@ -17,6 +17,7 @@ from qbounds import (
     gen_bidirectional_complete,
     gen_bidirectional_star,
     gen_directed_cycle,
+    gen_random_strongly_connected,
     oval_containment,
     spectral,
     spectral_radii,
@@ -115,6 +116,10 @@ def test_non_finite_tolerance_rejected(c3, tol):
 def test_bad_max_iter_rejected(c3):
     with pytest.raises(ValueError):
         spectral_radius(c3, max_iter=0)
+    # not a TypeError from range
+    with pytest.raises(ValueError, match="2.5"):
+        spectral_radii([c3], max_iter=2.5)
+    assert spectral_radii([c3], max_iter=np.int64(1)) == [spectral_radius(c3)]
 
 
 def test_non_convergence_raises(star4):
@@ -149,28 +154,17 @@ def test_tolerance_controls_enclosure(g, tol):
     assert r.q == pytest.approx(spectral_radius_oracle(g), abs=max(tol * 10, 1e-8))
 
 
-# --- block storage: dense gemv and arc-list matvec ------------------------------
+# --- block storage: every block multiplies from its arc lists -----------------
 
 
-def _assert_sides_agree(g):
-    """Run spectral_radius(g) with every block forced dense, then with
-    every block forced onto arc lists (where building a dense block
-    fails), and compare both with each other and with the oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_DENSE_FILL", math.inf)
-        dense = spectral_radius(g)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_DENSE_FILL", 0)
-        mp.setattr(spectral, "_dense_q", None)
-        arcs = spectral_radius(g)
-    assert abs(dense.q - arcs.q) <= 1e-12
-    oracle = spectral_radius_oracle(g)
-    for r in (dense, arcs):
-        assert r.q == pytest.approx(oracle, abs=1e-6)
-        assert r.residual <= spectral.DEFAULT_TOL
-    assert [cid for cid, _ in dense.per_component] == [
-        cid for cid, _ in arcs.per_component
-    ]
+def _assert_matches_oracle(g):
+    """Compare spectral_radius(g), whose blocks multiply from their arc
+    lists, with the dense eigenvalue oracle; every component reports,
+    in component order."""
+    r = spectral_radius(g)
+    assert r.q == pytest.approx(spectral_radius_oracle(g), abs=1e-6)
+    assert r.residual <= spectral.DEFAULT_TOL
+    assert [cid for cid, _ in r.per_component] == list(range(len(g.data.components)))
 
 
 def _union(*parts, links=()):
@@ -204,23 +198,22 @@ MULTI_SCC_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(MULTI_SCC_GRAPHS))
 def test_block_storage_sides_agree_on_multi_scc_graphs(name):
-    _assert_sides_agree(MULTI_SCC_GRAPHS[name])
+    _assert_matches_oracle(MULTI_SCC_GRAPHS[name])
 
 
 @given(digraphs(max_n=8))
 def test_block_storage_sides_agree(g):
-    _assert_sides_agree(g)
+    _assert_matches_oracle(g)
 
 
 @given(sc_digraphs(max_n=8))
 def test_block_storage_sides_agree_strongly_connected(g):
-    _assert_sides_agree(g)
+    _assert_matches_oracle(g)
 
 
 def test_sparse_block_takes_arc_lists():
-    # n_b^2 = 16e6 far exceeds _DENSE_FILL * (m_b + n_b) = 64,000, so the
-    # cycle multiplies from its arcs; a dense Q plus a dense copy of its
-    # one block would take 256 MB
+    # the cycle's one block multiplies from its 4,000 arcs; a dense Q plus
+    # a dense copy of that block would take 256 MB
     g = gen_directed_cycle(4000)
     tracemalloc.start()
     try:
@@ -230,6 +223,18 @@ def test_sparse_block_takes_arc_lists():
         tracemalloc.stop()
     assert r.q == 2.0
     assert peak < 16 * 2**20
+
+
+_TWO_K100 = _union(gen_bidirectional_complete(100), gen_bidirectional_complete(100),
+                   links=[(0, 100), (100, 0)])
+
+
+@pytest.mark.parametrize("g", [gen_random_strongly_connected(300, 0.5, 1), _TWO_K100],
+                         ids=["random_300", "two_k100"])
+def test_dense_blocks_take_arc_lists(g):
+    # blocks this full multiply from their arcs as well: 45,160 arcs on
+    # 300 vertices, and 19,802 on 200
+    _assert_certified(spectral_radius(g), g)
 
 
 # --- row-sum brackets and similarity transforms -------------------------------
@@ -492,28 +497,31 @@ def _batch_corpus():
 def test_batch_is_bitwise_equal_to_per_block_solver():
     graphs = _batch_corpus()
     expected = [per_block_spectral_radius(g) for g in graphs]
-    # one mixed batch: dense stacks of every size, the arc-list union,
-    # multi-block graphs and the blocks that take Noda steps
+    # one mixed batch: blocks of every size and fill, multi-block graphs
+    # and the blocks that take Noda steps
     assert spectral_radii(graphs) == expected
+    # groups of one block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_GROUP_ENTRIES", 1)
+        assert spectral_radii(graphs) == expected
     # one graph at a time: a result does not depend on the rest of its batch
     assert [spectral_radius(g) for g in graphs] == expected
 
 
 @given(digraphs())
 def test_batch_of_forced_storage_is_bitwise_equal(g):
-    # every block dense, every block on arc lists, and groups of one block
-    for fill, entries in ((0, spectral._GROUP_ENTRIES), (math.inf, 1), (0, 1)):
+    # the default groups, and groups of one block
+    for entries in (spectral._GROUP_ENTRIES, 1):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_DENSE_FILL", fill)
             mp.setattr(spectral, "_GROUP_ENTRIES", entries)
             batch = spectral_radii([g, gen_directed_cycle(5), g])
             assert batch[0] == batch[2] == per_block_spectral_radius(g)
 
 
 def test_batch_memory_is_bounded_by_group_size():
-    # 800 dense 40-vertex blocks hold 1,280,000 vertices and arcs; in one
-    # group their stack and arc arrays would peak near 39 MB, in groups of
-    # _GROUP_ENTRIES near 4 MB
+    # 800 complete 40-vertex blocks hold 1,280,000 vertices and arcs; in
+    # one group their arc arrays would peak near 39 MB, in groups of
+    # _GROUP_ENTRIES near 1 MB
     g = gen_bidirectional_complete(40)
     tracemalloc.start()
     try:
@@ -523,24 +531,6 @@ def test_batch_memory_is_bounded_by_group_size():
         tracemalloc.stop()
     assert batch == [spectral_radius(g)] * 800
     assert peak < 8 * 2**20
-
-
-def test_stacked_matmul_equals_gemv():
-    # Dense groups multiply a (k, s, s) stack in one np.matmul call and
-    # rely on it giving each block bitwise what B @ x gives alone. Should
-    # this ever fail on some BLAS, dense groups must fall back to one
-    # gemv per block.
-    rng = np.random.default_rng(0)
-    for size in range(2, 81):
-        for k in (1, 3, 8):
-            stack = (rng.random((k, size, size)) < 0.3).astype(float)
-            stack += np.diag(rng.integers(1, size, size).astype(float))
-            x = rng.random(k * size) + 0.5
-            stacked = (stack @ x.reshape(k, size, 1)).reshape(-1)
-            alone = np.concatenate(
-                [stack[b] @ x[b * size:(b + 1) * size] for b in range(k)]
-            )
-            assert np.array_equal(stacked, alone), (size, k)
 
 
 def test_empty_batch():
