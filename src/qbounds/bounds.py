@@ -47,24 +47,6 @@ class BoundId(enum.Enum):
     MAXDEG_PLUS_2 = "maxdeg_plus_2"
 
 
-# Fixed comparison-row order: the five classical bounds, then the newer
-# family, with the conditional maxdeg_plus_2 bound appended last.
-TABLE_ORDER = (
-    BoundId.ARC_DEG_SUM,
-    BoundId.DEG_PLUS_AVG,
-    BoundId.OVAL_AVG,
-    BoundId.INDEG_SQRT,
-    BoundId.HONG_YOU,
-    BoundId.DEG_EXTREMES,
-    BoundId.OVAL_GEOMEAN,
-    BoundId.WEIGHT_SQRT_PROD,
-    BoundId.WEIGHT_DEG_SUM,
-    BoundId.WEIGHT_SQRT_SUM,
-    BoundId.WEIGHT_SUM_SQRT,
-)
-ROW_ORDER = TABLE_ORDER + (BoundId.MAXDEG_PLUS_2,)
-
-
 ArcWeightFunction = Callable[[int, int], float]
 
 
@@ -225,7 +207,9 @@ def _reason(conditions, shape):
 # kind says what the term ranges over and what the witness is: "arc"
 # (maximum over arcs), "vertex" (maximum over vertices of positive
 # outdegree), "position" (minimum over sorted-outdegree positions) or
-# "graph" (one value, no witness).
+# "graph" (one value, no witness). The table is written in the fixed
+# comparison-row order, ROW_ORDER: the five classical bounds, then the
+# newer family, with the conditional maxdeg_plus_2 bound appended last.
 
 
 class _Spec(NamedTuple):
@@ -242,21 +226,18 @@ _SPECS = {
     BoundId.HONG_YOU: _Spec("position", _term_hong_you),
     BoundId.DEG_EXTREMES: _Spec("graph", _term_deg_extremes, (_SC, _N3)),
     BoundId.OVAL_GEOMEAN: _Spec("arc", _term_oval_geomean, (_SC,)),
-    BoundId.WEIGHT_SQRT_PROD: _Spec(
-        "arc", _term_weight_sqrt_prod, (_HEADS_POSITIVE,)
-    ),
+    BoundId.WEIGHT_SQRT_PROD: _Spec("arc", _term_weight_sqrt_prod, (_HEADS_POSITIVE,)),
     BoundId.WEIGHT_DEG_SUM: _Spec("arc", _term_weight_deg_sum, (_HEADS_POSITIVE,)),
-    BoundId.WEIGHT_SQRT_SUM: _Spec(
-        "arc", _term_weight_sqrt_sum, (_HEADS_POSITIVE,)
-    ),
-    BoundId.WEIGHT_SUM_SQRT: _Spec(
-        "arc", _term_weight_sum_sqrt, (_HEADS_POSITIVE,)
-    ),
+    BoundId.WEIGHT_SQRT_SUM: _Spec("arc", _term_weight_sqrt_sum, (_HEADS_POSITIVE,)),
+    BoundId.WEIGHT_SUM_SQRT: _Spec("arc", _term_weight_sum_sqrt, (_HEADS_POSITIVE,)),
     BoundId.MAXDEG_PLUS_2: _Spec(
         "graph", _term_maxdeg_plus_2,
         (_SC, _N3, _MIN_OUTDEG_1, _MAX_OUTDEG_SIDE),
     ),
 }
+
+ROW_ORDER = tuple(_SPECS)
+TABLE_ORDER = ROW_ORDER[:-1]
 
 
 # --- public API -------------------------------------------------------------
@@ -313,20 +294,28 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
     """Recompute the term the witness claims attains the bound.
 
     Returns None for bounds without witness semantics (deg_extremes,
-    maxdeg_plus_2) and for inapplicable values. The replay evaluates the
-    evaluator's own term at the witness alone, so a valid witness
-    reproduces the stored value exactly. A witness the bound could not
-    have given raises ValueError: an arc not in g, a position outside
-    [0, n), or a vertex outside [0, n) or of outdegree 0.
+    maxdeg_plus_2, whatever witness they carry) and for inapplicable
+    values. The replay evaluates the evaluator's own term at the witness
+    alone, so a valid witness reproduces the stored value exactly. A
+    value it could not have given raises ValueError: a bound outside
+    ROW_ORDER (generic_weight), an arc witness that is not an arc of g,
+    or a position or vertex witness that is not an integer (bool and
+    float included), lies outside [0, n), or is a vertex of outdegree 0.
     """
-    if bv.value is None or bv.witness is None:
+    if bv.id not in _SPECS:
+        raise ValueError(f"{bv.id.value} has no term in the bound table to replay")
+    kind, w = _SPECS[bv.id].kind, bv.witness
+    if bv.value is None or w is None or kind == "graph":
         return None
     cols = BoundColumns.from_graphs([g])
-    kind, w = _SPECS[bv.id].kind, bv.witness
     if kind == "arc":  # replayed by its index among the sorted arcs
-        if w not in g.arcs:
+        ints = isinstance(w, tuple) and all(
+            np.issubdtype(type(x), np.integer) for x in w)
+        if not (ints and w in g.arcs):
             raise ValueError(f"{bv.id.value} witness {w!r} is not an arc of g")
         (w,) = np.flatnonzero((cols.tail == w[0]) & (cols.head == w[1]))
+    elif not np.issubdtype(type(w), np.integer):  # refuses bool and float
+        raise ValueError(f"{bv.id.value} witness {w!r} is not an integer")
     elif not 0 <= w < g.n:
         raise ValueError(f"{bv.id.value} witness {w!r} lies outside [0, {g.n})")
     elif kind == "vertex" and cols.outdeg[w] == 0:
@@ -548,10 +537,7 @@ class BoundColumns:
         """(values, terms): each digraph's best term, NaN where the bound
         is inapplicable, and the terms it was taken from."""
         spec = _SPECS[bid]
-        # inapplicable digraphs and vertices of outdegree 0 may divide by
-        # zero; both are masked out below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = best = spec.term(*self._inputs(spec.kind))
+        terms = best = self.replay(bid)
         if spec.kind == "vertex":
             # m(i) is undefined at outdegree 0; the max runs over the rest
             terms = np.where(self.outdeg > 0, terms, -np.inf)
@@ -581,9 +567,13 @@ class BoundColumns:
         first = np.minimum.reduceat(first, starts)
         return values, np.where(np.isnan(values), -1, first)
 
-    def replay(self, bid: BoundId, witnesses):
-        """The bound's term at each witness of values(bid) alone;
-        meaningless at -1."""
+    def replay(self, bid: BoundId, at=slice(None)):
+        """The bound's term at any elements of its kind, given as batch
+        indices of arcs, vertices, sorted positions or digraphs (all of
+        them by default): the witnesses of values(bid), say, meaningless
+        at -1. Inapplicable digraphs and vertices of outdegree 0 may
+        divide by zero, silently; the caller masks them out."""
         spec = _SPECS[bid]
-        return spec.term(*self._inputs(spec.kind, witnesses))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return spec.term(*self._inputs(spec.kind, at))
 

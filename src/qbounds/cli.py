@@ -24,7 +24,7 @@ import json
 import signal
 import sys
 
-from .bounds import BoundId, ROW_ORDER, all_bounds
+from .bounds import _SPECS, ROW_ORDER, all_bounds
 from .digraph import classify
 from .edgelist import EdgeListParseError, parse_edge_list, serialize_edge_list
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
@@ -131,14 +131,13 @@ def _read_graph(args):
 
 
 def _witness_payload(bv):
-    """Witness rendered with 1-based ids, tagged by kind."""
+    """Witness rendered with 1-based ids, tagged by its bound's kind."""
     if bv.witness is None:
         return None, None
-    if bv.id is BoundId.HONG_YOU:
-        return "sorted_position", bv.witness + 1
-    if isinstance(bv.witness, tuple):
-        return "arc", [bv.witness[0] + 1, bv.witness[1] + 1]
-    return "vertex", bv.witness + 1
+    kind = _SPECS[bv.id].kind
+    if kind == "arc":
+        return kind, [bv.witness[0] + 1, bv.witness[1] + 1]
+    return ("sorted_position" if kind == "position" else kind), bv.witness + 1
 
 
 def _compute_report(g, tol, max_iter):
@@ -205,13 +204,11 @@ def _render_compute_table(report):
             )
             continue
         marker = " =" if entry["equals_q"] else "  "
-        witness = ""
-        if entry["witness_kind"] == "arc":
-            witness = "arc {}->{}".format(*entry["witness"])
-        elif entry["witness_kind"] == "vertex":
-            witness = f"vertex {entry['witness']}"
-        elif entry["witness_kind"] == "sorted_position":
-            witness = f"sorted position {entry['witness']}"
+        kind, witness = entry["witness_kind"], entry["witness"] or ""
+        if kind == "arc":
+            witness = "arc {}->{}".format(*witness)
+        elif kind:  # vertex or sorted_position
+            witness = f"{kind.replace('_', ' ')} {witness}"
         lines.append(
             f"{entry['id']:<18} {entry['value']:>9.4f}{marker}  {witness}"
         )

@@ -154,8 +154,7 @@ def _inv_bracket_plain_rows(s):
 def _inv_bracket_deg_avg(s):
     # rows of D^-1 Q D: d(i) + m(i), defined when every outdegree is positive
     cols = s.cols
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sums = cols.outdeg + cols.two_outdeg / cols.outdeg
+    sums = cols.replay(BoundId.DEG_PLUS_AVG)
     return _row_sum_bracket(s, np.minimum.reduceat(sums, cols.vertex_start),
                             np.maximum.reduceat(sums, cols.vertex_start),
                             "degree-average", cols.shape.lo > 0)
@@ -201,8 +200,7 @@ def _inv_q_exceeds_max_outdeg(s):
 
 def _inv_witness_consistency(s):
     # graph bounds and inapplicable ones have witness -1 and are skipped
-    with np.errstate(divide="ignore", invalid="ignore"):
-        replays = {bid: s.cols.replay(bid, w) for bid, (_, w) in s.row.items()}
+    replays = {bid: s.cols.replay(bid, w) for bid, (_, w) in s.row.items()}
     off = np.array([(w >= 0) & (replays[bid] != v) for bid, (v, w) in s.row.items()])
     return _first_bound(s, off, lambda bid, k: (
         f"witness replay for {bid.value} gives {replays[bid][k].item()!r}, "
@@ -289,10 +287,16 @@ def canonical_form(g: Digraph):
 
     A relabeling perm sets bits perm[i] * n + perm[j], m of them, so the
     minimum is the one whose bits, highest first, sort first. Factorial
-    cost (n! x n and n! x m arrays, about 3.5 GB at n = 11); meant for the
-    small matches that come out of a reconstruction, not for bulk
-    candidate filtering.
+    cost (n! x n and n! x m arrays), so n! above DEFAULT_MAX_CANDIDATES
+    (n >= 11, which would take 3.5 GB) raises CandidateBudgetError before
+    anything is built; meant for the small matches that come out of a
+    reconstruction, not for bulk candidate filtering.
     """
+    relabelings = math.factorial(g.n)
+    if relabelings > DEFAULT_MAX_CANDIDATES:
+        raise CandidateBudgetError(
+            f"a canonical form on n = {g.n} vertices takes {relabelings:,} "
+            f"relabelings, over the budget of {DEFAULT_MAX_CANDIDATES:,}")
     return _canonical_forms([g])[0]
 
 
@@ -440,26 +444,9 @@ _CHUNK_CELLS = 1 << 21
 # Most Collatz-Wielandt steps spent on one candidate's q interval.
 _CW_ITERATIONS = 64
 
-# Widening of every q interval on top of the solver tolerance; it covers
-# the rounding of both the interval and spectral_radius.
-_Q_SLACK = 1e-9
-
-# Bound columns in evaluation order: degree-sequence columns first, arc
-# scans after, so that most rejections happen on the cheap columns.
-_COLUMN_ORDER = (
-    BoundId.DEG_PLUS_AVG,
-    BoundId.HONG_YOU,
-    BoundId.DEG_EXTREMES,
-    BoundId.MAXDEG_PLUS_2,
-    BoundId.ARC_DEG_SUM,
-    BoundId.INDEG_SQRT,
-    BoundId.WEIGHT_DEG_SUM,
-    BoundId.OVAL_AVG,
-    BoundId.OVAL_GEOMEAN,
-    BoundId.WEIGHT_SQRT_PROD,
-    BoundId.WEIGHT_SQRT_SUM,
-    BoundId.WEIGHT_SUM_SQRT,
-)
+# Widening of every q interval: the solver tolerance, plus 1e-9 for the
+# rounding of both the interval and spectral_radius.
+_Q_SLACK = DEFAULT_TOL + 1e-9
 
 
 # The largest candidate space a search takes unless the caller raises the
@@ -467,8 +454,6 @@ _COLUMN_ORDER = (
 # unconstrained n = 5 space, with a full bound row, one column or q alone
 # (one core of a shared 2-core x86-64 machine).
 DEFAULT_MAX_CANDIDATES = 1 << 23
-
-_MAX_SEARCH_N = _bounds.MAX_TENSOR_N
 
 
 class CandidateBudgetError(ValueError):
@@ -480,7 +465,7 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     shape (c, n, n), c <= _CHUNK and c n^2 <= _CHUNK_CELLS, in enumeration
     order. The target has validated its constraints; the refusals left
     here, on the first chunk and before anything is built, are n above
-    _MAX_SEARCH_N (ValueError), which no narrowing helps, and then a space
+    bounds.MAX_TENSOR_N (ValueError), which no narrowing helps, and then a space
     of more than max_candidates candidates (CandidateBudgetError). The
     count is exact: at n <= 62 the largest, 2^3782 - 1, takes microseconds.
 
@@ -491,9 +476,9 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     slots are the pairs (i, j), i != j, in lexicographic order.
     """
     n, m, seq = target.n, target.m, target.outdeg_sequence
-    if n > _MAX_SEARCH_N:
+    if n > _bounds.MAX_TENSOR_N:
         raise ValueError(
-            f"n = {n} is above the search limit of {_MAX_SEARCH_N} vertices")
+            f"n = {n} is above the search limit of {_bounds.MAX_TENSOR_N} vertices")
     if seq is not None:
         total = math.prod(comb(n - 1, d) for d in seq)
     elif m is not None:
@@ -557,16 +542,15 @@ class _Search:
     q interval. Every other candidate goes through the scalar path, which
     adds only q from spectral_radius to the batch's row deviation; the
     search never calls all_bounds. Which candidates settle, and at which
-    stage, does not depend on _CHUNK.
+    stage, does not depend on _CHUNK or on the order of the columns.
     """
 
     def __init__(self, target: ReconstructionTarget):
         self.target = target
-        expected = dict(target.row)
-        self.columns = [
-            (bid, expected[bid]) for bid in _COLUMN_ORDER if bid in expected
-        ]
-        self.slack = DEFAULT_TOL + _Q_SLACK
+        # (bid, expected value), arc columns last: arc terms scan every
+        # arc, the other kinds read per-vertex or per-digraph degree data
+        self.columns = sorted(
+            target.row, key=lambda column: _bounds._SPECS[column[0]].kind == "arc")
         self.visited = 0
         self.counts = {
             f.name: 0 for f in dataclasses.fields(ReconstructionStages)
@@ -577,15 +561,15 @@ class _Search:
         # miss; -inf once something matches, as no nearest miss is reported
         self.best = math.inf
 
-    def settled(self, dev, q_lo, q_hi, best):
+    def settled(self, dev, q_lo, q_hi):
         """Whether the deviation, bounded below from the exact row deviation
         and the q interval, exceeds the tolerance and is no better than
-        best. Works elementwise on arrays."""
+        self.best. Works elementwise on arrays."""
         q_gap = np.maximum(
-            q_lo - self.slack - self.target.q, self.target.q - q_hi - self.slack
+            q_lo - _Q_SLACK - self.target.q, self.target.q - q_hi - _Q_SLACK
         )
         lower = np.maximum(dev, q_gap)
-        return (lower > self.target.tolerance) & (lower >= best)
+        return (lower > self.target.tolerance) & (lower >= self.best)
 
     def visit(self, adj):
         count = len(adj)
@@ -601,26 +585,25 @@ class _Search:
         self.counts["structurally_rejected"] += count - len(adj)
 
         # exact row deviation, column by column, dropping candidates as
-        # soon as it settles them
-        best = self.best
+        # soon as it settles them; self.best holds until the stretch loop
         dev = np.zeros(len(cols))
         for bid, expected in self.columns:
             values = cols.values_only(bid)
             dev = np.maximum(
                 dev, np.where(np.isnan(values), np.inf, np.abs(values - expected))
             )
-            out = self.settled(dev, -np.inf, np.inf, best)
+            out = self.settled(dev, -np.inf, np.inf)
             if out.any():
                 self.counts["bound_rejected"] += int(np.count_nonzero(out))
                 adj, cols, dev = adj[~out], cols.select(~out), dev[~out]
 
-        q_lo, q_hi = self.q_interval(adj, cols, dev, best)
+        q_lo, q_hi = self.q_interval(adj, cols, dev)
         # only evaluate moves best, so each stretch up to the next candidate
         # to evaluate settles as one array; what by_row settles, by_q does
         k = 0
         while k < len(cols):
-            by_row = self.settled(dev[k:], -np.inf, np.inf, self.best)
-            by_q = self.settled(dev[k:], q_lo[k:], q_hi[k:], self.best)
+            by_row = self.settled(dev[k:], -np.inf, np.inf)
+            by_q = self.settled(dev[k:], q_lo[k:], q_hi[k:])
             stop = k + int(np.append(by_q, False).argmin())  # first open or end
             rejected = int(np.count_nonzero(by_row[:stop - k]))
             self.counts["bound_rejected"] += rejected
@@ -629,13 +612,13 @@ class _Search:
                 self.evaluate(adj[stop], dev[stop].item())
             k = stop + 1
 
-    def q_interval(self, adj, cols: BoundColumns, dev, best):
+    def q_interval(self, adj, cols: BoundColumns, dev):
         """An interval holding q for every candidate: the row-sum bracket
         [2 min d, 2 max d], narrowed by Collatz-Wielandt ratios of Q + I
         for the candidates the bracket leaves unsettled."""
         q_lo = 2.0 * cols.shape.lo
         q_hi = 2.0 * cols.shape.hi
-        (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi, best))
+        (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi))
         if not active.size:
             return q_lo, q_hi
         adj = adj[active]
@@ -647,7 +630,7 @@ class _Search:
             ratios = y / x
             q_lo[active] = np.maximum(q_lo[active], ratios.min(axis=1) - 1.0)
             q_hi[active] = np.minimum(q_hi[active], ratios.max(axis=1) - 1.0)
-            open_ = ~self.settled(dev[active], q_lo[active], q_hi[active], best)
+            open_ = ~self.settled(dev[active], q_lo[active], q_hi[active])
             if not open_.any():
                 break
             active, shifted, y = active[open_], shifted[open_], y[open_]

@@ -49,6 +49,9 @@ def test_row_order_and_length(c3):
     assert tuple(bv.id for bv in row) == ROW_ORDER
     assert len(row) == 12
     assert BoundId.GENERIC_WEIGHT not in {bv.id for bv in row}
+    # the bound table is the one statement of the order
+    assert ROW_ORDER == tuple(bounds._SPECS)
+    assert TABLE_ORDER == ROW_ORDER[:-1]
 
 
 def test_readme_catalog_lists_the_row_in_order():
@@ -178,9 +181,13 @@ def test_witness_replay_reproduces_value(g):
             assert replay is None
 
 
-def test_witness_value_inapplicable_returns_none(path3):
+def test_witness_value_inapplicable_returns_none(path3, star4):
     bv = bound(path3, BoundId.ARC_DEG_SUM)
     assert witness_value(path3, bv) is None
+    # a graph bound has no witness semantics, whatever witness it carries
+    bv = dataclasses.replace(bound(star4, BoundId.DEG_EXTREMES), witness=3)
+    assert bv.applicable
+    assert witness_value(star4, bv) is None
 
 
 @pytest.mark.parametrize("bid, witness, refusal", [
@@ -192,9 +199,18 @@ def test_witness_value_inapplicable_returns_none(path3):
     (BoundId.HONG_YOU, 4, "witness 4 lies outside"),
     (BoundId.ARC_DEG_SUM, (0, 0), r"witness \(0, 0\) is not an arc"),
     (BoundId.OVAL_AVG, (1, 2), r"witness \(1, 2\) is not an arc"),
+    # a bound outside the table has no term to replay, whatever its witness
+    (BoundId.GENERIC_WEIGHT, (0, 1), "has no term in the bound table"),
+    # only Python and numpy integers name a vertex, a position or an arc
+    (BoundId.HONG_YOU, True, "witness True is not an integer"),
+    (BoundId.INDEG_SQRT, 1.5, "witness 1.5 is not an integer"),
+    (BoundId.ARC_DEG_SUM, [0, 1], r"witness \[0, 1\] is not an arc"),
+    (BoundId.ARC_DEG_SUM, (0.0, 1), r"witness \(0.0, 1\) is not an arc"),
 ])
 def test_witness_value_refuses_witnesses_outside_g(star4, bid, witness, refusal):
-    bv = dataclasses.replace(bound(star4, bid), witness=witness)
+    bv = (bound_generic_f(star4, lambda i, j: 1.0) if bid is BoundId.GENERIC_WEIGHT
+          else bound(star4, bid))
+    bv = dataclasses.replace(bv, witness=witness)
     with pytest.raises(ValueError, match=f"{bid.value} {refusal}"):
         witness_value(star4, bv)
 

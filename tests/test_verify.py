@@ -311,6 +311,18 @@ def test_canonical_form_of_full_and_single_arc_digraphs():
     assert canonical_form(full) == canonical_form_oracle(full)
 
 
+def test_canonical_form_refuses_past_the_budget(monkeypatch):
+    def unbuilt(graphs):
+        raise AssertionError("the permutation array was built")
+
+    monkeypatch.setattr(verify, "_canonical_forms", unbuilt)
+    # 11! = 39,916,800 relabelings exceed the default budget of 2^23; an
+    # (n!, n) array would take 3.5 GB
+    with pytest.raises(verify.CandidateBudgetError,
+                       match="n = 11 vertices takes 39,916,800 relabelings"):
+        canonical_form(from_arc_list(11, [(0, 1)]))
+
+
 # --- reconstruction ---------------------------------------------------------------
 
 
@@ -516,6 +528,41 @@ def test_reconstruct_chunk_sizes_equivalent(monkeypatch, name, limit, value):
     report = reconstruct(EQUIVALENCE_TARGETS[name])
     assert report == full
     assert dataclasses.astuple(report.stages) == EQUIVALENCE_STAGES[name]
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
+def test_reconstruct_column_order_is_immaterial(monkeypatch, name):
+    # within a chunk the row deviation only grows column by column, and
+    # best holds until the stretch loop, so the column loop settles the
+    # same candidates in any order
+    full = reconstruct(EQUIVALENCE_TARGETS[name])
+    init = verify._Search.__init__
+
+    def reversed_columns(self, target):
+        init(self, target)
+        self.columns = self.columns[::-1]
+
+    monkeypatch.setattr(verify._Search, "__init__", reversed_columns)
+    report = reconstruct(EQUIVALENCE_TARGETS[name])
+    assert report == full
+    assert dataclasses.astuple(report.stages) == EQUIVALENCE_STAGES[name]
+
+
+def test_search_takes_degree_columns_before_arc_scans():
+    columns = verify._Search(PRESETS["g1"]).columns
+    arcs = [bounds._SPECS[bid].kind == "arc" for bid, _ in columns]
+    assert len(columns) == 11
+    assert arcs == sorted(arcs)
+    assert dict(columns) == dict(PRESETS["g1"].row)
+
+
+@pytest.mark.parametrize("bid", bounds.ROW_ORDER, ids=lambda bid: bid.value)
+def test_every_row_column_enters_the_deviation(bid):
+    # the directed triangle has q = 2 and every bound applies to it, so a
+    # search that dropped the column would match it
+    report = reconstruct(ReconstructionTarget(n=3, q=2.0, row={bid: 1e6}))
+    assert not report.found
+    assert report.nearest_miss.max_deviation > 1e5
 
 
 @pytest.mark.parametrize("name, reported", [("g1", 1), ("gstar", 2),
