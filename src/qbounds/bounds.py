@@ -474,12 +474,20 @@ class BoundColumns:
             self.arc_start)
         regular, possible = s.lo == s.hi, bidirected & (s.lo > 0)
         # with two outdegrees the parts are the outdegree classes, which
-        # every arc joins; with one, a BFS looks for a 2-coloring
+        # every arc joins; with one, the digraph is 2-colorable when no
+        # vertex shares a strong component of the bipartite double cover
+        # (arcs i -> j + n and i + n -> j) with its copy: only an odd
+        # cycle joins them
         semiregular = possible & ~regular & np.logical_and.reduceat(
             (np.minimum(di, dj) == s.lo[own]) & (np.maximum(di, dj) == s.hi[own]),
             self.arc_start)
         for k in np.flatnonzero(possible & regular).tolist():
-            semiregular[k] = self._two_colorable(k)
+            n, arcs = s.n[k], slice(self.arc_start[k], self.arc_start[k] + s.m[k])
+            i, j = (ends[arcs] - self.vertex_start[k] for ends in (self.tail, self.head))
+            cover = Digraph(2 * n, zip(np.r_[i, i + n].tolist(),
+                                       np.r_[j + n, j].tolist()))
+            component_of = cover.data.component_of
+            semiregular[k] = (component_of[:n] != component_of[n:]).all()
         return Classification(
             is_strongly_connected=s.strongly,
             is_regular=regular,
@@ -490,27 +498,6 @@ class BoundColumns:
             is_bipartite_semiregular=semiregular,
             is_in_g_star_class=self.in_g_star_class(),
         )
-
-    def _two_colorable(self, k):
-        """Whether digraph k, every arc bidirected, has a proper 2-coloring:
-        a BFS over its sorted arcs, O(n + m)."""
-        first, n = self.vertex_start[k], self.shape.n[k]
-        heads = (self.head[self.arc_start[k]:][:self.shape.m[k]] - first).tolist()
-        offsets = [0] + np.cumsum(self.outdeg[first:first + n]).tolist()
-        color = [-1] * n
-        for start in range(n):
-            if color[start] >= 0:
-                continue
-            color[start], queue = 0, [start]
-            while queue:
-                v = queue.pop()
-                for w in heads[offsets[v]:offsets[v + 1]]:
-                    if color[w] < 0:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return False  # an odd cycle
-        return True
 
     def _inputs(self, kind, at=slice(None)):
         """The term's arguments at the elements at: arcs, vertices, sorted

@@ -265,11 +265,13 @@ def _parse_range(text):
     return lo, hi
 
 
-def _parse_probabilities(text):
+def _parse_list(text, convert, flag, kind):
+    """The comma-separated values of a flag, each through convert."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(convert(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise _UsageError(f"--p expects comma-separated floats, got {text!r}") from None
+        raise _UsageError(
+            f"{flag} expects comma-separated {kind}, got {text!r}") from None
 
 
 def _sweep_payload(report):
@@ -285,7 +287,7 @@ def _sweep_payload(report):
 
 def cmd_sweep(args):
     n_min, n_max = _parse_range(args.n)
-    probs = _parse_probabilities(args.p)
+    probs = _parse_list(args.p, float, "--p", "floats")
     try:
         spec = RandomCorpusSpec(
             count=args.count, n_min=n_min, n_max=n_max,
@@ -339,6 +341,8 @@ def _parse_row(text):
                 f"unknown bound {name!r} in --row; valid names: "
                 + ", ".join(sorted(_ROW_KEYS))
             )
+        if _ROW_KEYS[name] in row:
+            raise _UsageError(f"--row names {name} more than once")
         try:
             row[_ROW_KEYS[name]] = float(value)
         except ValueError:
@@ -365,19 +369,11 @@ def _build_target(args):
     if args.m is not None:
         overrides["m"] = args.m
     if args.outdeg_seq is not None:
-        overrides["outdeg_sequence"] = _parse_outdeg_seq(args.outdeg_seq)
+        overrides["outdeg_sequence"] = _parse_list(
+            args.outdeg_seq, int, "--outdeg-seq", "integers")
     if args.tol is not None:
         overrides["tolerance"] = args.tol
     return dataclasses.replace(target, **overrides)
-
-
-def _parse_outdeg_seq(text):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise _UsageError(
-            f"--outdeg-seq expects comma-separated integers, got {text!r}"
-        ) from None
 
 
 def _match_payload(match):

@@ -38,6 +38,7 @@ vertices taking Noda steps.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,7 @@ def _noda_step(shifted: np.ndarray, shifted_diag: np.ndarray, x: np.ndarray):
     return z if np.isfinite(z).all() and (z > 0).all() else None
 
 
-def _lockstep(graphs, members, tol, max_iter, closed, failed):
+def _lockstep(graphs, members, tol, max_iter):
     """Collatz-Wielandt iteration on the primitive blocks in members,
     (index, cid) pairs of graph index and component id in graph order,
     advanced together as one disjoint union of arc lists: each step is
@@ -150,10 +151,11 @@ def _lockstep(graphs, members, tol, max_iter, closed, failed):
     and keeps the running enclosure [max lo, min hi] over its iterates;
     a solve that raises or gives a vector that is not finite and
     positive sends it back to power steps. A block leaves the group at
-    the iterate where hi - lo <= tol; closed[index, cid] then gets the
-    midpoint, the defect ||Bx - rho x||_inf / ||x||_inf of that iterate,
-    the matvec count and (lo, hi). A block open after max_iter matvecs
-    appends (index, cid, size, lo, hi) to failed.
+    the iterate where hi - lo <= tol, closed with the midpoint, the
+    defect ||Bx - rho x||_inf / ||x||_inf of that iterate, the matvec
+    count and (lo, hi); the result maps each (index, cid) to its closure.
+    Open blocks keep their order, so when blocks are still open after
+    max_iter matvecs, ConvergenceError names the first of them.
     """
     # Blocks are numbered one after another, each in vertex order, with
     # arcs in sorted (src, dst) order: bincount sums each row as alone.
@@ -173,8 +175,7 @@ def _lockstep(graphs, members, tol, max_iter, closed, failed):
     diag, src, dst = (np.concatenate(parts) for parts in (diag, src, dst))
     sizes = np.array(sizes)
     starts = np.cumsum(sizes) - sizes
-    owners = list(members)
-    switched = np.zeros(len(owners), dtype=bool)
+    owners, closed = list(members), {}
     noda = []  # from the switch on, per block: [-B, solves] or None
     x = np.ones(len(diag))
     for iteration in range(1, max_iter + 1):
@@ -183,6 +184,7 @@ def _lockstep(graphs, members, tol, max_iter, closed, failed):
         hi = np.maximum.reduceat(ratios, starts)
         lo = np.minimum.reduceat(ratios, starts)
         if iteration > _NODA_AFTER:
+            switched = sizes <= _NODA_MAX  # as at the switch: sizes never change
             lo = np.where(switched, np.maximum(lo, prev_lo), lo)
             hi = np.where(switched, np.minimum(hi, prev_hi), hi)
         done = hi - lo <= tol
@@ -195,23 +197,22 @@ def _lockstep(graphs, members, tol, max_iter, closed, failed):
                                      float(lo[b]), float(hi[b]))
             keep = ~done
             if not keep.any():
-                return
+                return closed
             # drop the closed blocks and renumber the vertices left
             open_vertex = np.repeat(keep, sizes)
             renumber = np.cumsum(open_vertex) - 1
             arcs = open_vertex[src]
             src, dst = renumber[src[arcs]], renumber[dst[arcs]]
             x, y, diag = x[open_vertex], y[open_vertex], diag[open_vertex]
-            lo, hi, sizes, switched = lo[keep], hi[keep], sizes[keep], switched[keep]
+            lo, hi, sizes = lo[keep], hi[keep], sizes[keep]
             starts = np.cumsum(sizes) - sizes
             kept = keep.tolist()
             owners = [owner for owner, k in zip(owners, kept) if k]
             noda = [state for state, k in zip(noda, kept) if k]
         prev_lo, prev_hi = lo, hi
         if iteration == _NODA_AFTER:
-            switched = sizes <= _NODA_MAX
             noda = [None] * len(owners)
-            for b in np.flatnonzero(switched).tolist():
+            for b in np.flatnonzero(sizes <= _NODA_MAX).tolist():
                 a, n_b = starts[b], sizes[b]
                 arcs = (src >= a) & (src < a + n_b)
                 noda[b] = [-_dense_q(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a), 0]
@@ -228,8 +229,10 @@ def _lockstep(graphs, members, tol, max_iter, closed, failed):
             else:
                 x_next[part] = z
         x = x_next
-    for b, (index, cid) in enumerate(owners):
-        failed.append((index, cid, int(sizes[b]), float(lo[b]), float(hi[b])))
+    raise ConvergenceError(
+        f"power iteration did not close a two-sided gap of {tol} within "
+        f"{max_iter} iterations (block size {sizes[0]})",
+        float(lo[0]), float(hi[0]))
 
 
 def spectral_radii(graphs, tol: float = DEFAULT_TOL,
@@ -240,11 +243,12 @@ def spectral_radii(graphs, tol: float = DEFAULT_TOL,
     input order, up to _GROUP_ENTRIES vertices and arcs a group; each
     group is built, run in lockstep (_lockstep) and dropped before the
     next. Each result is bitwise independent of the rest of the batch.
-    max_iter must be an integer of at least 1. A block still open after
-    max_iter matvecs raises ConvergenceError for the first such graph in
-    input order, with the message and enclosure spectral_radius gives.
+    tol must be a positive finite real and max_iter an integer of at
+    least 1. A block still open after max_iter matvecs raises
+    ConvergenceError for the first such graph in input order, with the
+    message and enclosure spectral_radius gives; no later group runs.
     """
-    if not (tol > 0 and math.isfinite(tol)):
+    if not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
@@ -262,14 +266,9 @@ def spectral_radii(graphs, tol: float = DEFAULT_TOL,
                 load = 0
             load += entries[cid]
             groups[-1].append((index, cid))
-    closed, failed = {}, []
+    closed = {}
     for members in groups:
-        _lockstep(graphs, members, tol, max_iter, closed, failed)
-    if failed:
-        _, _, size, lo, hi = min(failed)
-        raise ConvergenceError(
-            f"power iteration did not close a two-sided gap of {tol} within "
-            f"{max_iter} iterations (block size {size})", lo, hi)
+        closed.update(_lockstep(graphs, members, tol, max_iter))
     results = []
     for index, g in enumerate(graphs):
         outdeg = g.data.outdeg.astype(float).tolist()

@@ -25,6 +25,7 @@ digraphs' rows.
 import dataclasses
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from math import comb
@@ -71,7 +72,8 @@ class RandomCorpusSpec:
         probs = tuple(self.arc_probabilities)
         if not probs:
             raise ValueError("need at least one arc probability")
-        if not all(0.0 <= p <= 1.0 for p in probs):  # NaN fails too
+        # NaN fails too, and so does a value that is not a real number
+        if not all(isinstance(p, numbers.Real) and 0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"arc probabilities must lie in [0, 1], got {probs}")
         object.__setattr__(self, "arc_probabilities", probs)
 
@@ -327,8 +329,8 @@ class ReconstructionTarget:
     ROW_ORDER) or as (BoundId, value) pairs; every key must be a bound of
     ROW_ORDER, named once. Inapplicable candidates never match a numeric
     expectation. tolerance applies to q and every row entry (absolute
-    deviation). q, tolerance and the row values must be finite; n, m and
-    the outdegrees integers (Python or numpy ints).
+    deviation). q, tolerance and the row values must be finite real
+    numbers; n, m and the outdegrees integers (Python or numpy ints).
     Structural constraints: require_strongly_connected; require_g_star
     (the G* class of classify); m fixes the arc count, in [1, n(n-1)];
     outdeg_sequence fixes the outdegree of each vertex in order, n entries
@@ -348,12 +350,16 @@ class ReconstructionTarget:
 
     def __post_init__(self):
         row = self.row
-        keys = list(row) if isinstance(row, Mapping) else [bid for bid, _ in row]
-        for k, bid in enumerate(keys):
+        pairs = list(row.items()) if isinstance(row, Mapping) else list(row)
+        keys = [bid for bid, _ in pairs]
+        for k, (bid, value) in enumerate(pairs):
             if bid not in _bounds.ROW_ORDER:
                 raise ValueError(f"row key {bid!r} is not a bound of ROW_ORDER")
             if bid in keys[:k]:
                 raise ValueError(f"row names {bid.value} more than once")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(
+                    f"target value for {bid.value} must be finite, got {value}")
         if isinstance(row, Mapping):
             row = [(bid, float(row[bid])) for bid in _bounds.ROW_ORDER if bid in row]
         object.__setattr__(self, "row", tuple(row))
@@ -368,17 +374,11 @@ class ReconstructionTarget:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("target needs n >= 2")
-        if not math.isfinite(self.q):
+        if not (isinstance(self.q, numbers.Real) and math.isfinite(self.q)):
             raise ValueError(f"target q must be finite, got {self.q}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(
-                f"tolerance must be positive and finite, got {self.tolerance}"
-            )
-        for bid, value in self.row:
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"target value for {bid.value} must be finite, got {value}"
-                )
+        tol = self.tolerance
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {tol}")
         n, seq = self.n, self.outdeg_sequence
         if seq is not None:
             if len(seq) != n:
@@ -658,12 +658,13 @@ def reconstruct(target: ReconstructionTarget,
     computed q (spectral_radius at its default tolerance) and bound row
     sit within tolerance of the target.
 
-    Before the search starts, a budget below 1 is refused with
-    ValueError, then n above bounds.MAX_TENSOR_N = 62 with ValueError,
-    and then a space of more than max_candidates candidates (a product of
-    binomials for an outdegree sequence, one binomial for a fixed m,
-    2^(n(n-1)) - 1 otherwise) with CandidateBudgetError, a ValueError;
-    the default budget, 2^23, takes 13 to 20 s.
+    Before the search starts, a budget that is not an integer (bool and
+    float included) or is below 1 is refused with ValueError, then n
+    above bounds.MAX_TENSOR_N = 62 with ValueError, and then a space of
+    more than max_candidates candidates (a product of binomials for an
+    outdegree sequence, one binomial for a fixed m, 2^(n(n-1)) - 1
+    otherwise) with CandidateBudgetError, a ValueError; the default
+    budget, 2^23, takes 13 to 20 s.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism
@@ -675,6 +676,8 @@ def reconstruct(target: ReconstructionTarget,
     earliest one on ties. stages says where the candidates left the
     search.
     """
+    if not np.issubdtype(type(max_candidates), np.integer):  # refuses bool
+        raise ValueError(f"max_candidates must be an integer, got {max_candidates!r}")
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be positive, got {max_candidates}")
     search = _Search(target)

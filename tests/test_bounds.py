@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from pathlib import Path
@@ -540,6 +541,50 @@ def test_classification_equals_oracle_on_tensor_batches():
     assert len(six) == 5
     for graphs in (six, _every_4_vertex_digraph()):
         _assert_classification_equals_oracle(_batch(graphs), graphs)
+
+
+def _every_bidirected_digraph(n):
+    """Every labeled digraph on n vertices with each arc bidirected."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [
+        from_arc_list(n, [arc for b, (i, j) in enumerate(pairs) if mask >> b & 1
+                          for arc in ((i, j), (j, i))])
+        for mask in range(1, 1 << len(pairs))
+    ]
+
+
+def test_classification_equals_oracle_on_every_bidirected_digraph():
+    # the regular ones take the double-cover path, the rest the degree
+    # classes; both sides of the flag occur
+    graphs = [g for n in range(2, 6) for g in _every_bidirected_digraph(n)]
+    assert len(graphs) == 1 + 7 + 63 + 1023
+    flags = {classify_oracle(g)["is_bipartite_semiregular"] for g in graphs}
+    assert flags == {True, False}
+    _assert_classification_equals_oracle(BoundColumns.from_graphs(graphs), graphs)
+    for n in range(2, 6):
+        same_n = _every_bidirected_digraph(n)
+        _assert_classification_equals_oracle(_batch(same_n), same_n)
+
+
+def _cube():
+    """The bidirected 3-cube: vertices 0..7, arcs between labels one bit
+    apart."""
+    return from_arc_list(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)])
+
+
+@pytest.mark.parametrize("g, bipartite", [
+    (_bidirected_cycles(6), True),
+    (_bidirected_cycles(5), False),
+    (gen_bidirectional_complete(4), False),
+    (_cube(), True),
+    (_bidirected_cycles(4, 6), True),
+    (_bidirected_cycles(4, 5), False),
+], ids=["C6", "C5", "K4", "cube", "C4+C6", "C4+C5"])
+def test_regular_bipartite_semiregular_cases(g, bipartite):
+    assert classify_oracle(g)["is_bipartite_semiregular"] is bipartite
+    flags = BoundColumns.from_graphs([g]).classification()
+    assert flags.is_regular.tolist() == [True]
+    assert flags.is_bipartite_semiregular.tolist() == [bipartite]
 
 
 @given(st.lists(digraphs(), min_size=1, max_size=6), st.data())

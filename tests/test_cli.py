@@ -392,6 +392,16 @@ def test_reconstruct_rejects_nan_q(capsys):
     )
 
 
+def test_reconstruct_rejects_a_bound_named_twice_in_row(capsys):
+    # before, the last value was searched for and the run exited 3
+    _assert_one_usage_line(
+        capsys,
+        ["reconstruct", "--n", "3", "--q", "2",
+         "--row", "arc_deg_sum=2,arc_deg_sum=3"],
+        "--row names arc_deg_sum more than once",
+    )
+
+
 def test_reconstruct_rejects_infinite_row_value(capsys):
     _assert_one_usage_line(
         capsys,

@@ -106,9 +106,11 @@ def test_bad_tolerance_rejected(c3):
         spectral_radius(c3, tol=-1e-9)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, "x", None])
 def test_non_finite_tolerance_rejected(c3, tol):
-    # an infinite tolerance would close every enclosure after one step
+    # an infinite tolerance would close every enclosure after one step;
+    # a value that is not a real number is a ValueError too, not a
+    # TypeError from the comparison
     with pytest.raises(ValueError, match="tol must be positive"):
         spectral_radii([c3], tol=tol)
 
@@ -559,5 +561,26 @@ def test_batch_raises_for_the_first_failing_graph(batch, max_iter, first):
     expected = _convergence_error(batch[first], max_iter)
     with pytest.raises(ConvergenceError) as info:
         spectral_radii(batch, max_iter=max_iter)
+    assert str(info.value) == str(expected)
+    assert (info.value.lo, info.value.hi) == (expected.lo, expected.hi)
+
+
+def test_batch_stops_at_its_first_failing_group(monkeypatch):
+    # with groups of one block the failing triangle is the first group:
+    # its error is raised at once and the later groups never run
+    calls = []
+    lockstep = spectral._lockstep
+
+    def counted(*args):
+        calls.append(args[1])
+        return lockstep(*args)
+
+    monkeypatch.setattr(spectral, "_GROUP_ENTRIES", 1)
+    monkeypatch.setattr(spectral, "_lockstep", counted)
+    batch = [_TRIANGLE_WITH_CHORD, gen_directed_cycle(4), gen_bidirectional_complete(3)]
+    expected = _convergence_error(batch[0], 5)
+    with pytest.raises(ConvergenceError) as info:
+        spectral_radii(batch, max_iter=5)
+    assert calls == [[(0, 0)]]
     assert str(info.value) == str(expected)
     assert (info.value.lo, info.value.hi) == (expected.lo, expected.hi)

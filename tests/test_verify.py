@@ -67,9 +67,10 @@ def test_corpus_spec_validation():
         RandomCorpusSpec(count=1, n_min=3, n_max=5, arc_probabilities=(), seed=0)
 
 
-@pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1])
+@pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, "a"])
 def test_corpus_spec_checks_probabilities_at_construction(p):
-    # before, the spec built and random_corpus failed mid-generation
+    # before, the spec built and random_corpus failed mid-generation; a
+    # string raised TypeError from the comparison
     with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
         RandomCorpusSpec(count=2, n_min=3, n_max=4, arc_probabilities=(0.5, p), seed=0)
     assert RandomCorpusSpec(2, 3, 4, (0.0, 1.0), 0).arc_probabilities == (0.0, 1.0)
@@ -648,6 +649,13 @@ def test_reconstruct_budget_is_raised_explicitly():
         with pytest.raises(ValueError, match=f"must be positive, got {budget}") as info:
             reconstruct(PRESETS["g2"], max_candidates=budget)
         assert not isinstance(info.value, verify.CandidateBudgetError)
+    # so is one that is not an integer: NaN passed the < 1 test and no
+    # count exceeded it, 2.5 was used as a budget and "5" raised TypeError
+    for budget in (math.nan, math.inf, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="must be an integer, got") as info:
+            reconstruct(PRESETS["g2"], max_candidates=budget)
+        assert not isinstance(info.value, verify.CandidateBudgetError)
+    assert reconstruct(target, max_candidates=np.int64(63)) == reconstruct(target)
     big = ReconstructionTarget(n=6, q=4.2, m=9)  # C(30, 9) = 14,307,150
     with pytest.raises(ValueError, match="14,307,150 candidates"):
         reconstruct(big)
@@ -742,6 +750,16 @@ def test_target_validation():
         ReconstructionTarget(n=1, q=1.0)
     with pytest.raises(ValueError):
         ReconstructionTarget(n=3, q=1.0, tolerance=0.0)
+    # values that are not real numbers: before, each raised TypeError
+    # from a comparison or math.isfinite
+    for q in ("2", None):
+        with pytest.raises(ValueError, match="q must be finite"):
+            ReconstructionTarget(n=3, q=q)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        ReconstructionTarget(n=3, q=2.0, tolerance="x")
+    for row in (((BoundId.ARC_DEG_SUM, "x"),), {BoundId.ARC_DEG_SUM: None}):
+        with pytest.raises(ValueError, match="arc_deg_sum must be finite"):
+            ReconstructionTarget(n=3, q=2.0, row=row)
 
 
 def test_target_row_accepts_mapping_and_pairs():
