@@ -326,12 +326,15 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
 # --- batches -----------------------------------------------------------------
 
 # BoundColumns.slices cuts a list of digraphs into batches of at most
-# _SLICE_ARCS arcs (a larger digraph makes a batch alone), which bounds a
-# batch's working memory. On the 600-graph sweep corpus (139,136 arcs)
-# one batch took a sweep's peak RSS from 51.2 to 64.7 MB; with slices of
-# 2^13 arcs it stays at 51.2 MB (51.7 MB one graph at a time), and the
-# sweep is as fast within the run-to-run spread.
-_SLICE_ARCS = 1 << 13
+# _SLICE_ARCS arcs (a larger digraph makes a batch alone), which bounds
+# the working memory of a batch of bounds and of spectral_radii. On the
+# 600-graph sweep corpus (139,136 arcs; 46.8 MB of process with its
+# graph data built) a sweep's peak RSS is 63.2 MB in one batch, 53.7 MB
+# with batches of 2^15 arcs, 51.2 MB with 2^14, 50.2 MB with 2^13 and
+# 49.2 MB one graph at a time. Of 2^13 and 2^14, 2^14 gave the faster
+# sweep_corpus bench: median wall time 0.285 against 0.305 s over 10
+# runs each on a shared 2-core x86-64 host.
+_SLICE_ARCS = 1 << 14
 
 
 # The most vertices BoundColumns(adj) takes: its strong connectivity runs
@@ -356,19 +359,21 @@ def _strongly_connected(adj):
 
 class BoundColumns:
     """Bound values over a ragged batch: digraphs of any sizes laid out
-    one after another, as in the arc-list union of spectral._lockstep.
-    Digraph k owns the vertices from vertex_start[k] and the arcs from
-    arc_start[k] on, arcs in sorted (tail, head) order. Arrays per arc:
-    tail, head (vertices numbered across the batch) and arc_graph; per
-    vertex: outdeg, two_outdeg, insum and vertex_graph; per digraph:
-    shape (shape.strongly flags the strongly connected ones).
+    one after another. Digraph k owns the vertices from vertex_start[k]
+    and the arcs from arc_start[k] on, arcs in sorted (tail, head) order.
+    Arrays per arc: tail, head (vertices numbered across the batch) and
+    arc_graph; per vertex: outdeg, two_outdeg, insum and vertex_graph;
+    per digraph: shape (shape.strongly flags the strongly connected ones).
 
     BoundColumns(adj) lays out a boolean (N, n, n) tensor, adj[k, i, j]
     set when digraph k has the arc i -> j (each with an arc and no loop,
     like a Digraph, and n at most MAX_TENSOR_N), with one np.nonzero and
     a bitmask Warshall closure for strong connectivity. from_graphs(graphs)
-    lays out Digraphs of any n from their GraphData, and slices(graphs)
-    cuts a list into batches of at most _SLICE_ARCS arcs. values(bid)
+    lays out Digraphs of any n from their GraphData and also numbers their
+    strong components across the batch, for spectral_radii: component_of
+    per vertex (GraphData.component_of, digraph after digraph) and
+    component_count per digraph. slices(graphs) cuts a list into batches
+    of at most _SLICE_ARCS arcs. values(bid)
     gives each digraph's value and witness, bitwise those of all_bounds,
     a batch of one that renders the reasons; values_only(bid) gives the
     same values without the two passes that find the witnesses, and
@@ -394,14 +399,19 @@ class BoundColumns:
 
     @classmethod
     def from_graphs(cls, graphs) -> "BoundColumns":
-        """The batch of a nonempty list of Digraphs, in order."""
+        """The batch of a nonempty list of Digraphs, in order, with their
+        strong components numbered across the batch."""
         datas = [g.data for g in graphs]
         n, m = np.array([g.n for g in graphs]), np.array([g.m for g in graphs])
+        count = np.array([len(data.components) for data in datas])
         offset = np.repeat(np.cumsum(n) - n, m)
         cols = object.__new__(cls)
         cols._lay_out(n, m, np.concatenate([data.src for data in datas]) + offset,
                       np.concatenate([data.dst for data in datas]) + offset,
-                      np.array([len(data.components) == 1 for data in datas]))
+                      count == 1)
+        cols.component_count = count
+        cols.component_of = (np.concatenate([data.component_of for data in datas])
+                             + np.repeat(np.cumsum(count) - count, n))
         return cols
 
     @classmethod

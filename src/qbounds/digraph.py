@@ -27,21 +27,22 @@ _INT = (int, np.integer)
 @dataclass(frozen=True)
 class Digraph:
     """Immutable digraph on vertices 0..n-1 with a nonempty arc set. n
-    and the arc endpoints are Python or numpy ints; anything else raises
-    ValueError."""
+    and the arc endpoints are Python or numpy ints; anything else, bool
+    included, raises ValueError."""
 
     n: int
     arcs: frozenset
 
     def __post_init__(self):
-        if not isinstance(self.n, _INT):
+        if type(self.n) is bool or not isinstance(self.n, _INT):
             raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         object.__setattr__(self, "arcs", frozenset(self.arcs))
         for arc in self.arcs:
             i, j = arc
-            if not (isinstance(i, _INT) and isinstance(j, _INT)):
+            if (not (isinstance(i, _INT) and isinstance(j, _INT))
+                    or type(i) is bool or type(j) is bool):
                 raise ValueError(f"arc endpoints must be integers, got ({i!r}, {j!r})")
             if i == j:
                 raise ValueError(f"loop arc ({i}, {j}) is not allowed")

@@ -28,21 +28,22 @@ check, and from the switch on the block's enclosure is the running
 
 No n x n matrix is built for the whole graph. Each block is read from
 the sorted arc arrays and multiplies straight from its arc lists, as
-diag * x + bincount(src, x[dst]), with no BLAS call. spectral_radii runs
-the blocks of a whole batch in lockstep groups, each group one disjoint
-union of arc lists, and each block bitwise as it would run alone. A
-group holds O(_GROUP_ENTRIES) floats, plus one dense n_b x n_b shifted
+diag * x + bincount(src, x[dst]), with no BLAS call. spectral_radii lays
+a list of digraphs out in the batches of bounds.BoundColumns.slices and
+runs the blocks of each batch in lockstep, as one disjoint union of arc
+lists, each block bitwise as it would run alone. A batch holds O(n + m)
+floats for its n vertices and m arcs, plus one dense n_b x n_b shifted
 matrix (and the solver's copy of it) per block of at most _NODA_MAX
 vertices taking Noda steps.
 """
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import BoundColumns
 from .digraph import Digraph, adjacency, is_strongly_connected
 
 
@@ -76,13 +77,6 @@ DEFAULT_MAX_ITER = 1_000_000
 _NODA_AFTER = 1000
 _NODA_MAX = 512
 _NODA_STEPS = 64
-
-# A lockstep group takes blocks until they hold _GROUP_ENTRIES vertices
-# and arcs; a larger block runs alone. This bounds the memory of any
-# batch: on 600 random graphs with n = 3..60 the solver's tracemalloc
-# peak is 1.3 MiB at 2^15 and 5.2 MiB at 2^17, with the same results.
-_GROUP_ENTRIES = 1 << 15
-
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -137,11 +131,13 @@ def _noda_step(shifted: np.ndarray, shifted_diag: np.ndarray, x: np.ndarray):
     return z if np.isfinite(z).all() and (z > 0).all() else None
 
 
-def _lockstep(graphs, members, tol, max_iter):
-    """Collatz-Wielandt iteration on the primitive blocks in members,
-    (index, cid) pairs of graph index and component id in graph order,
-    advanced together as one disjoint union of arc lists: each step is
-    one y = diag * x + bincount(src, x[dst]) over the whole union.
+def _lockstep(diag, src, dst, sizes, tol, max_iter):
+    """Collatz-Wielandt iteration on primitive blocks laid out one after
+    another, block b on the sizes[b] vertices from sum(sizes[:b]) on, with
+    diagonal diag and the arcs src -> dst inside the blocks, each row's
+    arcs in sorted order. The blocks advance together: each step is one
+    y = diag * x + bincount(src, x[dst]) over the whole union, which sums
+    every row as its block alone would.
 
     Every iterate x is positive, so the min and max of (Bx)_i / x_i over
     a block's rows enclose its spectral radius; the first _NODA_AFTER
@@ -150,32 +146,16 @@ def _lockstep(graphs, members, tol, max_iter):
     _NODA_STEPS Noda steps x <- (hi I - B)^-1 x, normalised to max 1,
     and keeps the running enclosure [max lo, min hi] over its iterates;
     a solve that raises or gives a vector that is not finite and
-    positive sends it back to power steps. A block leaves the group at
-    the iterate where hi - lo <= tol, closed with the midpoint, the
-    defect ||Bx - rho x||_inf / ||x||_inf of that iterate, the matvec
-    count and (lo, hi); the result maps each (index, cid) to its closure.
-    Open blocks keep their order, so when blocks are still open after
-    max_iter matvecs, ConvergenceError names the first of them.
+    positive sends it back to power steps. A block leaves the union at
+    the iterate where hi - lo <= tol. The result holds five rows, one
+    column per block: the midpoint, the defect ||Bx - rho x||_inf /
+    ||x||_inf of that iterate, the matvec count, lo and hi. Open blocks
+    keep their order, so when blocks are still open after max_iter
+    matvecs, ConvergenceError names the first of them.
     """
-    # Blocks are numbered one after another, each in vertex order, with
-    # arcs in sorted (src, dst) order: bincount sums each row as alone.
-    diag, src, dst, sizes = [], [], [], []
-    for index, run in itertools.groupby(members, key=lambda member: member[0]):
-        data = graphs[index].data
-        comps = [data.components[cid] for _, cid in run]
-        verts = np.fromiter(itertools.chain.from_iterable(comps), np.intp)
-        number = np.full(len(data.outdeg), -1)
-        number[verts] = np.arange(len(verts)) + sum(sizes)
-        inside = number[data.src] >= 0
-        inside &= data.component_of[data.src] == data.component_of[data.dst]
-        src.append(number[data.src[inside]])
-        dst.append(number[data.dst[inside]])
-        diag.append(data.outdeg[verts].astype(float))
-        sizes += map(len, comps)
-    diag, src, dst = (np.concatenate(parts) for parts in (diag, src, dst))
-    sizes = np.array(sizes)
+    closed = np.empty((5, len(sizes)))
+    owners = np.arange(len(sizes))  # the column of each open block
     starts = np.cumsum(sizes) - sizes
-    owners, closed = list(members), {}
     noda = []  # from the switch on, per block: [-B, solves] or None
     x = np.ones(len(diag))
     for iteration in range(1, max_iter + 1):
@@ -192,9 +172,8 @@ def _lockstep(graphs, members, tol, max_iter):
             rho = 0.5 * (hi + lo)
             residual = (np.maximum.reduceat(np.abs(y - rho.repeat(sizes) * x), starts)
                         / np.maximum.reduceat(x, starts))
-            for b in np.flatnonzero(done).tolist():
-                closed[owners[b]] = (float(rho[b]), float(residual[b]), iteration,
-                                     float(lo[b]), float(hi[b]))
+            closure = np.array([rho, residual, np.full_like(rho, iteration), lo, hi])
+            closed[:, owners[done]] = closure[:, done]
             keep = ~done
             if not keep.any():
                 return closed
@@ -204,14 +183,12 @@ def _lockstep(graphs, members, tol, max_iter):
             arcs = open_vertex[src]
             src, dst = renumber[src[arcs]], renumber[dst[arcs]]
             x, y, diag = x[open_vertex], y[open_vertex], diag[open_vertex]
-            lo, hi, sizes = lo[keep], hi[keep], sizes[keep]
+            lo, hi, sizes, owners = lo[keep], hi[keep], sizes[keep], owners[keep]
             starts = np.cumsum(sizes) - sizes
-            kept = keep.tolist()
-            owners = [owner for owner, k in zip(owners, kept) if k]
-            noda = [state for state, k in zip(noda, kept) if k]
+            noda = [state for state, k in zip(noda, keep.tolist()) if k]
         prev_lo, prev_hi = lo, hi
         if iteration == _NODA_AFTER:
-            noda = [None] * len(owners)
+            noda = [None] * len(sizes)
             for b in np.flatnonzero(sizes <= _NODA_MAX).tolist():
                 a, n_b = starts[b], sizes[b]
                 arcs = (src >= a) & (src < a + n_b)
@@ -239,53 +216,53 @@ def spectral_radii(graphs, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> list:
     """The SpectralResult of each digraph in graphs, in order.
 
-    A first pass finds every block of size > 1 and groups the blocks, in
-    input order, up to _GROUP_ENTRIES vertices and arcs a group; each
-    group is built, run in lockstep (_lockstep) and dropped before the
-    next. Each result is bitwise independent of the rest of the batch.
-    tol must be a positive finite real and max_iter an integer of at
+    Each batch of BoundColumns.slices is solved before the next is laid
+    out: a stable sort by component label puts every block of size > 1
+    on consecutive vertices in vertex order, _lockstep runs those blocks
+    together, and a size-one block is its outdegree, exactly. Each
+    result is bitwise independent of the rest of the batch. tol must be
+    a positive finite real and max_iter an integer, not a bool, of at
     least 1. A block still open after max_iter matvecs raises
     ConvergenceError for the first such graph in input order, with the
-    message and enclosure spectral_radius gives; no later group runs.
+    message and enclosure spectral_radius gives; no later batch runs.
     """
     if not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    if not np.issubdtype(type(max_iter), np.integer) or max_iter < 1:  # refuses bool
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     graphs = list(graphs)
-    groups, load = [], 0
-    for index, g in enumerate(graphs):
-        data = g.data
-        sizes = np.bincount(data.component_of)
-        tails = data.component_of[data.src]
-        entries = sizes + np.bincount(tails[tails == data.component_of[data.dst]],
-                                      minlength=len(sizes))
-        for cid in np.flatnonzero(sizes > 1).tolist():
-            if not groups or load + entries[cid] > _GROUP_ENTRIES:
-                groups.append([])
-                load = 0
-            load += entries[cid]
-            groups[-1].append((index, cid))
-    closed = {}
-    for members in groups:
-        closed.update(_lockstep(graphs, members, tol, max_iter))
     results = []
-    for index, g in enumerate(graphs):
-        outdeg = g.data.outdeg.astype(float).tolist()
-        # (value, residual, matvecs, lo, hi) per block; size one is exact
-        blocks = [
-            closed[index, cid] if len(comp) > 1
-            else (outdeg[comp[0]], 0.0, 0, outdeg[comp[0]], outdeg[comp[0]])
-            for cid, comp in enumerate(g.data.components)
+    for _, cols in BoundColumns.slices(graphs):
+        label, outdeg = cols.component_of, cols.outdeg.astype(float)
+        sizes = np.bincount(label)
+        exact = np.empty(len(sizes))
+        exact[label] = outdeg  # the radius of a size-one block
+        zero = np.zeros(len(sizes))
+        # per block: value, residual, matvecs, lo, hi
+        blocks = np.array([exact, zero, zero, exact, exact])
+        big = sizes > 1
+        if big.any():
+            order = np.argsort(label, kind="stable")
+            order = order[big[label[order]]]
+            # an arc inside a component has both ends in a block of size > 1
+            number = np.empty(len(label), dtype=np.intp)
+            number[order] = np.arange(len(order))
+            inside = label[cols.tail] == label[cols.head]
+            blocks[:, big] = _lockstep(outdeg[order], number[cols.tail[inside]],
+                                       number[cols.head[inside]], sizes[big],
+                                       tol, max_iter)
+        ends = np.cumsum(cols.component_count)
+        first = ends - cols.component_count
+        best = np.maximum.reduceat(blocks, first, axis=1).tolist()
+        matvecs = np.add.reduceat(blocks[2], first).astype(int).tolist()
+        values = blocks[0].tolist()
+        results += [
+            SpectralResult(q=q, residual=residual, iterations=iterations,
+                           per_component=tuple(enumerate(values[start:end])),
+                           lo=lo, hi=hi)
+            for q, residual, _, lo, hi, iterations, start, end
+            in zip(*best, matvecs, first.tolist(), ends.tolist())
         ]
-        results.append(SpectralResult(
-            q=max(block[0] for block in blocks),
-            residual=max(block[1] for block in blocks),
-            iterations=sum(block[2] for block in blocks),
-            per_component=tuple((cid, block[0]) for cid, block in enumerate(blocks)),
-            lo=max(block[3] for block in blocks),
-            hi=max(block[4] for block in blocks),
-        ))
     return results
 
 

@@ -51,7 +51,8 @@ class RandomCorpusSpec:
     """Deterministic random corpus: a master Random(seed) draws, per graph,
     n uniformly from [n_min, n_max], an arc probability from the given
     tuple, and a 64-bit seed for gen_random_strongly_connected. A bad
-    spec, non-integer counts or seed too, raises ValueError at construction."""
+    spec, non-integer (bool included) counts or seed too, raises
+    ValueError at construction."""
 
     count: int
     n_min: int
@@ -62,7 +63,7 @@ class RandomCorpusSpec:
     def __post_init__(self):
         for name in ("count", "n_min", "n_max", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not np.issubdtype(type(value), np.integer):  # refuses bool
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # random.Random wants int
         if self.count < 0:
@@ -330,7 +331,8 @@ class ReconstructionTarget:
     ROW_ORDER, named once. Inapplicable candidates never match a numeric
     expectation. tolerance applies to q and every row entry (absolute
     deviation). q, tolerance and the row values must be finite real
-    numbers; n, m and the outdegrees integers (Python or numpy ints).
+    numbers; n, m and the outdegrees integers (Python or numpy ints, not
+    bools).
     Structural constraints: require_strongly_connected; require_g_star
     (the G* class of classify); m fixes the arc count, in [1, n(n-1)];
     outdeg_sequence fixes the outdegree of each vertex in order, n entries
@@ -370,7 +372,7 @@ class ReconstructionTarget:
         counts = [("n", self.n), ("m", self.m)]
         counts += [("outdeg_sequence entry", d) for d in self.outdeg_sequence or ()]
         for name, value in counts:
-            if value is not None and not isinstance(value, (int, np.integer)):
+            if value is not None and not np.issubdtype(type(value), np.integer):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("target needs n >= 2")

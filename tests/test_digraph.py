@@ -68,6 +68,9 @@ def test_rejects_nonpositive_order():
     # 3.0 would compare equal to 3 but fail every array cast
     (3.0, [(0, 1), (1, 2), (2, 0)], "3.0"),
     (np.float64(3), [(0, 1), (1, 2), (2, 0)], "3.0"),
+    # a bool is an int to isinstance, but no vertex count or vertex
+    (2, [(True, False)], "(True, False)"),
+    (True, [(0, 1)], "True"),
 ])
 def test_rejects_non_integers(n, arcs, value):
     with pytest.raises(ValueError, match=re.escape(value)):

@@ -11,6 +11,7 @@ from qbounds import (
     INVARIANTS,
     ConvergenceError,
     SweepSlice,
+    bounds,
     build_q,
     degree_profile,
     from_arc_list,
@@ -121,6 +122,9 @@ def test_bad_max_iter_rejected(c3):
     # not a TypeError from range
     with pytest.raises(ValueError, match="2.5"):
         spectral_radii([c3], max_iter=2.5)
+    # a bool is an int to isinstance, but True is no iteration budget
+    with pytest.raises(ValueError, match="True"):
+        spectral_radii([c3], max_iter=True)
     assert spectral_radii([c3], max_iter=np.int64(1)) == [spectral_radius(c3)]
 
 
@@ -502,28 +506,29 @@ def test_batch_is_bitwise_equal_to_per_block_solver():
     # one mixed batch: blocks of every size and fill, multi-block graphs
     # and the blocks that take Noda steps
     assert spectral_radii(graphs) == expected
-    # groups of one block
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_GROUP_ENTRIES", 1)
-        assert spectral_radii(graphs) == expected
+    # batches of one graph, and batches of a few small graphs
+    for cap in (1, 24):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_SLICE_ARCS", cap)
+            assert spectral_radii(graphs) == expected
     # one graph at a time: a result does not depend on the rest of its batch
     assert [spectral_radius(g) for g in graphs] == expected
 
 
 @given(digraphs())
 def test_batch_of_forced_storage_is_bitwise_equal(g):
-    # the default groups, and groups of one block
-    for entries in (spectral._GROUP_ENTRIES, 1):
+    # the default batches, batches of one graph, and of a few small graphs
+    for cap in (bounds._SLICE_ARCS, 1, 24):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_GROUP_ENTRIES", entries)
+            mp.setattr(bounds, "_SLICE_ARCS", cap)
             batch = spectral_radii([g, gen_directed_cycle(5), g])
             assert batch[0] == batch[2] == per_block_spectral_radius(g)
 
 
 def test_batch_memory_is_bounded_by_group_size():
     # 800 complete 40-vertex blocks hold 1,280,000 vertices and arcs; in
-    # one group their arc arrays would peak near 39 MB, in groups of
-    # _GROUP_ENTRIES near 1 MB
+    # one batch their arc arrays would peak near 39 MB, in batches of
+    # _SLICE_ARCS arcs near 1 MB
     g = gen_bidirectional_complete(40)
     tracemalloc.start()
     try:
@@ -566,21 +571,21 @@ def test_batch_raises_for_the_first_failing_graph(batch, max_iter, first):
 
 
 def test_batch_stops_at_its_first_failing_group(monkeypatch):
-    # with groups of one block the failing triangle is the first group:
-    # its error is raised at once and the later groups never run
+    # with batches of one graph the failing triangle is the first batch:
+    # its error is raised at once and the later batches never run
     calls = []
     lockstep = spectral._lockstep
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[3].tolist())
         return lockstep(*args)
 
-    monkeypatch.setattr(spectral, "_GROUP_ENTRIES", 1)
+    monkeypatch.setattr(bounds, "_SLICE_ARCS", 1)
     monkeypatch.setattr(spectral, "_lockstep", counted)
     batch = [_TRIANGLE_WITH_CHORD, gen_directed_cycle(4), gen_bidirectional_complete(3)]
     expected = _convergence_error(batch[0], 5)
     with pytest.raises(ConvergenceError) as info:
         spectral_radii(batch, max_iter=5)
-    assert calls == [[(0, 0)]]
+    assert calls == [[3]]  # block sizes of the one batch that ran
     assert str(info.value) == str(expected)
     assert (info.value.lo, info.value.hi) == (expected.lo, expected.hi)

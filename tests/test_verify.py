@@ -80,6 +80,7 @@ def test_corpus_spec_checks_probabilities_at_construction(p):
     (2.5, 3, 4, (0.5,), 0),
     (2, 3.5, 4, (0.5,), 0),
     (2, 3, 4, (0.5,), 1.5),
+    (True, 3, 4, (0.5,), 0),
 ])
 def test_corpus_spec_checks_integers_at_construction(args):
     # before, the spec built: random_corpus raised TypeError on the float
@@ -713,6 +714,8 @@ def test_target_rejects_non_integer_counts():
         ReconstructionTarget(n=3, q=2.0, outdeg_sequence=(1.5, 1, 0.5))
     with pytest.raises(ValueError, match="n must be an integer, got 3.0"):
         ReconstructionTarget(n=3.0, q=2.0)
+    with pytest.raises(ValueError, match="m must be an integer, got True"):
+        ReconstructionTarget(n=3, q=2.0, m=True)
     # numpy integers count as integers
     target = ReconstructionTarget(n=np.int64(3), q=2.0, m=np.int32(3),
                                   outdeg_sequence=np.array([1, 1, 1]))
