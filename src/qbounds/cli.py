@@ -398,13 +398,9 @@ def _deviation_lines(target, match):
     for bv in match.row:
         if bv.id not in expected:
             continue
-        found = "n/a" if bv.value is None else f"{bv.value:.6f}"
-        dev = (
-            "inf" if bv.value is None
-            else f"{abs(bv.value - expected[bv.id]):.2e}"
-        )
         lines.append(
-            f"  {bv.id.value:<18} {expected[bv.id]:>10.4f} {found:>14} {dev:>12}"
+            f"  {bv.id.value:<18} {expected[bv.id]:>10.4f} {bv.value:>14.6f} "
+            f"{abs(bv.value - expected[bv.id]):>12.2e}"
         )
     return lines
 

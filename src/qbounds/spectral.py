@@ -28,13 +28,12 @@ check, and from the switch on the block's enclosure is the running
 
 No n x n matrix is built for the whole graph. Each block is read from
 the sorted arc arrays and multiplies straight from its arc lists, as
-diag * x + bincount(src, x[dst]), with no BLAS call. spectral_radii lays
-a list of digraphs out in the batches of bounds.BoundColumns.slices and
-runs the blocks of each batch in lockstep, as one disjoint union of arc
-lists, each block bitwise as it would run alone. A batch holds O(n + m)
-floats for its n vertices and m arcs, plus one dense n_b x n_b shifted
-matrix (and the solver's copy of it) per block of at most _NODA_MAX
-vertices taking Noda steps.
+diag * x + bincount(src, x[dst]), with no BLAS call. The solver runs
+the blocks of one bounds.BoundColumns batch, the layout the bound table
+and the sweep invariants read, in lockstep, as one disjoint union of
+arc lists, each block bitwise as it would run alone. A batch holds O(n + m) floats for its n vertices and m arcs, plus one
+dense n_b x n_b shifted matrix (and the solver's copy of it) per block
+of at most _NODA_MAX vertices taking Noda steps.
 """
 
 import math
@@ -212,58 +211,60 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
         float(lo[0]), float(hi[0]))
 
 
+def _solve(cols: BoundColumns, tol, max_iter) -> list:
+    """The SpectralResult of each digraph of a BoundColumns.from_graphs
+    batch, in order. A stable sort by component label puts every block
+    of size > 1 on consecutive vertices in vertex order, _lockstep runs
+    those blocks together, and a size-one block is its outdegree,
+    exactly. Each result is bitwise independent of the rest of the
+    batch. A block still open after max_iter matvecs raises
+    ConvergenceError for the first such digraph of the batch."""
+    label, outdeg = cols.component_of, cols.outdeg.astype(float)
+    sizes = np.bincount(label)
+    exact = np.empty(len(sizes))
+    exact[label] = outdeg  # the radius of a size-one block
+    zero = np.zeros(len(sizes))
+    # per block: value, residual, matvecs, lo, hi
+    blocks = np.array([exact, zero, zero, exact, exact])
+    big = sizes > 1
+    if big.any():
+        order = np.argsort(label, kind="stable")
+        order = order[big[label[order]]]
+        # an arc inside a component has both ends in a block of size > 1
+        number = np.empty(len(label), dtype=np.intp)
+        number[order] = np.arange(len(order))
+        inside = label[cols.tail] == label[cols.head]
+        blocks[:, big] = _lockstep(outdeg[order], number[cols.tail[inside]],
+                                   number[cols.head[inside]], sizes[big],
+                                   tol, max_iter)
+    ends = np.cumsum(cols.component_count)
+    first = ends - cols.component_count
+    best = np.maximum.reduceat(blocks, first, axis=1).tolist()
+    matvecs = np.add.reduceat(blocks[2], first).astype(int).tolist()
+    values = blocks[0].tolist()
+    return [
+        SpectralResult(q=q, residual=residual, iterations=iterations,
+                       per_component=tuple(enumerate(values[start:end])),
+                       lo=lo, hi=hi)
+        for q, residual, _, lo, hi, iterations, start, end
+        in zip(*best, matvecs, first.tolist(), ends.tolist())
+    ]
+
+
 def spectral_radii(graphs, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> list:
-    """The SpectralResult of each digraph in graphs, in order.
-
-    Each batch of BoundColumns.slices is solved before the next is laid
-    out: a stable sort by component label puts every block of size > 1
-    on consecutive vertices in vertex order, _lockstep runs those blocks
-    together, and a size-one block is its outdegree, exactly. Each
-    result is bitwise independent of the rest of the batch. tol must be
-    a positive finite real and max_iter an integer, not a bool, of at
-    least 1. A block still open after max_iter matvecs raises
-    ConvergenceError for the first such graph in input order, with the
-    message and enclosure spectral_radius gives; no later batch runs.
-    """
+    """The SpectralResult of each digraph in graphs, in order, solved one
+    batch of BoundColumns.slices at a time. tol must be a positive finite
+    real and max_iter an integer, not a bool, of at least 1. A block
+    still open after max_iter matvecs raises ConvergenceError for the
+    first such graph in input order, with the message and enclosure
+    spectral_radius gives; no later batch runs."""
     if not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not np.issubdtype(type(max_iter), np.integer) or max_iter < 1:  # refuses bool
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    graphs = list(graphs)
-    results = []
-    for _, cols in BoundColumns.slices(graphs):
-        label, outdeg = cols.component_of, cols.outdeg.astype(float)
-        sizes = np.bincount(label)
-        exact = np.empty(len(sizes))
-        exact[label] = outdeg  # the radius of a size-one block
-        zero = np.zeros(len(sizes))
-        # per block: value, residual, matvecs, lo, hi
-        blocks = np.array([exact, zero, zero, exact, exact])
-        big = sizes > 1
-        if big.any():
-            order = np.argsort(label, kind="stable")
-            order = order[big[label[order]]]
-            # an arc inside a component has both ends in a block of size > 1
-            number = np.empty(len(label), dtype=np.intp)
-            number[order] = np.arange(len(order))
-            inside = label[cols.tail] == label[cols.head]
-            blocks[:, big] = _lockstep(outdeg[order], number[cols.tail[inside]],
-                                       number[cols.head[inside]], sizes[big],
-                                       tol, max_iter)
-        ends = np.cumsum(cols.component_count)
-        first = ends - cols.component_count
-        best = np.maximum.reduceat(blocks, first, axis=1).tolist()
-        matvecs = np.add.reduceat(blocks[2], first).astype(int).tolist()
-        values = blocks[0].tolist()
-        results += [
-            SpectralResult(q=q, residual=residual, iterations=iterations,
-                           per_component=tuple(enumerate(values[start:end])),
-                           lo=lo, hi=hi)
-            for q, residual, _, lo, hi, iterations, start, end
-            in zip(*best, matvecs, first.tolist(), ends.tolist())
-        ]
-    return results
+    return [result for _, cols in BoundColumns.slices(list(graphs))
+            for result in _solve(cols, tol, max_iter)]
 
 
 def spectral_radius(g: Digraph, tol: float = DEFAULT_TOL,

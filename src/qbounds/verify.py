@@ -34,10 +34,11 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import bounds as _bounds
+from . import spectral as _spectral
 from .bounds import BoundColumns, BoundId, all_bounds
 from .digraph import Digraph, degree_profile, gen_random_strongly_connected
 from .edgelist import serialize_edge_list
-from .spectral import DEFAULT_TOL, oval_containment, spectral_radii, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, oval_containment, spectral_radius
 
 DOMINANCE_TOL = 1e-9
 
@@ -248,10 +249,10 @@ class SweepReport:
 
 
 def sweep(corpus, description="") -> SweepReport:
-    """Run every entry of INVARIANTS over (label, digraph) pairs, with q
-    from one spectral_radii pass over the whole corpus at its default
-    tolerance. Each slice of BoundColumns.slices goes to each invariant
-    once.
+    """Run every entry of INVARIANTS over (label, digraph) pairs. Each
+    slice of BoundColumns.slices is laid out once, solved for q at the
+    default tolerance and handed to each invariant once, in corpus
+    order, so a ConvergenceError names the first failing digraph.
 
     Failures are data, in corpus order and then INVARIANTS order: each
     carries the offending graph serialized in the edge-list format so a
@@ -260,11 +261,11 @@ def sweep(corpus, description="") -> SweepReport:
     names = tuple(INVARIANTS)
     corpus = list(corpus)
     graphs = [g for _, g in corpus]
-    radii = np.array([radius.q for radius in spectral_radii(graphs)])
     failures = []
     for start, cols in BoundColumns.slices(graphs):
         stop = start + len(cols)
-        s = SweepSlice.of(graphs[start:stop], radii[start:stop], cols)
+        q = [r.q for r in _spectral._solve(cols, DEFAULT_TOL, DEFAULT_MAX_ITER)]
+        s = SweepSlice.of(graphs[start:stop], q, cols)
         details = zip(*(INVARIANTS[name](s) for name in names))
         for (label, g), found in zip(corpus[start:stop], details):
             failures.extend(
@@ -304,10 +305,8 @@ def canonical_form(g: Digraph):
 
 
 def _canonical_forms(graphs) -> list:
-    """canonical_form of each digraph of a list sharing one n, from one
-    n! x n permutation array."""
-    if not graphs:
-        return []
+    """canonical_form of each digraph of a nonempty list sharing one n,
+    from one n! x n permutation array."""
     n = graphs[0].n
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
                         np.intp, count=math.factorial(n) * n).reshape(-1, n)

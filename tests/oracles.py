@@ -528,7 +528,7 @@ def sweep_oracle(corpus, description="") -> SweepReport:
     names = tuple(SCALAR_INVARIANTS)
     corpus = list(corpus)
     failures = []
-    radii = verify.spectral_radii(g for _, g in corpus)
+    radii = spectral.spectral_radii(g for _, g in corpus)
     for (label, g), radius in zip(corpus, radii):
         case = GraphCase(label=label, g=g, q=radius.q, row=all_bounds(g))
         for name in names:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given
 
 import qbounds.cli as cli
-from qbounds import from_arc_list, gen_directed_cycle
+from qbounds import (
+    INVARIANTS,
+    RandomCorpusSpec,
+    from_arc_list,
+    gen_directed_cycle,
+    random_corpus,
+)
 from qbounds.cli import (
     EXIT_FAILURE,
     EXIT_NO_CONVERGENCE,
@@ -73,6 +80,17 @@ def test_parse_rejects_late_or_duplicate_header():
         parse_edge_list("1 2\nn 3\n")
     with pytest.raises(EdgeListParseError, match="duplicate header"):
         parse_edge_list("n 3\nn 3\n1 2\n")
+
+
+@pytest.mark.parametrize("header, message", [
+    ("n", "header must be 'n <count>'"),
+    ("n 3 4", "header must be 'n <count>'"),
+    ("n x", "vertex count is not an integer: 'x'"),
+    ("n 0", "vertex count must be positive"),
+])
+def test_parse_rejects_malformed_header(header, message):
+    with pytest.raises(EdgeListParseError, match=f"line 1: {re.escape(message)}"):
+        parse_edge_list(f"{header}\n1 2\n")
 
 
 def test_parse_rejects_garbage_tokens():
@@ -298,6 +316,27 @@ def test_sweep_flag_validation(capsys):
     assert main(["sweep", "--n", "6..3"]) == EXIT_USAGE
     assert main(["sweep", "--p", "1.5"]) == EXIT_USAGE
     assert main(["sweep", "--count", "-2"]) == EXIT_USAGE
+    capsys.readouterr()
+    _assert_one_usage_line(capsys, ["sweep", "--n", "3..5..7"],
+                           "--n expects 'A..B' or a single integer, got '3..5..7'")
+
+
+def test_sweep_table_prints_each_counterexample(monkeypatch, capsys):
+    def always_unhappy(s):
+        return [f"synthetic failure for digraph {k}" for k in range(len(s.graphs))]
+
+    monkeypatch.setitem(INVARIANTS, "always_unhappy", always_unhappy)
+    rc = main(["sweep", "--count", "2", "--n", "3..3", "--p", "0", "--seed", "1"])
+    assert rc == EXIT_FAILURE
+    out = capsys.readouterr().out
+    assert f"{'always_unhappy':<24} FAIL (2 failures)\n" in out
+    corpus = random_corpus(RandomCorpusSpec(count=2, n_min=3, n_max=3,
+                                            arc_probabilities=(0.0,), seed=1))
+    for k, (label, g) in enumerate(corpus):
+        edges = "".join(f"  {line}\n" for line in serialize_edge_list(g).splitlines())
+        assert (f"\ncounterexample [always_unhappy] {label}\n"
+                f"  synthetic failure for digraph {k}\n{edges}") in out
+    assert out.endswith("checked 2 graphs, 20 checks\n")
 
 
 def test_sweep_deterministic_output(capsys):
@@ -347,6 +386,10 @@ def test_reconstruct_bad_row_key(capsys):
     rc = main(["reconstruct", "--n", "3", "--q", "2.0", "--row", "nope=1"])
     assert rc == EXIT_USAGE
     assert "unknown bound" in capsys.readouterr().err
+    _assert_one_usage_line(
+        capsys, ["reconstruct", "--n", "3", "--q", "2", "--row", "arc_deg_sum=x"],
+        "bad value for 'arc_deg_sum' in --row: 'x'",
+    )
 
 
 def test_reconstruct_g2_preset_refuses_with_guidance(capsys):
@@ -529,6 +572,11 @@ GOLDEN_COMMANDS = {
     "reconstruct_custom_n3_table": [
         "reconstruct", "--n", "3", "--q", "2.0", "--row", "arc_deg_sum=2.0",
         "--tol", "1e-6",
+    ],
+    # a nearest miss whose table prints bound-row columns
+    "reconstruct_nearest_row_table": [
+        "reconstruct", "--n", "3", "--q", "2.3", "--row",
+        "arc_deg_sum=4.0,deg_extremes=3.0", "--tol", "1e-6", "--allow-empty",
     ],
 }
 

@@ -286,7 +286,10 @@ def test_generators_reject_tiny_orders():
 
 @pytest.mark.parametrize(
     "p,q,r,s",
-    [(2, 3, 3, 2), (3, 3, 2, 2), (2, 4, 2, 1), (1, 4, 4, 1), (3, 2, 2, 3)],
+    # the naive pairing gives (4, 4, 2, 2) two components and (6, 6, 2, 2)
+    # three, which the 2-swaps merge
+    [(2, 3, 3, 2), (3, 3, 2, 2), (2, 4, 2, 1), (1, 4, 4, 1), (3, 2, 2, 3),
+     (4, 4, 2, 2), (6, 6, 2, 2)],
 )
 def test_gen_bipartite_semiregular_degrees(p, q, r, s):
     g = gen_bipartite_semiregular(p, q, r, s)
@@ -296,6 +299,8 @@ def test_gen_bipartite_semiregular_degrees(p, q, r, s):
     # every arc is paired with its reverse
     assert all((j, i) in g.arcs for i, j in g.arcs)
     assert classify(g).is_bipartite_semiregular
+    # connected exactly when the p*r undirected edges can span p + q vertices
+    assert is_strongly_connected(g) == (p * r >= p + q - 1)
 
 
 def test_gen_bipartite_semiregular_rejects_bad_counts():

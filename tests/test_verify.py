@@ -33,6 +33,7 @@ from qbounds import (
     sweep,
 )
 import qbounds.bounds as bounds
+import qbounds.spectral as spectral
 import qbounds.verify as verify
 
 from conftest import digraphs
@@ -188,14 +189,18 @@ def _oracle_corpus(c3, star4, two_islands, path3, arc2):
 def test_sweep_equals_oracle_with_perturbed_q(monkeypatch, cap, c3, star4,
                                                two_islands, path3, arc2):
     corpus = _oracle_corpus(c3, star4, two_islands, path3, arc2)
-    solve, moves = verify.spectral_radii, _perturbations()
+    graphs, solve, moves = [g for _, g in corpus], spectral._solve, _perturbations()
+    position = 0  # the corpus index of the next batch's first digraph
 
-    def perturbed(graphs):
-        graphs = list(graphs)
-        return [dataclasses.replace(r, q=moves[k % len(moves)](g, r.q))
-                for k, (g, r) in enumerate(zip(graphs, solve(graphs)))]
+    def perturbed(cols, tol, max_iter):
+        # the sweep and the oracle's spectral_radii each walk the corpus
+        # once, in order, so the position wraps to 0 between them
+        nonlocal position
+        start, position = position, (position + len(cols)) % len(graphs)
+        return [dataclasses.replace(r, q=moves[k % len(moves)](graphs[k], r.q))
+                for k, r in enumerate(solve(cols, tol, max_iter), start)]
 
-    monkeypatch.setattr(verify, "spectral_radii", perturbed)
+    monkeypatch.setattr(spectral, "_solve", perturbed)
     if cap is not None:
         monkeypatch.setattr(bounds, "_SLICE_ARCS", cap)
     report = sweep(corpus, description="perturbed")
@@ -204,6 +209,24 @@ def test_sweep_equals_oracle_with_perturbed_q(monkeypatch, cap, c3, star4,
     tripped = {failure.invariant for failure in report.failures}
     assert tripped >= {"dominance", "bracket_plain_rows", "bracket_deg_avg",
                        "regular_equality", "q_exceeds_max_outdeg"}
+
+
+def test_sweep_lays_out_each_slice_once(monkeypatch, c3, star4, two_islands,
+                                        path3, arc2):
+    # the solver and the invariants read the same batch
+    corpus = _oracle_corpus(c3, star4, two_islands, path3, arc2)
+    monkeypatch.setattr(bounds, "_SLICE_ARCS", 24)
+    sizes = [len(cols) for _, cols in BoundColumns.slices([g for _, g in corpus])]
+    from_graphs, laid_out = BoundColumns.from_graphs.__func__, []
+
+    def counted(cls, graphs):
+        laid_out.append(len(graphs))
+        return from_graphs(cls, graphs)
+
+    monkeypatch.setattr(BoundColumns, "from_graphs", classmethod(counted))
+    assert sweep(corpus).passed
+    assert laid_out == sizes
+    assert len(sizes) > 1
 
 
 @pytest.mark.parametrize("bid, first", [(BoundId.HONG_YOU, "vertex_start"),
