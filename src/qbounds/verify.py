@@ -16,10 +16,10 @@ connectivity is settled on each chunk's tensor, and the rest are laid
 out as a bounds.BoundColumns batch: the G* constraint and the target's
 bound columns, read without witnesses, are numpy expressions over it,
 bitwise equal to all_bounds. They give the exact row deviation, and q
-enters as an interval. Only candidates that could still match or beat
-the nearest miss reach the scalar path, spectral_radius for q, so the
-nearest miss is exact in every mode. all_bounds renders the reported
-digraphs' rows.
+enters as an interval. The candidates that could still match or beat
+the nearest miss are solved for q in one spectral_radii call per chunk,
+so the nearest miss is exact in every mode. all_bounds renders the
+reported digraphs' rows.
 """
 
 import dataclasses
@@ -38,7 +38,7 @@ from . import spectral as _spectral
 from .bounds import BoundColumns, BoundId, all_bounds
 from .digraph import Digraph, degree_profile, gen_random_strongly_connected
 from .edgelist import serialize_edge_list
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, oval_containment, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, oval_containment, spectral_radii
 
 DOMINANCE_TOL = 1e-9
 
@@ -291,10 +291,10 @@ def canonical_form(g: Digraph):
 
     A relabeling perm sets bits perm[i] * n + perm[j], m of them, so the
     minimum is the one whose bits, highest first, sort first. Factorial
-    cost (n! x n and n! x m arrays), so n! above DEFAULT_MAX_CANDIDATES
-    (n >= 11, which would take 3.5 GB) raises CandidateBudgetError before
-    anything is built; meant for the small matches that come out of a
-    reconstruction, not for bulk candidate filtering.
+    time, so n! above DEFAULT_MAX_CANDIDATES (n >= 11, minutes per
+    digraph) raises CandidateBudgetError before anything is built;
+    meant for the small matches that come out of a reconstruction, not
+    for bulk candidate filtering.
     """
     relabelings = math.factorial(g.n)
     if relabelings > DEFAULT_MAX_CANDIDATES:
@@ -304,16 +304,26 @@ def canonical_form(g: Digraph):
     return _canonical_forms([g])[0]
 
 
+# Relabelings per block of _canonical_forms: the bidirected K9 then peaks
+# at 7 MiB under tracemalloc, not 424 MiB, in the same time.
+_RELABEL_BLOCK = 4096
+
+
 def _canonical_forms(graphs) -> list:
-    """canonical_form of each digraph of a nonempty list sharing one n,
-    from one n! x n permutation array."""
+    """canonical_form of each digraph of a nonempty list sharing one n, in
+    O(_RELABEL_BLOCK m) memory: each keeps its smallest form over blocks."""
     n = graphs[0].n
-    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                        np.intp, count=math.factorial(n) * n).reshape(-1, n)
-    bits = (np.sort(perms[:, g.data.src] * n + perms[:, g.data.dst], axis=1)
-            for g in graphs)
-    # lexsort keys on the last column first
-    return [(n, sum(1 << bit for bit in b[np.lexsort(b.T)[0]].tolist())) for b in bits]
+    perms = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    forms = [math.inf] * len(graphs)
+    for start in range(0, math.factorial(n), _RELABEL_BLOCK):
+        rows = min(_RELABEL_BLOCK, math.factorial(n) - start)
+        block = np.fromiter(perms, np.intp, count=rows * n).reshape(rows, n)
+        for k, g in enumerate(graphs):
+            bits = np.sort(block[:, g.data.src] * n + block[:, g.data.dst], axis=1)
+            # lexsort keys on the last column first
+            smallest = bits[np.lexsort(bits.T)[0]].tolist()
+            forms[k] = min(forms[k], sum(1 << bit for bit in smallest))
+    return [(n, form) for form in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +419,8 @@ class ReconstructionMatch:
 @dataclass(frozen=True)
 class ReconstructionStages:
     """Where the candidates left the search. The first four counts add up
-    to candidates_visited; matched counts the scalar-evaluated candidates
-    within tolerance, before isomorphism deduplication."""
+    to candidates_visited; matched counts the evaluated candidates within
+    tolerance, before isomorphism deduplication."""
 
     structurally_rejected: int
     bound_rejected: int
@@ -446,7 +456,7 @@ _CHUNK_CELLS = 1 << 21
 _CW_ITERATIONS = 64
 
 # Widening of every q interval: the solver tolerance, plus 1e-9 for the
-# rounding of both the interval and spectral_radius.
+# rounding of both the interval and the solver.
 _Q_SLACK = DEFAULT_TOL + 1e-9
 
 
@@ -540,10 +550,10 @@ class _Search:
     can neither match nor beat the nearest miss so far (ties go to the
     earlier candidate). Its row deviation is exact, because BoundColumns
     agrees bitwise with all_bounds; its q deviation is bounded below by a
-    q interval. Every other candidate goes through the scalar path, which
-    adds only q from spectral_radius to the batch's row deviation; the
-    search never calls all_bounds. Which candidates settle, and at which
-    stage, does not depend on _CHUNK or on the order of the columns.
+    q interval. The chunk's other candidates are solved in one
+    spectral_radii call, and its decisions replay in enumeration order;
+    the search never calls all_bounds. Which candidates settle, and at
+    which stage, does not depend on _CHUNK or on the order of the columns.
     """
 
     def __init__(self, target: ReconstructionTarget):
@@ -562,15 +572,15 @@ class _Search:
         # miss; -inf once something matches, as no nearest miss is reported
         self.best = math.inf
 
-    def settled(self, dev, q_lo, q_hi):
+    def settled(self, dev, q_lo, q_hi, best):
         """Whether the deviation, bounded below from the exact row deviation
         and the q interval, exceeds the tolerance and is no better than
-        self.best. Works elementwise on arrays."""
+        best. Works elementwise on arrays."""
         q_gap = np.maximum(
             q_lo - _Q_SLACK - self.target.q, self.target.q - q_hi - _Q_SLACK
         )
         lower = np.maximum(dev, q_gap)
-        return (lower > self.target.tolerance) & (lower >= self.best)
+        return (lower > self.target.tolerance) & (lower >= best)
 
     def visit(self, adj):
         count = len(adj)
@@ -586,32 +596,46 @@ class _Search:
         self.counts["structurally_rejected"] += count - len(adj)
 
         # exact row deviation, column by column, dropping candidates as
-        # soon as it settles them; self.best holds until the stretch loop
+        # soon as it settles them; self.best holds until the replay
         dev = np.zeros(len(cols))
         for bid, expected in self.columns:
             values = cols.values_only(bid)
             dev = np.maximum(
                 dev, np.where(np.isnan(values), np.inf, np.abs(values - expected))
             )
-            out = self.settled(dev, -np.inf, np.inf)
+            out = self.settled(dev, -np.inf, np.inf, self.best)
             if out.any():
                 self.counts["bound_rejected"] += int(np.count_nonzero(out))
                 adj, cols, dev = adj[~out], cols.select(~out), dev[~out]
 
         q_lo, q_hi = self.q_interval(adj, cols, dev)
-        # only evaluate moves best, so each stretch up to the next candidate
-        # to evaluate settles as one array; what by_row settles, by_q does
-        k = 0
-        while k < len(cols):
-            by_row = self.settled(dev[k:], -np.inf, np.inf)
-            by_q = self.settled(dev[k:], q_lo[k:], q_hi[k:])
-            stop = k + int(np.append(by_q, False).argmin())  # first open or end
-            rejected = int(np.count_nonzero(by_row[:stop - k]))
-            self.counts["bound_rejected"] += rejected
-            self.counts["q_enclosed"] += stop - k - rejected
-            if stop < len(cols):
-                self.evaluate(adj[stop], dev[stop].item())
-            k = stop + 1
+        # solve only what may be open: a deviation is at most its ceiling,
+        # so a lower bound at self.best or an earlier ceiling settles it
+        n, tq, tol = self.target.n, self.target.q, self.target.tolerance
+        ceiling = np.maximum(dev, np.maximum(q_hi - tq, tq - q_lo) + _Q_SLACK)
+        ceilings = np.minimum.accumulate(np.append(self.best, ceiling))
+        (solve,) = np.nonzero(~self.settled(dev, q_lo, q_hi, ceilings[:-1]))
+        graphs = [Digraph(n, frozenset(map(tuple, np.argwhere(a).tolist())))
+                  for a in adj[solve]]
+        q = np.array([r.q for r in spectral_radii(graphs)])
+        full = np.full(len(cols), np.inf)
+        full[solve] = np.maximum(dev[solve], np.abs(q - tq))
+        # the replay: best before each candidate, the running minimum of the
+        # deviations before it, -inf after a match; settled ones never lower it
+        best = np.minimum.accumulate(
+            np.append(self.best, np.where(full <= tol, -np.inf, full)))
+        by_row = self.settled(dev, -np.inf, np.inf, best[:-1])
+        by_q = self.settled(dev, q_lo, q_hi, best[:-1])
+        self.counts["bound_rejected"] += int(np.count_nonzero(by_row))
+        self.counts["q_enclosed"] += int(np.count_nonzero(by_q & ~by_row))
+        self.counts["scalar_evaluated"] += int(np.count_nonzero(~by_q))
+        found = dict(zip(solve.tolist(), zip(graphs, q.tolist(), full[solve].tolist())))
+        matched = [found[k] for k in np.flatnonzero(full <= tol).tolist()]
+        self.counts["matched"] += len(matched)
+        self.matches += matched
+        if -math.inf < best[-1] < self.best:  # the first of the smallest
+            self.nearest = found[int(full.argmin())]
+        self.best = best[-1].item()
 
     def q_interval(self, adj, cols: BoundColumns, dev):
         """An interval holding q for every candidate: the row-sum bracket
@@ -619,7 +643,7 @@ class _Search:
         for the candidates the bracket leaves unsettled."""
         q_lo = 2.0 * cols.shape.lo
         q_hi = 2.0 * cols.shape.hi
-        (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi))
+        (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi, self.best))
         if not active.size:
             return q_lo, q_hi
         adj = adj[active]
@@ -631,32 +655,18 @@ class _Search:
             ratios = y / x
             q_lo[active] = np.maximum(q_lo[active], ratios.min(axis=1) - 1.0)
             q_hi[active] = np.minimum(q_hi[active], ratios.max(axis=1) - 1.0)
-            open_ = ~self.settled(dev[active], q_lo[active], q_hi[active])
+            open_ = ~self.settled(dev[active], q_lo[active], q_hi[active], self.best)
             if not open_.any():
                 break
             active, shifted, y = active[open_], shifted[open_], y[open_]
             x = y / y.max(axis=1, keepdims=True)
         return q_lo, q_hi
 
-    def evaluate(self, adj, dev):
-        """The scalar path; the row deviation dev is finite, else settled."""
-        src, dst = np.nonzero(adj)
-        g = Digraph(self.target.n, frozenset(zip(src.tolist(), dst.tolist())))
-        q = spectral_radius(g).q
-        dev = max(dev, abs(q - self.target.q))
-        self.counts["scalar_evaluated"] += 1
-        if dev <= self.target.tolerance:
-            self.counts["matched"] += 1
-            self.matches.append((g, q, dev))
-            self.best = -math.inf
-        elif dev < self.best:
-            self.nearest, self.best = (g, q, dev), dev
-
 
 def reconstruct(target: ReconstructionTarget,
                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> ReconstructionReport:
     """Exhaustively search the target's candidate space for digraphs whose
-    computed q (spectral_radius at its default tolerance) and bound row
+    computed q (spectral_radii at its default tolerance) and bound row
     sit within tolerance of the target.
 
     Before the search starts, a budget that is not an integer (bool and

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,13 +337,38 @@ def test_canonical_form_of_full_and_single_arc_digraphs():
     assert canonical_form(full) == canonical_form_oracle(full)
 
 
+def test_canonical_form_memory_is_bounded():
+    # the relabelings run in blocks; one (9!, 72) array would take 209 MB
+    g = gen_bidirectional_complete(9)
+    g.data  # built before the trace starts
+    tracemalloc.start()
+    try:
+        form = canonical_form(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    complete = sum(1 << (i * 9 + j) for i in range(9) for j in range(9) if i != j)
+    assert form == (9, complete)
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_canonical_forms_in_blocks_match_brute_force(monkeypatch, n):
+    # 5 divides neither 3! nor 4!, so the last block is short, and each
+    # digraph keeps its smallest form across blocks
+    monkeypatch.setattr(verify, "_RELABEL_BLOCK", 5)
+    graphs = [g for _, g in random_corpus(RandomCorpusSpec(6, n, n, (0.3, 0.7), n))]
+    graphs += [gen_directed_cycle(n), from_arc_list(n, [(n - 1, 0)])]
+    assert verify._canonical_forms(graphs) == [canonical_form_oracle(g) for g in graphs]
+    assert canonical_form(graphs[0]) == canonical_form_oracle(graphs[0])
+
+
 def test_canonical_form_refuses_past_the_budget(monkeypatch):
     def unbuilt(graphs):
         raise AssertionError("the permutation array was built")
 
     monkeypatch.setattr(verify, "_canonical_forms", unbuilt)
-    # 11! = 39,916,800 relabelings exceed the default budget of 2^23; an
-    # (n!, n) array would take 3.5 GB
+    # 11! = 39,916,800 relabelings exceed the default budget of 2^23
     with pytest.raises(verify.CandidateBudgetError,
                        match="n = 11 vertices takes 39,916,800 relabelings"):
         canonical_form(from_arc_list(11, [(0, 1)]))
@@ -510,7 +536,7 @@ def test_reconstruct_equals_scalar_oracle_on_drawn_targets(data):
 
 
 # structurally_rejected, bound_rejected, q_enclosed, scalar_evaluated and
-# matched of each target: which candidates reach the scalar path is part
+# matched of each target: which candidates are evaluated is part
 # of the search's contract
 EQUIVALENCE_STAGES = {
     "degree_bounded": (2907, 1185, 0, 3, 0),
@@ -542,6 +568,7 @@ def test_reconstruct_stage_counts_add_up(name):
 
 @pytest.mark.parametrize("name", ["g1", "gstar", "reducible"])
 @pytest.mark.parametrize("limit, value", [
+    ("_CHUNK", 1),  # best crosses every chunk boundary
     ("_CHUNK", 512), ("_CHUNK", 2048), ("_CHUNK", 4096),
     ("_CHUNK_CELLS", 100 * 4 ** 2),  # 100 candidates of 4 vertices
 ])
@@ -555,10 +582,31 @@ def test_reconstruct_chunk_sizes_equivalent(monkeypatch, name, limit, value):
     assert dataclasses.astuple(report.stages) == EQUIVALENCE_STAGES[name]
 
 
+def test_search_solves_each_chunk_in_one_call(monkeypatch):
+    solved = []
+
+    def recording(graphs, *args):
+        solved.append(len(graphs))
+        return spectral.spectral_radii(graphs, *args)
+
+    monkeypatch.setattr(verify, "spectral_radii", recording)
+    # g1 spans 4,095 candidates, two chunks; the candidates solved are
+    # exactly the ones the replay evaluates
+    report = reconstruct(PRESETS["g1"])
+    assert len(solved) == 2
+    assert sum(solved) == report.stages.scalar_evaluated == 30
+    solved.clear()
+    # a reducible candidate's q interval is loose, so its ceiling is too,
+    # and the solved set may hold candidates that the replay settles
+    report = reconstruct(EQUIVALENCE_TARGETS["reducible"])
+    assert len(solved) == 2
+    assert sum(solved) >= report.stages.scalar_evaluated
+
+
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
 def test_reconstruct_column_order_is_immaterial(monkeypatch, name):
     # within a chunk the row deviation only grows column by column, and
-    # best holds until the stretch loop, so the column loop settles the
+    # best holds until the replay, so the column loop settles the
     # same candidates in any order
     full = reconstruct(EQUIVALENCE_TARGETS[name])
     init = verify._Search.__init__
