@@ -342,10 +342,9 @@ _SLICE_ARCS = 1 << 14
 MAX_TENSOR_N = 62
 
 
-def _strongly_connected(adj):
-    """Strong connectivity of each digraph in an adjacency batch of at most
-    MAX_TENSOR_N vertices, from Warshall's transitive closure on int64
-    bitmask rows: bit j of reach[:, i] says that i reaches j."""
+def _closure(adj):
+    """Warshall's transitive closure of an adjacency batch on int64 bitmask
+    rows: bit j of reach[k, i] says that i reaches j in digraph k, or i == j."""
     n = adj.shape[1]
     bits = np.array([1 << j for j in range(n)], dtype=np.int64)
     # byte b of a little-endian packed row holds bits 8b to 8b + 7
@@ -354,7 +353,12 @@ def _strongly_connected(adj):
                        for b in range(packed.shape[2]))
     for k in range(n):
         reach |= np.where(reach & bits[k], reach[:, k:k + 1], 0)
-    return (reach == (1 << n) - 1).all(axis=1)
+    return reach
+
+
+def _strongly_connected(adj):
+    """Which digraphs of an adjacency batch are strongly connected."""
+    return (_closure(adj) == (1 << adj.shape[1]) - 1).all(axis=1)
 
 
 class BoundColumns:
@@ -362,27 +366,27 @@ class BoundColumns:
     one after another. Digraph k owns the vertices from vertex_start[k]
     and the arcs from arc_start[k] on, arcs in sorted (tail, head) order.
     Arrays per arc: tail, head (vertices numbered across the batch) and
-    arc_graph; per vertex: outdeg, two_outdeg, insum and vertex_graph;
-    per digraph: shape (shape.strongly flags the strongly connected ones).
+    arc_graph; per vertex: outdeg, two_outdeg, insum, vertex_graph and
+    component_of (strong components, numbered in each digraph); per
+    digraph: component_count and shape (shape.strongly: one component).
 
     BoundColumns(adj) lays out a boolean (N, n, n) tensor, adj[k, i, j]
     set when digraph k has the arc i -> j (each with an arc and no loop,
     like a Digraph, and n at most MAX_TENSOR_N), with one np.nonzero and
-    a bitmask Warshall closure for strong connectivity. from_graphs(graphs)
-    lays out Digraphs of any n from their GraphData and also numbers their
-    strong components across the batch, for spectral_radii: component_of
-    per vertex (GraphData.component_of, digraph after digraph) and
-    component_count per digraph. slices(graphs) cuts a list into batches
-    of at most _SLICE_ARCS arcs. values(bid)
+    a bitmask Warshall closure, which numbers the components by their
+    lowest vertices. from_graphs(graphs) lays out Digraphs of any n from
+    their GraphData, components in its order. slices(graphs) cuts a list
+    into batches of at most _SLICE_ARCS arcs. values(bid)
     gives each digraph's value and witness, bitwise those of all_bounds,
     a batch of one that renders the reasons; values_only(bid) gives the
     same values without the two passes that find the witnesses, and
     classification() the flags of classify, also a batch of one.
     """
 
-    def __init__(self, adj, _strongly=None):
-        # _strongly: _strongly_connected(adj), from a caller that has it
+    def __init__(self, adj, _reach=None):  # _reach: a caller's _closure(adj)
         adj = np.asarray(adj, dtype=bool)
+        if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
+            raise ValueError(f"adj must have shape (N, n, n), got {adj.shape}")
         count, n = adj.shape[:2]
         if n > MAX_TENSOR_N:
             raise ValueError(
@@ -394,13 +398,22 @@ class BoundColumns:
         m = np.bincount(k, minlength=count)
         if not m.all():
             raise ValueError("every digraph needs at least one arc")
+        reach = _closure(adj) if _reach is None else _reach
+        # one component in a strongly connected digraph; elsewhere i and j
+        # share one when they reach the same vertices, numbered by lowest vertex
+        component_of = np.zeros((count, n), dtype=np.intp)
+        split = (reach != (1 << n) - 1).any(axis=1)
+        if split.any():
+            lowest = (reach[split, :, None] == reach[split, None, :]).argmax(axis=2)
+            component_of[split] = np.take_along_axis(
+                np.cumsum(lowest == np.arange(n), axis=1) - 1, lowest, axis=1)
         self._lay_out(np.full(count, n), m, k * n + i, k * n + j,
-                      _strongly_connected(adj) if _strongly is None else _strongly)
+                      component_of.ravel(), component_of.max(axis=1) + 1)
 
     @classmethod
     def from_graphs(cls, graphs) -> "BoundColumns":
-        """The batch of a nonempty list of Digraphs, in order, with their
-        strong components numbered across the batch."""
+        """The batch of a nonempty list of Digraphs, in order, each with its
+        strong components in GraphData's numbering."""
         datas = [g.data for g in graphs]
         n, m = np.array([g.n for g in graphs]), np.array([g.m for g in graphs])
         count = np.array([len(data.components) for data in datas])
@@ -408,10 +421,7 @@ class BoundColumns:
         cols = object.__new__(cls)
         cols._lay_out(n, m, np.concatenate([data.src for data in datas]) + offset,
                       np.concatenate([data.dst for data in datas]) + offset,
-                      count == 1)
-        cols.component_count = count
-        cols.component_of = (np.concatenate([data.component_of for data in datas])
-                             + np.repeat(np.cumsum(count) - count, n))
+                      np.concatenate([data.component_of for data in datas]), count)
         return cols
 
     @classmethod
@@ -427,12 +437,13 @@ class BoundColumns:
         if arcs:
             yield start, cls.from_graphs(graphs[start:])
 
-    def _lay_out(self, n, m, tail, head, strongly):
-        """Digraphs of n vertices and m arcs each, arcs tail -> head."""
+    def _lay_out(self, n, m, tail, head, component_of, component_count):
+        """Digraphs of n vertices, m arcs tail -> head, component_count components each."""
         index = np.arange(len(n))
         self.vertex_graph, self.arc_graph = index.repeat(n), index.repeat(m)
         self.vertex_start, self.arc_start = np.cumsum(n) - n, np.cumsum(m) - m
         self.tail, self.head = tail, head
+        self.component_of, self.component_count = component_of, component_count
         size, starts = len(self.vertex_graph), self.vertex_start
         self.outdeg = d = np.bincount(tail, minlength=size)
         self.two_outdeg = np.bincount(tail, d[head], size).astype(np.int64)
@@ -441,18 +452,19 @@ class BoundColumns:
         heads = np.where(d[head] == 0, head - starts[self.arc_graph], size)
         zero_head = np.minimum.reduceat(heads, self.arc_start)
         zero_head[zero_head == size] = -1
-        self.shape = _Shape(n, m, lo, hi, strongly, zero_head)
+        self.shape = _Shape(n, m, lo, hi, component_count == 1, zero_head)
 
     def __len__(self):
         return len(self.vertex_start)
 
     def select(self, rows) -> "BoundColumns":
         """The digraphs that a boolean mask over the batch picks, in order."""
-        renumber = np.cumsum(rows[self.vertex_graph]) - 1
-        arcs, s = rows[self.arc_graph], self.shape
+        kept, arcs, s = rows[self.vertex_graph], rows[self.arc_graph], self.shape
+        renumber = np.cumsum(kept) - 1
         picked = object.__new__(BoundColumns)
         picked._lay_out(s.n[rows], s.m[rows], renumber[self.tail[arcs]],
-                        renumber[self.head[arcs]], s.strongly[rows])
+                        renumber[self.head[arcs]], self.component_of[kept],
+                        self.component_count[rows])
         return picked
 
     def applicable(self, bid: BoundId):

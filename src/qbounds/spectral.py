@@ -212,14 +212,16 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
 
 
 def _solve(cols: BoundColumns, tol, max_iter) -> list:
-    """The SpectralResult of each digraph of a BoundColumns.from_graphs
-    batch, in order. A stable sort by component label puts every block
-    of size > 1 on consecutive vertices in vertex order, _lockstep runs
-    those blocks together, and a size-one block is its outdegree,
-    exactly. Each result is bitwise independent of the rest of the
-    batch. A block still open after max_iter matvecs raises
-    ConvergenceError for the first such digraph of the batch."""
-    label, outdeg = cols.component_of, cols.outdeg.astype(float)
+    """The SpectralResult of each digraph of a BoundColumns batch, in
+    order, per_component in the batch's component order. A stable sort
+    by component label puts every block of size > 1 on consecutive
+    vertices in vertex order, _lockstep runs those blocks together, and
+    a size-one block is its outdegree, exactly. Each result is bitwise
+    independent of the rest of the batch. A block still open after
+    max_iter matvecs raises ConvergenceError for the first such digraph."""
+    first = np.cumsum(cols.component_count) - cols.component_count
+    label = first[cols.vertex_graph] + cols.component_of  # across the batch
+    outdeg = cols.outdeg.astype(float)
     sizes = np.bincount(label)
     exact = np.empty(len(sizes))
     exact[label] = outdeg  # the radius of a size-one block
@@ -237,17 +239,15 @@ def _solve(cols: BoundColumns, tol, max_iter) -> list:
         blocks[:, big] = _lockstep(outdeg[order], number[cols.tail[inside]],
                                    number[cols.head[inside]], sizes[big],
                                    tol, max_iter)
-    ends = np.cumsum(cols.component_count)
-    first = ends - cols.component_count
     best = np.maximum.reduceat(blocks, first, axis=1).tolist()
     matvecs = np.add.reduceat(blocks[2], first).astype(int).tolist()
     values = blocks[0].tolist()
     return [
         SpectralResult(q=q, residual=residual, iterations=iterations,
-                       per_component=tuple(enumerate(values[start:end])),
+                       per_component=tuple(enumerate(values[start:start + count])),
                        lo=lo, hi=hi)
-        for q, residual, _, lo, hi, iterations, start, end
-        in zip(*best, matvecs, first.tolist(), ends.tolist())
+        for q, residual, _, lo, hi, iterations, start, count
+        in zip(*best, matvecs, first.tolist(), cols.component_count.tolist())
     ]
 
 

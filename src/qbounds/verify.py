@@ -17,9 +17,9 @@ out as a bounds.BoundColumns batch: the G* constraint and the target's
 bound columns, read without witnesses, are numpy expressions over it,
 bitwise equal to all_bounds. They give the exact row deviation, and q
 enters as an interval. The candidates that could still match or beat
-the nearest miss are solved for q in one spectral_radii call per chunk,
-so the nearest miss is exact in every mode. all_bounds renders the
-reported digraphs' rows.
+the nearest miss are solved for q in one solver call per chunk, on that
+batch, so the nearest miss is exact in every mode. Only the reported
+digraphs are built as Digraphs, and all_bounds renders their rows.
 """
 
 import dataclasses
@@ -38,7 +38,7 @@ from . import spectral as _spectral
 from .bounds import BoundColumns, BoundId, all_bounds
 from .digraph import Digraph, degree_profile, gen_random_strongly_connected
 from .edgelist import serialize_edge_list
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, oval_containment, spectral_radii
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, oval_containment
 
 DOMINANCE_TOL = 1e-9
 
@@ -301,7 +301,7 @@ def canonical_form(g: Digraph):
         raise CandidateBudgetError(
             f"a canonical form on n = {g.n} vertices takes {relabelings:,} "
             f"relabelings, over the budget of {DEFAULT_MAX_CANDIDATES:,}")
-    return _canonical_forms([g])[0]
+    return _canonical_forms(g.n, [(g.data.src, g.data.dst)])[0]
 
 
 # Relabelings per block of _canonical_forms: the bidirected K9 then peaks
@@ -309,17 +309,16 @@ def canonical_form(g: Digraph):
 _RELABEL_BLOCK = 4096
 
 
-def _canonical_forms(graphs) -> list:
-    """canonical_form of each digraph of a nonempty list sharing one n, in
-    O(_RELABEL_BLOCK m) memory: each keeps its smallest form over blocks."""
-    n = graphs[0].n
+def _canonical_forms(n, arcs) -> list:
+    """canonical_form of each digraph on n vertices, from its (tail, head)
+    arc index arrays, in O(_RELABEL_BLOCK m) memory."""
     perms = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    forms = [math.inf] * len(graphs)
+    forms = [math.inf] * len(arcs)
     for start in range(0, math.factorial(n), _RELABEL_BLOCK):
         rows = min(_RELABEL_BLOCK, math.factorial(n) - start)
         block = np.fromiter(perms, np.intp, count=rows * n).reshape(rows, n)
-        for k, g in enumerate(graphs):
-            bits = np.sort(block[:, g.data.src] * n + block[:, g.data.dst], axis=1)
+        for k, (tail, head) in enumerate(arcs):
+            bits = np.sort(block[:, tail] * n + block[:, head], axis=1)
             # lexsort keys on the last column first
             smallest = bits[np.lexsort(bits.T)[0]].tolist()
             forms[k] = min(forms[k], sum(1 << bit for bit in smallest))
@@ -546,14 +545,14 @@ class _Search:
     """One reconstruction, fed the candidate space chunk by chunk in
     enumeration order.
 
-    A candidate is settled, and never built as a Digraph, once it provably
-    can neither match nor beat the nearest miss so far (ties go to the
+    A candidate is settled, and never solved, once it provably can
+    neither match nor beat the nearest miss so far (ties go to the
     earlier candidate). Its row deviation is exact, because BoundColumns
     agrees bitwise with all_bounds; its q deviation is bounded below by a
-    q interval. The chunk's other candidates are solved in one
-    spectral_radii call, and its decisions replay in enumeration order;
-    the search never calls all_bounds. Which candidates settle, and at
-    which stage, does not depend on _CHUNK or on the order of the columns.
+    q interval. The chunk's other candidates are solved in one call on
+    their selection of its batch, and its decisions replay in enumeration
+    order; matches and the nearest miss stay adjacency rows. The stages
+    do not depend on _CHUNK or on the order of the columns.
     """
 
     def __init__(self, target: ReconstructionTarget):
@@ -585,11 +584,12 @@ class _Search:
     def visit(self, adj):
         count = len(adj)
         self.visited += count
-        # strong connectivity is settled on the tensor, before the layout
-        strongly = _bounds._strongly_connected(adj)
+        # strong connectivity is settled on the closure, before the layout
+        reach = _bounds._closure(adj)
         if self.target.require_strongly_connected:
-            adj, strongly = adj[strongly], strongly[strongly]
-        cols = BoundColumns(adj, _strongly=strongly)
+            strongly = (reach == (1 << self.target.n) - 1).all(axis=1)
+            adj, reach = adj[strongly], reach[strongly]
+        cols = BoundColumns(adj, _reach=reach)
         if self.target.require_g_star:
             keep = cols.in_g_star_class()
             adj, cols = adj[keep], cols.select(keep)
@@ -611,15 +611,15 @@ class _Search:
         q_lo, q_hi = self.q_interval(adj, cols, dev)
         # solve only what may be open: a deviation is at most its ceiling,
         # so a lower bound at self.best or an earlier ceiling settles it
-        n, tq, tol = self.target.n, self.target.q, self.target.tolerance
+        tq, tol = self.target.q, self.target.tolerance
         ceiling = np.maximum(dev, np.maximum(q_hi - tq, tq - q_lo) + _Q_SLACK)
         ceilings = np.minimum.accumulate(np.append(self.best, ceiling))
-        (solve,) = np.nonzero(~self.settled(dev, q_lo, q_hi, ceilings[:-1]))
-        graphs = [Digraph(n, frozenset(map(tuple, np.argwhere(a).tolist())))
-                  for a in adj[solve]]
-        q = np.array([r.q for r in spectral_radii(graphs)])
-        full = np.full(len(cols), np.inf)
-        full[solve] = np.maximum(dev[solve], np.abs(q - tq))
+        solve = ~self.settled(dev, q_lo, q_hi, ceilings[:-1])
+        q = np.full(len(cols), np.nan)
+        if solve.any():  # most chunks of a strongly connected search solve none
+            q[solve] = [r.q for r in _spectral._solve(
+                cols.select(solve), DEFAULT_TOL, DEFAULT_MAX_ITER)]
+        full = np.where(solve, np.maximum(dev, np.abs(q - tq)), np.inf)
         # the replay: best before each candidate, the running minimum of the
         # deviations before it, -inf after a match; settled ones never lower it
         best = np.minimum.accumulate(
@@ -629,12 +629,13 @@ class _Search:
         self.counts["bound_rejected"] += int(np.count_nonzero(by_row))
         self.counts["q_enclosed"] += int(np.count_nonzero(by_q & ~by_row))
         self.counts["scalar_evaluated"] += int(np.count_nonzero(~by_q))
-        found = dict(zip(solve.tolist(), zip(graphs, q.tolist(), full[solve].tolist())))
-        matched = [found[k] for k in np.flatnonzero(full <= tol).tolist()]
+        matched = [(adj[k], q[k].item(), full[k].item())
+                   for k in np.flatnonzero(full <= tol).tolist()]
         self.counts["matched"] += len(matched)
         self.matches += matched
         if -math.inf < best[-1] < self.best:  # the first of the smallest
-            self.nearest = found[int(full.argmin())]
+            k = int(full.argmin())
+            self.nearest = adj[k], q[k].item(), full[k].item()
         self.best = best[-1].item()
 
     def q_interval(self, adj, cols: BoundColumns, dev):
@@ -705,7 +706,8 @@ def reconstruct(target: ReconstructionTarget,
                 f"{max_candidates:,}; narrow the target or raise max_candidates"
             )
         unique = {}
-        for form, match in zip(_canonical_forms([g for g, _, _ in found]), found):
+        arcs = [np.nonzero(a) for a, _, _ in found]
+        for form, match in zip(_canonical_forms(target.n, arcs), found):
             unique.setdefault(form, match)
         found = list(unique.values())
     matches = tuple(_rendered(*match) for match in found)
@@ -719,8 +721,9 @@ def reconstruct(target: ReconstructionTarget,
     )
 
 
-def _rendered(g, q, deviation) -> ReconstructionMatch:
-    """A reported digraph, with its full bound row."""
+def _rendered(adj, q, deviation) -> ReconstructionMatch:
+    """A reported digraph, built from its adjacency row, with its bound row."""
+    g = Digraph(len(adj), frozenset(map(tuple, np.argwhere(adj).tolist())))
     return ReconstructionMatch(g, q, all_bounds(g), deviation)
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -114,3 +115,18 @@ def exhaustive_sc(n):
             g = Digraph(n, frozenset(arcs))
             if is_strongly_connected(g):
                 yield g
+
+
+def strong_partition(cols):
+    """Each digraph's strong components in a BoundColumns batch, as a set
+    of vertex sets in the digraph's own numbering, once it is checked
+    that component_of numbers the component_count[k] components of
+    digraph k from 0."""
+    local = np.arange(len(cols.vertex_graph)) - cols.vertex_start[cols.vertex_graph]
+    parts = [{} for _ in range(len(cols))]
+    for k, c, v in zip(cols.vertex_graph.tolist(), cols.component_of.tolist(),
+                       local.tolist()):
+        parts[k].setdefault(c, set()).add(v)
+    for part, count in zip(parts, cols.component_count.tolist()):
+        assert sorted(part) == list(range(count))
+    return [frozenset(map(frozenset, part.values())) for part in parts]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from qbounds import (
 )
 import qbounds.bounds as bounds
 
-from conftest import bound, sc_digraphs, digraphs
+from conftest import bound, sc_digraphs, digraphs, strong_partition
 from oracles import bound_row_oracle, classify_oracle, generic_f_oracle
 
 SQRT3 = math.sqrt(3.0)
@@ -413,6 +414,7 @@ def _assert_columns_match_rows(graphs):
     rows = [all_bounds(g) for g in graphs]
     # the batched structure checks agree with their definitions
     assert columns.shape.strongly.tolist() == [is_strongly_connected(g) for g in graphs]
+    assert strong_partition(columns) == strong_partition(BoundColumns.from_graphs(graphs))
     assert columns.in_g_star_class().tolist() == [
         classify_oracle(g)["is_in_g_star_class"] for g in graphs
     ]
@@ -462,6 +464,10 @@ def test_strongly_connected_bit_rows_cross_bytes(n):
     assert expected[:2] == [True, False] and True in expected[2:]
     assert False in expected[2:]
     assert bounds._strongly_connected(adj).tolist() == expected
+    # the closure numbers the strong components Tarjan finds
+    columns = BoundColumns(adj)
+    assert columns.component_count.tolist() == [len(g.data.components) for g in graphs]
+    assert strong_partition(columns) == strong_partition(BoundColumns.from_graphs(graphs))
 
 
 def test_values_only_equals_values_bitwise():
@@ -603,6 +609,15 @@ def test_batched_columns_reject_empty_and_looped_digraphs():
         BoundColumns(adj)
     adj[1, 2, 2] = True
     with pytest.raises(ValueError, match="loop"):
+        BoundColumns(adj)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3)])
+def test_batched_columns_refuse_a_tensor_that_is_not_square(shape):
+    # on (2, 3, 4), digraph 0's arc 1 -> 3 would land on digraph 1
+    adj = np.zeros(shape, dtype=bool)
+    adj[..., 1, 2 if len(shape) == 2 else 3] = True
+    with pytest.raises(ValueError, match=re.escape(f"shape (N, n, n), got {shape}")):
         BoundColumns(adj)
 
 

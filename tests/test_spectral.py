@@ -544,6 +544,38 @@ def test_empty_batch():
     assert spectral_radii([]) == []
 
 
+def _solved(cols):
+    return spectral._solve(cols, spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)
+
+
+def test_tensor_batches_solve_as_graph_batches():
+    # every labeled 4-vertex digraph: the closure numbers the components in
+    # another order than Tarjan, so only per_component's order may differ
+    pool = [(i, j) for i in range(4) for j in range(4) if i != j]
+    graphs = [from_arc_list(4, [a for b, a in enumerate(pool) if mask >> b & 1])
+              for mask in range(1, 1 << len(pool))]
+    adj = np.zeros((len(graphs), 4, 4), dtype=bool)
+    for k, g in enumerate(graphs):
+        adj[k, g.data.src, g.data.dst] = True
+    cols = bounds.BoundColumns(adj)
+    expected = spectral_radii(graphs)
+    assert len(expected) == 4095
+    for got, want in zip(_solved(cols), expected):
+        assert (got.q, got.lo, got.hi, got.residual, got.iterations) == (
+            want.q, want.lo, want.hi, want.residual, want.iterations)
+        assert (sorted(value for _, value in got.per_component)
+                == sorted(value for _, value in want.per_component))
+    # a selection, taken twice as the search does, solves as the batch of
+    # the digraphs it keeps, on either layout
+    first = np.random.default_rng(4).random(len(graphs)) < 0.5
+    second = np.arange(np.count_nonzero(first)) % 3 != 1
+    kept = np.flatnonzero(first)[second]
+    assert (_solved(cols.select(first).select(second))
+            == _solved(bounds.BoundColumns(adj[kept])))
+    assert (_solved(bounds.BoundColumns.from_graphs(graphs).select(first).select(second))
+            == spectral_radii([graphs[k] for k in kept.tolist()]))
+
+
 def _convergence_error(g, max_iter):
     with pytest.raises(ConvergenceError) as info:
         per_block_spectral_radius(g, max_iter=max_iter)

@@ -37,7 +37,7 @@ import qbounds.bounds as bounds
 import qbounds.spectral as spectral
 import qbounds.verify as verify
 
-from conftest import digraphs
+from conftest import digraphs, strong_partition
 from oracles import (
     SCALAR_INVARIANTS,
     GraphCase,
@@ -359,7 +359,8 @@ def test_canonical_forms_in_blocks_match_brute_force(monkeypatch, n):
     monkeypatch.setattr(verify, "_RELABEL_BLOCK", 5)
     graphs = [g for _, g in random_corpus(RandomCorpusSpec(6, n, n, (0.3, 0.7), n))]
     graphs += [gen_directed_cycle(n), from_arc_list(n, [(n - 1, 0)])]
-    assert verify._canonical_forms(graphs) == [canonical_form_oracle(g) for g in graphs]
+    arcs = [(g.data.src, g.data.dst) for g in graphs]
+    assert verify._canonical_forms(n, arcs) == [canonical_form_oracle(g) for g in graphs]
     assert canonical_form(graphs[0]) == canonical_form_oracle(graphs[0])
 
 
@@ -583,13 +584,13 @@ def test_reconstruct_chunk_sizes_equivalent(monkeypatch, name, limit, value):
 
 
 def test_search_solves_each_chunk_in_one_call(monkeypatch):
-    solved = []
+    solved, solve = [], spectral._solve
 
-    def recording(graphs, *args):
-        solved.append(len(graphs))
-        return spectral.spectral_radii(graphs, *args)
+    def recording(cols, *args):
+        solved.append(len(cols))
+        return solve(cols, *args)
 
-    monkeypatch.setattr(verify, "spectral_radii", recording)
+    monkeypatch.setattr(spectral, "_solve", recording)
     # g1 spans 4,095 candidates, two chunks; the candidates solved are
     # exactly the ones the replay evaluates
     report = reconstruct(PRESETS["g1"])
@@ -601,6 +602,31 @@ def test_search_solves_each_chunk_in_one_call(monkeypatch):
     report = reconstruct(EQUIVALENCE_TARGETS["reducible"])
     assert len(solved) == 2
     assert sum(solved) >= report.stages.scalar_evaluated
+
+
+@pytest.mark.parametrize("target, stages", [
+    (PRESETS["g1"], EQUIVALENCE_STAGES["g1"]),
+    # reducible candidates, 607 of them solved, and no match: the
+    # nearest miss is reported
+    (ReconstructionTarget(n=4, q=3.3, require_strongly_connected=False),
+     (0, 0, 3488, 607, 0)),
+])
+def test_search_builds_digraphs_for_reported_candidates_only(monkeypatch, target,
+                                                             stages):
+    # the search solves and deduplicates on its adjacency rows
+    built, init = [], Digraph.__post_init__
+
+    def counting(g):
+        built.append(g)
+        init(g)
+
+    monkeypatch.setattr(Digraph, "__post_init__", counting)
+    report = reconstruct(target)
+    assert dataclasses.astuple(report.stages) == stages
+    shown = [m.digraph for m in report.matches]
+    shown += [report.nearest_miss.digraph] if report.nearest_miss else []
+    assert len(shown) == 1
+    assert built == shown
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
@@ -681,6 +707,10 @@ def test_batched_strong_connectivity_on_wide_rows(n):
     else:
         assert bounds._strongly_connected(adj).tolist() == expected
         assert BoundColumns(adj).shape.strongly.tolist() == expected
+        # 62 single-vertex components on the path
+        assert BoundColumns(adj).component_count.tolist() == [1, n, 1]
+        assert (strong_partition(BoundColumns(adj))
+                == strong_partition(BoundColumns.from_graphs(graphs)))
 
 
 def test_reconstruct_refuses_unbounded_large_space():
