@@ -342,23 +342,16 @@ _SLICE_ARCS = 1 << 14
 MAX_TENSOR_N = 62
 
 
-def _closure(adj):
-    """Warshall's transitive closure of an adjacency batch on int64 bitmask
-    rows: bit j of reach[k, i] says that i reaches j in digraph k, or i == j."""
-    n = adj.shape[1]
-    bits = np.array([1 << j for j in range(n)], dtype=np.int64)
-    # byte b of a little-endian packed row holds bits 8b to 8b + 7
-    packed = np.packbits(adj, axis=2, bitorder="little")
-    reach = bits | sum(packed[:, :, b].astype(np.int64) << 8 * b
-                       for b in range(packed.shape[2]))
+def _closure(rows):
+    """Warshall's transitive closure of a batch of int64 bit rows, bit j of
+    rows[k, i] set when digraph k has the arc i -> j: bit j of reach[k, i]
+    says that i reaches j in digraph k, or i == j."""
+    n = rows.shape[1]
+    reach = rows | np.left_shift(1, np.arange(n, dtype=np.int64))
     for k in range(n):
-        reach |= np.where(reach & bits[k], reach[:, k:k + 1], 0)
+        # -(bit k) is all ones where i reaches k, and then i reaches what k does
+        reach |= -((reach >> k) & 1) & reach[:, k:k + 1]
     return reach
-
-
-def _strongly_connected(adj):
-    """Which digraphs of an adjacency batch are strongly connected."""
-    return (_closure(adj) == (1 << adj.shape[1]) - 1).all(axis=1)
 
 
 class BoundColumns:
@@ -370,21 +363,23 @@ class BoundColumns:
     component_of (strong components, numbered in each digraph); per
     digraph: component_count and shape (shape.strongly: one component).
 
-    BoundColumns(adj) lays out a boolean (N, n, n) tensor, adj[k, i, j]
-    set when digraph k has the arc i -> j (each with an arc and no loop,
-    like a Digraph, and n at most MAX_TENSOR_N), with one np.nonzero and
-    a bitmask Warshall closure, which numbers the components by their
-    lowest vertices. from_graphs(graphs) lays out Digraphs of any n from
-    their GraphData, components in its order. slices(graphs) cuts a list
-    into batches of at most _SLICE_ARCS arcs. values(bid)
-    gives each digraph's value and witness, bitwise those of all_bounds,
-    a batch of one that renders the reasons; values_only(bid) gives the
-    same values without the two passes that find the witnesses, and
-    classification() the flags of classify, also a batch of one.
+    BoundColumns(adj), a tensor batch of a boolean (N, n, n) tensor
+    (adj[k, i, j] for the arc i -> j of digraph k; each with an arc and
+    no loop, n at most MAX_TENSOR_N), computes the vertex columns and the
+    shape at once from the tensor, and numbers the components by their
+    lowest vertices from a bitmask closure; its arc arrays are laid out
+    on first use, as are those of its selections. from_graphs(graphs)
+    lays out Digraphs of any n from their GraphData, arcs included,
+    components in its order. slices(graphs) cuts a list into batches of
+    at most _SLICE_ARCS arcs. values(bid) gives each digraph's value and
+    witness, bitwise those of all_bounds, a batch of one that renders
+    the reasons; values_only(bid) the values alone, without the two
+    passes that find the witnesses, and classification() the flags of
+    classify, also a batch of one.
     """
 
-    def __init__(self, adj, _reach=None):  # _reach: a caller's _closure(adj)
-        adj = np.asarray(adj, dtype=bool)
+    def __init__(self, adj, _reach=None):  # _reach: a caller's closure of adj
+        adj = np.array(adj, dtype=bool)  # its own copy: the arcs are read from it later
         if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
             raise ValueError(f"adj must have shape (N, n, n), got {adj.shape}")
         count, n = adj.shape[:2]
@@ -394,21 +389,44 @@ class BoundColumns:
                 f"n = {n}; lay out larger digraphs with BoundColumns.from_graphs")
         if adj[:, np.arange(n), np.arange(n)].any():
             raise ValueError("loop arcs are not allowed")
-        k, i, j = np.nonzero(adj)
-        m = np.bincount(k, minlength=count)
+        a = adj.astype(np.float32)  # exact: t(i) and insum are at most 61 * 61
+        d = np.einsum("kij->ki", a)
+        insum = np.einsum("kij,ki->kj", a, d)
+        degrees = [x.astype(np.int64) for x in (d, np.einsum("kij,kj->ki", a, d), insum)]
+        m = degrees[0].sum(axis=1)
         if not m.all():
             raise ValueError("every digraph needs at least one arc")
-        reach = _closure(adj) if _reach is None else _reach
+        if _reach is None:
+            # byte b of a little-endian packed row holds bits 8b to 8b + 7
+            packed = np.packbits(adj, axis=2, bitorder="little")
+            _reach = _closure(sum(packed[:, :, b].astype(np.int64) << 8 * b
+                                  for b in range(packed.shape[2])))
         # one component in a strongly connected digraph; elsewhere i and j
         # share one when they reach the same vertices, numbered by lowest vertex
         component_of = np.zeros((count, n), dtype=np.intp)
-        split = (reach != (1 << n) - 1).any(axis=1)
+        split = (_reach != (1 << n) - 1).any(axis=1)
         if split.any():
-            lowest = (reach[split, :, None] == reach[split, None, :]).argmax(axis=2)
+            lowest = (_reach[split, :, None] == _reach[split, None, :]).argmax(axis=2)
             component_of[split] = np.take_along_axis(
                 np.cumsum(lowest == np.arange(n), axis=1) - 1, lowest, axis=1)
-        self._lay_out(np.full(count, n), m, k * n + i, k * n + j,
-                      component_of.ravel(), component_of.max(axis=1) + 1)
+        component_count = component_of.max(axis=1) + 1
+        # every tail has outdegree >= 1, so the heads are the vertices of positive insum
+        zero_heads = (insum > 0) & (d == 0)
+        zero_head = np.where(zero_heads.any(axis=1), zero_heads.argmax(axis=1), -1)
+        self._adj = adj
+        self._lay_out([x.ravel() for x in degrees],
+                      _Shape(np.full(count, n), m, degrees[0].min(axis=1),
+                             degrees[0].max(axis=1), component_count == 1, zero_head),
+                      component_of.ravel(), component_count)
+
+    def __getattr__(self, name):
+        """A tensor batch lays out its arcs when one of them is first read."""
+        if name not in ("tail", "head", "arc_graph", "arc_start"):
+            raise AttributeError(name)
+        n = self._adj.shape[1]
+        tail, j = np.divmod(np.flatnonzero(self._adj), n)  # tail = k n + i, arc i -> j
+        self._arcs(tail, tail - tail % n + j)
+        return getattr(self, name)
 
     @classmethod
     def from_graphs(cls, graphs) -> "BoundColumns":
@@ -417,11 +435,20 @@ class BoundColumns:
         datas = [g.data for g in graphs]
         n, m = np.array([g.n for g in graphs]), np.array([g.m for g in graphs])
         count = np.array([len(data.components) for data in datas])
-        offset = np.repeat(np.cumsum(n) - n, m)
+        size, starts = n.sum(), np.cumsum(n) - n
+        dst, offset = np.concatenate([data.dst for data in datas]), np.repeat(starts, m)
+        tail, head = np.concatenate([data.src for data in datas]) + offset, dst + offset
+        d = np.bincount(tail, minlength=size)
+        zero_head = np.minimum.reduceat(np.where(d[head] == 0, dst, size),
+                                        np.cumsum(m) - m)
+        zero_head[zero_head == size] = -1
         cols = object.__new__(cls)
-        cols._lay_out(n, m, np.concatenate([data.src for data in datas]) + offset,
-                      np.concatenate([data.dst for data in datas]) + offset,
+        cols._lay_out([d, np.bincount(tail, d[head], size).astype(np.int64),
+                       np.bincount(head, d[tail], size).astype(np.int64)],
+                      _Shape(n, m, np.minimum.reduceat(d, starts),
+                             np.maximum.reduceat(d, starts), count == 1, zero_head),
                       np.concatenate([data.component_of for data in datas]), count)
+        cols._arcs(tail, head)
         return cols
 
     @classmethod
@@ -437,34 +464,35 @@ class BoundColumns:
         if arcs:
             yield start, cls.from_graphs(graphs[start:])
 
-    def _lay_out(self, n, m, tail, head, component_of, component_count):
-        """Digraphs of n vertices, m arcs tail -> head, component_count components each."""
-        index = np.arange(len(n))
-        self.vertex_graph, self.arc_graph = index.repeat(n), index.repeat(m)
-        self.vertex_start, self.arc_start = np.cumsum(n) - n, np.cumsum(m) - m
+    def _lay_out(self, degrees, shape, component_of, component_count):
+        """Digraphs of shape.n vertices; degrees is (outdeg, two_outdeg, insum)."""
+        self.outdeg, self.two_outdeg, self.insum = degrees
+        self.vertex_graph = np.arange(len(shape.n)).repeat(shape.n)
+        self.vertex_start = np.cumsum(shape.n) - shape.n
+        self.shape, self.component_of, self.component_count = (
+            shape, component_of, component_count)
+
+    def _arcs(self, tail, head):
+        """The arcs tail -> head, in sorted order, numbered across the batch."""
         self.tail, self.head = tail, head
-        self.component_of, self.component_count = component_of, component_count
-        size, starts = len(self.vertex_graph), self.vertex_start
-        self.outdeg = d = np.bincount(tail, minlength=size)
-        self.two_outdeg = np.bincount(tail, d[head], size).astype(np.int64)
-        self.insum = np.bincount(head, d[tail], size).astype(np.int64)
-        lo, hi = np.minimum.reduceat(d, starts), np.maximum.reduceat(d, starts)
-        heads = np.where(d[head] == 0, head - starts[self.arc_graph], size)
-        zero_head = np.minimum.reduceat(heads, self.arc_start)
-        zero_head[zero_head == size] = -1
-        self.shape = _Shape(n, m, lo, hi, component_count == 1, zero_head)
+        self.arc_graph = self.vertex_graph[tail]
+        self.arc_start = np.cumsum(self.shape.m) - self.shape.m
 
     def __len__(self):
         return len(self.vertex_start)
 
     def select(self, rows) -> "BoundColumns":
         """The digraphs that a boolean mask over the batch picks, in order."""
-        kept, arcs, s = rows[self.vertex_graph], rows[self.arc_graph], self.shape
-        renumber = np.cumsum(kept) - 1
+        kept = rows[self.vertex_graph]
         picked = object.__new__(BoundColumns)
-        picked._lay_out(s.n[rows], s.m[rows], renumber[self.tail[arcs]],
-                        renumber[self.head[arcs]], self.component_of[kept],
-                        self.component_count[rows])
+        picked._lay_out([x[kept] for x in (self.outdeg, self.two_outdeg, self.insum)],
+                        _Shape(*(field[rows] for field in self.shape)),
+                        self.component_of[kept], self.component_count[rows])
+        if "_adj" in vars(self):
+            picked._adj = self._adj[rows]
+        else:
+            arcs, renumber = rows[self.arc_graph], np.cumsum(kept) - 1
+            picked._arcs(renumber[self.tail[arcs]], renumber[self.head[arcs]])
         return picked
 
     def applicable(self, bid: BoundId):

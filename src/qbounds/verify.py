@@ -11,15 +11,16 @@ caller raises it) is refused before the search starts. Matches are
 deduplicated up to digraph isomorphism via a minimum-bitstring canonical
 form, whose n! relabelings count against the same budget.
 
-The search streams the space in chunks of adjacency tensors. Strong
-connectivity is settled on each chunk's tensor, and the rest are laid
-out as a bounds.BoundColumns batch: the G* constraint and the target's
-bound columns, read without witnesses, are numpy expressions over it,
-bitwise equal to all_bounds. They give the exact row deviation, and q
-enters as an interval. The candidates that could still match or beat
-the nearest miss are solved for q in one solver call per chunk, on that
-batch, so the nearest miss is exact in every mode. Only the reported
-digraphs are built as Digraphs, and all_bounds renders their rows.
+The search streams the space in chunks of int64 bit rows, one per
+vertex. Strong connectivity is settled on their closure, and the rest
+are unpacked into a bounds.BoundColumns tensor batch, which lays out
+arcs only when an arc column or the solver reads them: the G*
+constraint and the target's bound columns, read without witnesses, are
+numpy expressions over it, bitwise equal to all_bounds. They give the
+exact row deviation, and q enters as an interval. The candidates that
+could still match or beat the nearest miss are solved for q in one
+solver call per chunk, on that batch, so the nearest miss is exact in
+every mode. Only the reported digraphs are built as Digraphs.
 """
 
 import dataclasses
@@ -471,10 +472,11 @@ class CandidateBudgetError(ValueError):
 
 
 def _candidate_space(target: ReconstructionTarget, max_candidates: int):
-    """Generator of the target's candidates as boolean adjacency chunks of
-    shape (c, n, n), c <= _CHUNK and c n^2 <= _CHUNK_CELLS, in enumeration
-    order. The target has validated its constraints; the refusals left
-    here, on the first chunk and before anything is built, are n above
+    """Generator of the target's candidates as int64 bit-row chunks of
+    shape (c, n), bit j of rows[k, i] for the arc i -> j of candidate k,
+    c <= _CHUNK and c n^2 <= _CHUNK_CELLS, in enumeration order. The
+    target has validated its constraints; the refusals left here, on the
+    first chunk and before anything is built, are n above
     bounds.MAX_TENSOR_N (ValueError), which no narrowing helps, and then a space
     of more than max_candidates candidates (CandidateBudgetError). The
     count is exact: at n <= 62 the largest, 2^3782 - 1, takes microseconds.
@@ -483,7 +485,8 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     per-vertex out-neighborhood combinations, the last vertex fastest;
     with a fixed m through the combinations of arc slots; otherwise
     through arc-slot bitmasks 1 .. 2^(n(n-1)) - 1, slot b in bit b. Arc
-    slots are the pairs (i, j), i != j, in lexicographic order.
+    slots are the pairs (i, j), i != j, in lexicographic order, so vertex
+    i owns the slots i(n - 1) to i(n - 1) + n - 2.
     """
     n, m, seq = target.n, target.m, target.outdeg_sequence
     if n > _bounds.MAX_TENSOR_N:
@@ -503,42 +506,37 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
             f"not desk scale; fix the arc count m or supply an outdegree "
             f"sequence, or raise max_candidates"
         )
-    slots = np.array([i * n + j for i in range(n) for j in range(n) if i != j])
     if seq is not None:
-        # pools[i][c] is the out-neighborhood row of vertex i's c-th choice
-        pools = []
-        for i, d in enumerate(seq):
-            others = [j for j in range(n) if j != i]
-            rows = np.zeros((comb(n - 1, d), n), dtype=bool)
-            for c, nbrs in enumerate(itertools.combinations(others, d)):
-                rows[c, list(nbrs)] = True
-            pools.append(rows)
+        # pools[i][c] is the bit row of vertex i's c-th out-neighborhood
+        pools = [np.array([sum(1 << j for j in nbrs) for nbrs in itertools.combinations(
+                     [j for j in range(n) if j != i], d)], dtype=np.int64)
+                 for i, d in enumerate(seq)]
     elif m is not None:
-        combos = itertools.combinations(range(len(slots)), m)
+        combos = itertools.combinations(range(n * (n - 1)), m)
     size = min(_CHUNK, _CHUNK_CELLS // (n * n))
     for start in range(0, total, size):
         index = np.arange(start, min(start + size, total))
+        rows = np.zeros((len(index), n), dtype=np.int64)
         if seq is not None:
-            adj = np.empty((len(index), n, n), dtype=bool)
             for i in reversed(range(n)):
                 index, choice = np.divmod(index, len(pools[i]))
-                adj[:, i] = pools[i][choice]
-            yield adj
-            continue
-        if m is not None:
-            picked = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.islice(combos, len(index))
-                ),
-                dtype=np.intp, count=len(index) * m,
-            ).reshape(-1, m)
-            chosen = np.zeros((len(index), len(slots)), dtype=bool)
-            chosen[np.arange(len(index))[:, None], picked] = True
+                rows[:, i] = pools[i][choice]
+        elif m is not None:
+            picked = np.fromiter(itertools.chain.from_iterable(itertools.islice(
+                combos, len(index))), dtype=np.intp, count=len(index) * m)
+            # slot s is the arc from i = s // (n - 1) to its (s % (n - 1))-th
+            # other vertex; a row's bits are distinct, so adding them packs them
+            i, other = np.divmod(picked.reshape(-1, m), n - 1)
+            np.add.at(rows.reshape(-1), np.arange(len(index))[:, None] * n + i,
+                      np.left_shift(1, other + (other >= i)))
         else:
-            chosen = ((index[:, None] + 1) >> np.arange(len(slots))) & 1
-        flat = np.zeros((len(index), n * n), dtype=bool)
-        flat[:, slots] = chosen
-        yield flat.reshape(-1, n, n)
+            # vertex i's slots are the n - 1 bits of the mask from i(n - 1) on,
+            # one per other vertex; those above i move up one place
+            for i in range(n):
+                own = ((index + 1) >> i * (n - 1)) & ((1 << (n - 1)) - 1)
+                low = own & ((1 << i) - 1)
+                rows[:, i] = low | (own - low) << 1
+        yield rows
 
 
 class _Search:
@@ -581,14 +579,17 @@ class _Search:
         lower = np.maximum(dev, q_gap)
         return (lower > self.target.tolerance) & (lower >= best)
 
-    def visit(self, adj):
-        count = len(adj)
+    def visit(self, rows):
+        count, n = rows.shape
         self.visited += count
-        # strong connectivity is settled on the closure, before the layout
-        reach = _bounds._closure(adj)
+        # strong connectivity is settled on the bit rows, and only the rest are
+        # unpacked: byte b of a little-endian int64 holds bits 8b to 8b + 7
+        reach = _bounds._closure(rows)
         if self.target.require_strongly_connected:
-            strongly = (reach == (1 << self.target.n) - 1).all(axis=1)
-            adj, reach = adj[strongly], reach[strongly]
+            strongly = (reach == (1 << n) - 1).all(axis=1)
+            rows, reach = rows[strongly], reach[strongly]
+        octets = rows.astype("<i8", copy=False).view(np.uint8).reshape(len(rows), n, 8)
+        adj = np.unpackbits(octets, axis=2, count=n, bitorder="little").view(bool)
         cols = BoundColumns(adj, _reach=reach)
         if self.target.require_g_star:
             keep = cols.in_g_star_class()
@@ -693,8 +694,8 @@ def reconstruct(target: ReconstructionTarget,
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be positive, got {max_candidates}")
     search = _Search(target)
-    for adj in _candidate_space(target, max_candidates):
-        search.visit(adj)
+    for rows in _candidate_space(target, max_candidates):
+        search.visit(rows)
 
     found = search.matches
     if len(found) > 1:  # one match needs no permutation array

@@ -32,6 +32,7 @@ from qbounds import (
     witness_value,
 )
 import qbounds.bounds as bounds
+import qbounds.spectral as spectral
 
 from conftest import bound, sc_digraphs, digraphs, strong_partition
 from oracles import bound_row_oracle, classify_oracle, generic_f_oracle
@@ -463,11 +464,61 @@ def test_strongly_connected_bit_rows_cross_bytes(n):
     expected = [is_strongly_connected(g) for g in graphs]
     assert expected[:2] == [True, False] and True in expected[2:]
     assert False in expected[2:]
-    assert bounds._strongly_connected(adj).tolist() == expected
-    # the closure numbers the strong components Tarjan finds
     columns = BoundColumns(adj)
+    assert columns.shape.strongly.tolist() == expected
+    # the closure numbers the strong components Tarjan finds
     assert columns.component_count.tolist() == [len(g.data.components) for g in graphs]
     assert strong_partition(columns) == strong_partition(BoundColumns.from_graphs(graphs))
+
+
+@pytest.mark.parametrize("read_arcs", [False, True])
+def test_tensor_batch_selections_equal_graph_batches(read_arcs):
+    # a tensor batch computes its columns and shape densely, select carries
+    # them over, and the arcs are laid out on first use: taken twice, as
+    # the search does, with or without arcs read on the way, a selection
+    # holds bitwise the arrays of the graph batch of the digraphs it keeps
+    graphs = _every_4_vertex_digraph()
+    adj = np.zeros((len(graphs), 4, 4), dtype=bool)
+    for k, g in enumerate(graphs):
+        adj[k, g.data.src, g.data.dst] = True
+    cols = BoundColumns(adj)
+    adj[:] = False  # the batch reads its arcs from a tensor of its own
+    rng = np.random.default_rng(5)
+    first = rng.random(len(graphs)) < 0.5
+    if read_arcs:
+        cols.values(BoundId.OVAL_AVG)
+    picked = cols.select(first)
+    if read_arcs:
+        picked.in_g_star_class()
+    second = rng.random(len(picked)) < 0.5
+    picked = picked.select(second)
+    kept = [graphs[k] for k in np.flatnonzero(first)[second].tolist()]
+    want = BoundColumns.from_graphs(kept)
+    # vertices of outdegree 0, some of them arc heads, are among them
+    assert (want.outdeg == 0).any() and (want.shape.zero_head >= 0).any()
+    arrays = ["tail", "head", "arc_graph", "arc_start", "outdeg", "two_outdeg",
+              "insum", "vertex_graph", "vertex_start", "component_count"]
+    for name, got, expected in zip(
+            arrays + [f"shape.{field}" for field in bounds._Shape._fields],
+            [getattr(picked, name) for name in arrays] + list(picked.shape),
+            [getattr(want, name) for name in arrays] + list(want.shape)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    # the closure numbers the components by lowest vertex, Tarjan otherwise
+    assert strong_partition(picked) == strong_partition(want)
+    for bid in ROW_ORDER:
+        for got, expected in zip(picked.values(bid), want.values(bid)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    for got, expected in zip(dataclasses.astuple(picked.classification()),
+                             dataclasses.astuple(want.classification())):
+        assert got.tolist() == expected.tolist()
+    solve = [spectral._solve(c, spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)
+             for c in (picked, want)]
+    for got, expected in zip(*solve):
+        assert (got.q, got.lo, got.hi, got.residual, got.iterations) == (
+            expected.q, expected.lo, expected.hi, expected.residual,
+            expected.iterations)
+        assert (sorted(value for _, value in got.per_component)
+                == sorted(value for _, value in expected.per_component))
 
 
 def test_values_only_equals_values_bitwise():

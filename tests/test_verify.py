@@ -41,6 +41,7 @@ from conftest import digraphs, strong_partition
 from oracles import (
     SCALAR_INVARIANTS,
     GraphCase,
+    _candidate_arc_sets,
     canonical_form_oracle,
     reconstruct_oracle,
     sweep_oracle,
@@ -705,7 +706,6 @@ def test_batched_strong_connectivity_on_wide_rows(n):
         with pytest.raises(ValueError, match=refusal):
             BoundColumns(adj)
     else:
-        assert bounds._strongly_connected(adj).tolist() == expected
         assert BoundColumns(adj).shape.strongly.tolist() == expected
         # 62 single-vertex components on the path
         assert BoundColumns(adj).component_count.tolist() == [1, n, 1]
@@ -738,7 +738,7 @@ def test_reconstruct_counts_its_space_before_enumerating():
     # the unconstrained n = 5 space, 2^20 - 1 candidates, is within budget
     space = verify._candidate_space(ReconstructionTarget(n=5, q=3.0),
                                     verify.DEFAULT_MAX_CANDIDATES)
-    assert next(space).shape == (verify._CHUNK, 5, 5)
+    assert next(space).shape == (verify._CHUNK, 5)
 
 
 def test_reconstruct_budget_is_raised_explicitly():
@@ -776,7 +776,63 @@ def test_reconstruct_refuses_more_than_62_vertices():
     space = verify._candidate_space(ReconstructionTarget(n=62, q=3.0, m=1),
                                     verify.DEFAULT_MAX_CANDIDATES)
     # 545 candidates, the most that fit 2^21 adjacency cells
-    assert next(space).shape == (verify._CHUNK_CELLS // 62 ** 2, 62, 62)
+    assert next(space).shape == (verify._CHUNK_CELLS // 62 ** 2, 62)
+
+
+@pytest.mark.parametrize("target, budget, chunks", [
+    # outdegrees 0 and n - 1 included: 5,000 candidates in three chunks
+    (ReconstructionTarget(n=6, q=3.0, outdeg_sequence=(2, 0, 5, 1, 3, 2)),
+     verify.DEFAULT_MAX_CANDIDATES, None),
+    (ReconstructionTarget(n=5, q=3.0, m=4), verify.DEFAULT_MAX_CANDIDATES, None),
+    (ReconstructionTarget(n=4, q=3.0), verify.DEFAULT_MAX_CANDIDATES, None),
+    # every single-arc candidate on 62 vertices, bit 61 included
+    (ReconstructionTarget(n=62, q=3.0, m=1), verify.DEFAULT_MAX_CANDIDATES, None),
+    # the first chunk of the 2^56 - 1 candidates on 8 vertices
+    (ReconstructionTarget(n=8, q=3.0), 1 << 56, 1),
+], ids=["outdeg_sequence", "fixed_m", "unconstrained", "n62_m1", "n8_first_chunk"])
+def test_candidate_space_packs_the_oracle_order(target, budget, chunks):
+    # bit j of rows[k, i] is the arc i -> j of the k-th candidate in the
+    # order reconstruct documents
+    expected = _candidate_arc_sets(target)
+    for rows in itertools.islice(verify._candidate_space(target, budget), chunks):
+        packed = np.zeros_like(rows)
+        for k, arcs in enumerate(itertools.islice(expected, len(rows))):
+            for i, j in arcs:
+                packed[k, i] |= 1 << j
+        assert rows.dtype == np.int64 and rows.shape[1] == target.n
+        assert rows.tolist() == packed.tolist()
+    if chunks is None:
+        assert next(expected, None) is None
+
+
+def test_search_lays_out_arcs_only_for_the_candidates_it_solves(monkeypatch):
+    # no column of this row reads arcs, so a tensor batch and its
+    # selections lay out arcs only for the candidates handed to the solver
+    batches, solved = [], []
+    init, select, solve = BoundColumns.__init__, BoundColumns.select, spectral._solve
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        batches.append(self)
+
+    def recording_select(self, rows):
+        batches.append(select(self, rows))
+        return batches[-1]
+
+    def recording_solve(cols, *args):
+        solved.append(len(cols))
+        return solve(cols, *args)
+
+    monkeypatch.setattr(BoundColumns, "__init__", recording_init)
+    monkeypatch.setattr(BoundColumns, "select", recording_select)
+    monkeypatch.setattr(spectral, "_solve", recording_solve)
+    columns = (BoundId.DEG_PLUS_AVG, BoundId.INDEG_SQRT, BoundId.HONG_YOU,
+               BoundId.DEG_EXTREMES)
+    target = dataclasses.replace(
+        PRESETS["g1"], row={bid: dict(PRESETS["g1"].row)[bid] for bid in columns})
+    reconstruct(target)
+    laid_out = sum(len(cols) for cols in batches if "tail" in vars(cols))
+    assert 0 < sum(solved) == laid_out < sum(len(cols) for cols in batches)
 
 
 def _single_arc_target(n):
