@@ -175,7 +175,6 @@ class _Shape(NamedTuple):
     zero_head: object
 
 
-
 _SC = (lambda s: s.strongly, lambda s: "not strongly connected")
 _N3 = (lambda s: s.n >= 3, lambda s: "needs at least 3 vertices")
 _MIN_OUTDEG_1 = (
@@ -342,10 +341,17 @@ _SLICE_ARCS = 1 << 14
 MAX_TENSOR_N = 62
 
 
+def _unpack(rows):
+    """The boolean (N, n, n) tensor of bit rows, int64 (N, n) with bit j of
+    rows[k, i] for the arc i -> j of digraph k, in little-endian bytes."""
+    count, n = rows.shape
+    octets = rows.astype("<i8", copy=False).view(np.uint8).reshape(count, n, 8)
+    return np.unpackbits(octets, axis=2, count=n, bitorder="little").view(bool)
+
+
 def _closure(rows):
-    """Warshall's transitive closure of a batch of int64 bit rows, bit j of
-    rows[k, i] set when digraph k has the arc i -> j: bit j of reach[k, i]
-    says that i reaches j in digraph k, or i == j."""
+    """Warshall's transitive closure of a batch of bit rows: bit j of
+    reach[k, i] says that i reaches j in digraph k, or i == j."""
     n = rows.shape[1]
     reach = rows | np.left_shift(1, np.arange(n, dtype=np.int64))
     for k in range(n):
@@ -396,8 +402,7 @@ class BoundColumns:
         m = degrees[0].sum(axis=1)
         if not m.all():
             raise ValueError("every digraph needs at least one arc")
-        if _reach is None:
-            # byte b of a little-endian packed row holds bits 8b to 8b + 7
+        if _reach is None:  # the closure of the tensor's bit rows
             packed = np.packbits(adj, axis=2, bitorder="little")
             _reach = _closure(sum(packed[:, :, b].astype(np.int64) << 8 * b
                                   for b in range(packed.shape[2])))

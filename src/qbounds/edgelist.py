@@ -1,10 +1,10 @@
 """Flat edge-list format.
 
 Line oriented: an optional header "n <count>" first, then one arc per
-line as "<i> <j>" with 1-based vertex ids. "#" starts a comment anywhere
-on a line; blank lines are skipped. Without a header the vertex count is
-the largest id mentioned. serialize always writes the header so trailing
-isolated vertices survive a round trip.
+line as "<i> <j>", ids 1-based; ids and count are ASCII decimal. "#"
+starts a comment anywhere on a line; blank lines are skipped. Without a
+header the vertex count is the largest id mentioned. serialize always
+writes the header so trailing isolated vertices survive a round trip.
 """
 
 from .digraph import Digraph
@@ -38,6 +38,9 @@ def parse_edge_list(text: str) -> Digraph:
             if len(tokens) != 2:
                 raise EdgeListParseError(line_number, "header must be 'n <count>'")
             try:
+                # int() alone would also read 1_0 as 10, and non-ASCII digits
+                if not tokens[1].isascii() or "_" in tokens[1]:
+                    raise ValueError(tokens[1])
                 declared_n = int(tokens[1])
             except ValueError:
                 raise EdgeListParseError(
@@ -51,6 +54,8 @@ def parse_edge_list(text: str) -> Digraph:
                 line_number, f"expected an arc line '<i> <j>', got {line!r}"
             )
         try:
+            if "_" in line or not (tokens[0].isascii() and tokens[1].isascii()):
+                raise ValueError(line)
             i, j = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListParseError(

@@ -11,16 +11,17 @@ caller raises it) is refused before the search starts. Matches are
 deduplicated up to digraph isomorphism via a minimum-bitstring canonical
 form, whose n! relabelings count against the same budget.
 
-The search streams the space in chunks of int64 bit rows, one per
-vertex. Strong connectivity is settled on their closure, and the rest
-are unpacked into a bounds.BoundColumns tensor batch, which lays out
-arcs only when an arc column or the solver reads them: the G*
-constraint and the target's bound columns, read without witnesses, are
-numpy expressions over it, bitwise equal to all_bounds. They give the
-exact row deviation, and q enters as an interval. The candidates that
-could still match or beat the nearest miss are solved for q in one
-solver call per chunk, on that batch, so the nearest miss is exact in
-every mode. Only the reported digraphs are built as Digraphs.
+The search streams the space in chunks of bounds' int64 bit rows, one
+per vertex. Strong connectivity is settled on their closure, and the
+rest are laid out as a bounds.BoundColumns tensor batch, the chunk's one
+store of candidates from then on, which lays out arcs only when an arc
+column or the solver reads them: the G* constraint and the target's
+bound columns, read without witnesses, are numpy expressions over it,
+bitwise equal to all_bounds. They give the exact row deviation, and q
+enters as an interval from its tensor. The candidates that could still
+match or beat the nearest miss are solved for q in one solver call per
+chunk, on that batch, so the nearest miss is exact in every mode. Only
+the reported digraphs, rows of its tensor, are built as Digraphs.
 """
 
 import dataclasses
@@ -375,9 +376,7 @@ class ReconstructionTarget:
             row = [(bid, float(row[bid])) for bid in _bounds.ROW_ORDER if bid in row]
         object.__setattr__(self, "row", tuple(row))
         if self.outdeg_sequence is not None:
-            object.__setattr__(
-                self, "outdeg_sequence", tuple(self.outdeg_sequence)
-            )
+            object.__setattr__(self, "outdeg_sequence", tuple(self.outdeg_sequence))
         counts = [("n", self.n), ("m", self.m)]
         counts += [("outdeg_sequence entry", d) for d in self.outdeg_sequence or ()]
         for name, value in counts:
@@ -399,13 +398,9 @@ class ReconstructionTarget:
             if sum(seq) < 1:
                 raise ValueError("outdeg_sequence must place at least one arc")
             if self.m is not None and sum(seq) != self.m:
-                raise ValueError(
-                    f"outdeg_sequence sums to {sum(seq)} but m = {self.m}"
-                )
+                raise ValueError(f"outdeg_sequence sums to {sum(seq)} but m = {self.m}")
         if self.m is not None and not 1 <= self.m <= n * (n - 1):
-            raise ValueError(
-                f"m must lie in [1, {n * (n - 1)}] for n = {n}, got {self.m}"
-            )
+            raise ValueError(f"m must lie in [1, {n * (n - 1)}] for n = {n}, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -549,9 +544,9 @@ class _Search:
     agrees bitwise with all_bounds; its q deviation is bounded below by a
     q interval. The chunk's other candidates are solved in one call on
     their selection of its batch, and its decisions replay in enumeration
-    order; matches and the nearest miss stay adjacency rows. The stages
-    do not depend on _CHUNK or on the column order: a chunk runs first the
-    columns that have settled the most so far, and stops at an empty batch.
+    order; matches and the nearest miss are rows of the batch's tensor.
+    The stages do not depend on _CHUNK or on the column order: a chunk runs
+    first the columns that have settled the most, and stops once empty.
     """
 
     def __init__(self, target: ReconstructionTarget):
@@ -563,9 +558,7 @@ class _Search:
             target.row, key=lambda column: _bounds._SPECS[column[0]].kind == "arc")
         self.settled_by = dict.fromkeys(self.columns, 0)
         self.visited = 0
-        self.counts = {
-            f.name: 0 for f in dataclasses.fields(ReconstructionStages)
-        }
+        self.counts = {f.name: 0 for f in dataclasses.fields(ReconstructionStages)}
         self.matches = []
         self.nearest = None
         # the deviation a candidate must undercut to become the nearest
@@ -585,19 +578,16 @@ class _Search:
     def visit(self, rows):
         count, n = rows.shape
         self.visited += count
-        # strong connectivity is settled on the bit rows, and only the rest are
-        # unpacked: byte b of a little-endian int64 holds bits 8b to 8b + 7
+        # strong connectivity is settled on the bit rows, and only the rest
+        # are laid out: from here on the batch holds the candidates
         reach = _bounds._closure(rows)
         if self.target.require_strongly_connected:
             strongly = (reach == (1 << n) - 1).all(axis=1)
             rows, reach = rows[strongly], reach[strongly]
-        octets = rows.astype("<i8", copy=False).view(np.uint8).reshape(len(rows), n, 8)
-        adj = np.unpackbits(octets, axis=2, count=n, bitorder="little").view(bool)
-        cols = BoundColumns(adj, _reach=reach)
+        cols = BoundColumns(_bounds._unpack(rows), _reach=reach)
         if self.target.require_g_star:
-            keep = cols.in_g_star_class()
-            adj, cols = adj[keep], cols.select(keep)
-        self.counts["structurally_rejected"] += count - len(adj)
+            cols = cols.select(cols.in_g_star_class())
+        self.counts["structurally_rejected"] += count - len(cols)
 
         # exact row deviation, column by column, dropping candidates as
         # soon as it settles them; self.best holds until the replay
@@ -614,12 +604,12 @@ class _Search:
                 settled = int(np.count_nonzero(out))
                 self.settled_by[bid, expected] += settled
                 self.counts["bound_rejected"] += settled
-                adj, cols, dev = adj[~out], cols.select(~out), dev[~out]
+                cols, dev = cols.select(~out), dev[~out]
         self.columns = sorted(self.settled_by, key=lambda c: -self.settled_by[c])
         if not len(dev):  # best, matches and the nearest miss stay as they are
             return
 
-        q_lo, q_hi = self.q_interval(adj, cols, dev)
+        q_lo, q_hi = self.q_interval(cols, dev)
         # solve only what may be open: a deviation is at most its ceiling,
         # so a lower bound at self.best or an earlier ceiling settles it
         tq, tol = self.target.q, self.target.tolerance
@@ -640,28 +630,27 @@ class _Search:
         self.counts["bound_rejected"] += int(np.count_nonzero(by_row))
         self.counts["q_enclosed"] += int(np.count_nonzero(by_q & ~by_row))
         self.counts["scalar_evaluated"] += int(np.count_nonzero(~by_q))
-        matched = [(adj[k], q[k].item(), full[k].item())
+        matched = [(cols._adj[k], q[k].item(), full[k].item())
                    for k in np.flatnonzero(full <= tol).tolist()]
         self.counts["matched"] += len(matched)
         self.matches += matched
         if -math.inf < best[-1] < self.best:  # the first of the smallest
             k = int(full.argmin())
-            self.nearest = adj[k], q[k].item(), full[k].item()
+            self.nearest = cols._adj[k], q[k].item(), full[k].item()
         self.best = best[-1].item()
 
-    def q_interval(self, adj, cols: BoundColumns, dev):
+    def q_interval(self, cols: BoundColumns, dev):
         """An interval holding q for every candidate: the row-sum bracket
-        [2 min d, 2 max d], narrowed by Collatz-Wielandt ratios of Q + I
-        for the candidates the bracket leaves unsettled."""
-        q_lo = 2.0 * cols.shape.lo
-        q_hi = 2.0 * cols.shape.hi
+        [2 min d, 2 max d], narrowed by Collatz-Wielandt ratios of Q + I,
+        from the batch's tensor, for the candidates it leaves unsettled."""
+        q_lo, q_hi = 2.0 * cols.shape.lo, 2.0 * cols.shape.hi
         (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi, self.best))
         if not active.size:
             return q_lo, q_hi
-        adj = adj[active]
+        d = cols.outdeg.reshape(len(cols), -1)[active]
         # Q + I keeps the iterate positive; its radius is q + 1
-        shifted = adj + np.eye(adj.shape[1]) * (adj.sum(axis=2) + 1)[:, None]
-        x = np.ones(adj.shape[:2])
+        shifted = cols._adj[active] + np.eye(d.shape[1]) * (d + 1)[:, None]
+        x = np.ones(d.shape)
         for _ in range(_CW_ITERATIONS):
             y = (shifted * x[:, None, :]).sum(axis=2)
             ratios = y / x

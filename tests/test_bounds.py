@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -483,6 +485,16 @@ def test_tensor_batch_selections_equal_graph_batches(read_arcs):
         adj[k, g.data.src, g.data.dst] = True
     cols = BoundColumns(adj)
     adj[:] = False  # the batch reads its arcs from a tensor of its own
+    with pytest.raises(AttributeError, match="no_such_array"):
+        cols.no_such_array
+    # copies and pickles of the unread batch, which look __setstate__ up
+    # through __getattr__, lay out the arcs of the graph batch
+    whole = BoundColumns.from_graphs(graphs)
+    for twin in (copy.deepcopy(cols), pickle.loads(pickle.dumps(cols))):
+        assert "tail" not in vars(twin)
+        for name in ("tail", "head", "arc_graph", "arc_start"):
+            assert getattr(twin, name).tobytes() == getattr(whole, name).tobytes()
+    assert "tail" not in vars(cols)
     rng = np.random.default_rng(5)
     first = rng.random(len(graphs)) < 0.5
     if read_arcs:

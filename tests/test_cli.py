@@ -86,6 +86,9 @@ def test_parse_rejects_late_or_duplicate_header():
     ("n", "header must be 'n <count>'"),
     ("n 3 4", "header must be 'n <count>'"),
     ("n x", "vertex count is not an integer: 'x'"),
+    # int() takes both, but only ASCII decimal tokens are counts here
+    ("n 1_0", "vertex count is not an integer: '1_0'"),
+    ("n \u0663", "vertex count is not an integer: '\u0663'"),
     ("n 0", "vertex count must be positive"),
 ])
 def test_parse_rejects_malformed_header(header, message):
@@ -98,6 +101,11 @@ def test_parse_rejects_garbage_tokens():
         parse_edge_list("1 2 3\n")
     with pytest.raises(EdgeListParseError, match="must be integers"):
         parse_edge_list("a b\n")
+    # int() reads 1_0 as 10 and the Arabic-Indic digit as 3, but only ASCII
+    # decimal tokens are integers here
+    for line in ("1_0 2", "1 \u0663"):
+        with pytest.raises(EdgeListParseError, match="line 2: arc endpoints must be integers"):
+            parse_edge_list(f"n 11\n{line}\n")
 
 
 def test_parse_rejects_empty_document():

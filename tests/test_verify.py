@@ -487,6 +487,9 @@ EQUIVALENCE_TARGETS = {
         n=5, q=3.9, outdeg_sequence=(2, 2, 1, 1, 2),
         row={BoundId.WEIGHT_DEG_SUM: 3.8, BoundId.OVAL_GEOMEAN: 3.9},
     ),
+    # q above every 3-vertex candidate's row-sum bracket [2 min d, 2 max d]:
+    # once a nearest miss exists, the bracket alone settles a candidate
+    "q_out_of_reach": ReconstructionTarget(n=3, q=9.0),
 }
 
 
@@ -547,6 +550,7 @@ EQUIVALENCE_STAGES = {
     "gstar": (112, 0, 57, 51, 48),
     "outdeg_sequence": (2079, 638, 698, 41, 0),
     "q_only": (2489, 0, 1574, 32, 0),
+    "q_out_of_reach": (45, 0, 10, 8, 0),
     "reducible": (0, 3497, 540, 58, 0),
     "triangle": (45, 15, 0, 3, 2),
     "triangle_miss": (45, 15, 0, 3, 0),
@@ -568,7 +572,7 @@ def test_reconstruct_stage_counts_add_up(name):
     assert dataclasses.astuple(stages) == EQUIVALENCE_STAGES[name]
 
 
-@pytest.mark.parametrize("name", ["g1", "gstar", "reducible"])
+@pytest.mark.parametrize("name", ["g1", "gstar", "reducible", "q_out_of_reach"])
 @pytest.mark.parametrize("limit, value", [
     ("_CHUNK", 1),  # best crosses every chunk boundary
     ("_CHUNK", 512), ("_CHUNK", 2048), ("_CHUNK", 4096),
@@ -576,7 +580,8 @@ def test_reconstruct_stage_counts_add_up(name):
 ])
 def test_reconstruct_chunk_sizes_equivalent(monkeypatch, name, limit, value):
     # g1 and reducible span 4,095 candidates, so the chunk sizes cut their
-    # spaces at different places
+    # spaces at different places; in chunks of one, q_out_of_reach has
+    # chunks whose whole batch the row-sum bracket settles
     full = reconstruct(EQUIVALENCE_TARGETS[name])
     monkeypatch.setattr(verify, limit, value)
     report = reconstruct(EQUIVALENCE_TARGETS[name])
@@ -711,9 +716,9 @@ def test_search_leaves_the_column_loop_once_the_batch_is_empty(monkeypatch, name
         chunks[-1].append(len(cols))
         return values_only(cols, bid)
 
-    def bracketing(self, adj, cols, dev):
+    def bracketing(self, cols, dev):
         intervals.append(len(cols))
-        return q_interval(self, adj, cols, dev)
+        return q_interval(self, cols, dev)
 
     monkeypatch.setattr(verify, "_CHUNK", 1)
     monkeypatch.setattr(verify._Search, "visit", visiting)
