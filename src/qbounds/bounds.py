@@ -342,21 +342,25 @@ MAX_TENSOR_N = 62
 
 
 def _unpack(rows):
-    """The boolean (N, n, n) tensor of bit rows, int64 (N, n) with bit j of
-    rows[k, i] for the arc i -> j of digraph k, in little-endian bytes."""
-    count, n = rows.shape
-    octets = rows.astype("<i8", copy=False).view(np.uint8).reshape(count, n, 8)
-    return np.unpackbits(octets, axis=2, count=n, bitorder="little").view(bool)
+    """The boolean (N, n, n) tensor of vertex-major bit rows, int64 (n, N)
+    with bit j of rows[i, k] for the arc i -> j of digraph k. They are
+    transposed to little-endian (N, n) rows, whose bytes unpack in order."""
+    n, count = rows.shape
+    octets = np.ascontiguousarray(rows.T, dtype="<i8").view(np.uint8)
+    return np.unpackbits(octets.reshape(count, n, 8), axis=2, count=n,
+                         bitorder="little").view(bool)
 
 
 def _closure(rows):
-    """Warshall's transitive closure of a batch of bit rows: bit j of
-    reach[k, i] says that i reaches j in digraph k, or i == j."""
-    n = rows.shape[1]
-    reach = rows | np.left_shift(1, np.arange(n, dtype=np.int64))
+    """Warshall's transitive closure of a batch of vertex-major bit rows,
+    int64 (n, N): bit j of reach[i, k] says that i reaches j in digraph k,
+    or i == j. Each vertex's rows are contiguous, so a step ORs in the
+    whole row reach[k]."""
+    n = rows.shape[0]
+    reach = rows | np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
     for k in range(n):
         # -(bit k) is all ones where i reaches k, and then i reaches what k does
-        reach |= -((reach >> k) & 1) & reach[:, k:k + 1]
+        reach |= -((reach >> k) & 1) & reach[k]
     return reach
 
 
@@ -399,29 +403,39 @@ class BoundColumns:
         d = np.einsum("kij->ki", a)
         insum = np.einsum("kij,ki->kj", a, d)
         degrees = [x.astype(np.int64) for x in (d, np.einsum("kij,kj->ki", a, d), insum)]
-        m = degrees[0].sum(axis=1)
+        # reductions over each digraph's vertices run on vertex-major (n, N)
+        # arrays, the outdegrees' copy and the closure, combining whole rows
+        outdeg = np.ascontiguousarray(degrees[0].T)
+        m, lo = outdeg.sum(axis=0), outdeg.min(axis=0)
         if not m.all():
             raise ValueError("every digraph needs at least one arc")
         if _reach is None:  # the closure of the tensor's bit rows
             packed = np.packbits(adj, axis=2, bitorder="little")
-            _reach = _closure(sum(packed[:, :, b].astype(np.int64) << 8 * b
-                                  for b in range(packed.shape[2])))
+            _reach = _closure(np.ascontiguousarray(sum(
+                packed[:, :, b].astype(np.int64) << 8 * b
+                for b in range(packed.shape[2])).T))
         # one component in a strongly connected digraph; elsewhere i and j
         # share one when they reach the same vertices, numbered by lowest vertex
         component_of = np.zeros((count, n), dtype=np.intp)
-        split = (_reach != (1 << n) - 1).any(axis=1)
-        if split.any():
-            lowest = (_reach[split, :, None] == _reach[split, None, :]).argmax(axis=2)
-            component_of[split] = np.take_along_axis(
+        component_count = np.ones(count, dtype=np.intp)
+        (split,) = np.nonzero(np.bitwise_and.reduce(_reach, axis=0) != (1 << n) - 1)
+        if split.size:
+            reach = _reach[:, split].T
+            lowest = (reach[:, :, None] == reach[:, None, :]).argmax(axis=2)
+            ids = np.take_along_axis(
                 np.cumsum(lowest == np.arange(n), axis=1) - 1, lowest, axis=1)
-        component_count = component_of.max(axis=1) + 1
-        # every tail has outdegree >= 1, so the heads are the vertices of positive insum
-        zero_heads = (insum > 0) & (d == 0)
-        zero_head = np.where(zero_heads.any(axis=1), zero_heads.argmax(axis=1), -1)
+            component_of[split], component_count[split] = ids, ids.max(axis=1) + 1
+        # every tail has outdegree >= 1, so the heads are the vertices of
+        # positive insum; only a digraph with a vertex of outdegree 0 has one
+        zero_head = np.full(count, -1)
+        (some,) = np.nonzero(lo == 0)
+        if some.size:
+            zero_heads = (insum[some] > 0) & (d[some] == 0)
+            zero_head[some] = np.where(zero_heads.any(axis=1), zero_heads.argmax(axis=1), -1)
         self._adj = adj
         self._lay_out([x.ravel() for x in degrees],
-                      _Shape(np.full(count, n), m, degrees[0].min(axis=1),
-                             degrees[0].max(axis=1), component_count == 1, zero_head),
+                      _Shape(np.full(count, n), m, lo, outdeg.max(axis=0),
+                             component_count == 1, zero_head),
                       component_of.ravel(), component_count)
 
     def __getattr__(self, name):

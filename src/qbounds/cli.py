@@ -123,10 +123,16 @@ def _read_graph(args):
         text = sys.stdin.read()
     else:
         try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.input, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise EdgeListParseError(0, f"cannot read {args.input}: {exc}") from exc
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # named by the line of its first bad byte
+            raise EdgeListParseError(
+                data[:exc.start].count(b"\n") + 1,
+                f"byte {data[exc.start]:#04x} is not UTF-8 text") from exc
     return parse_edge_list(text)
 
 

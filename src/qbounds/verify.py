@@ -12,7 +12,9 @@ deduplicated up to digraph isomorphism via a minimum-bitstring canonical
 form, whose n! relabelings count against the same budget.
 
 The search streams the space in chunks of bounds' int64 bit rows, one
-per vertex. Strong connectivity is settled on their closure, and the
+per vertex, held vertex-major: a chunk of c candidates is an (n, c)
+array, so that a reduction over each candidate's vertices combines
+contiguous rows. Strong connectivity is settled on their closure, and the
 rest are laid out as a bounds.BoundColumns tensor batch, the chunk's one
 store of candidates from then on, which lays out arcs only when an arc
 column or the solver reads them: the G* constraint and the target's
@@ -456,9 +458,12 @@ _Q_SLACK = DEFAULT_TOL + 1e-9
 
 
 # The largest candidate space a search takes unless the caller raises the
-# budget: 4 to 8 s at the 0.5 to 0.9 us per candidate measured on the
+# budget: 3.5 to 7 s at the 0.4 to 0.9 us per candidate measured on the
 # unconstrained n = 5 space, with a full bound row, one column or q alone
-# (one core of a shared 2-core x86-64 machine).
+# (one core of a shared 2-core x86-64 machine). A search that solves many
+# of its candidates costs more: the reducible n = 5, q = 3.0 target
+# solves 307,090 of 1,048,575 at about 10 us per candidate, some 80 s at
+# this budget.
 DEFAULT_MAX_CANDIDATES = 1 << 23
 
 
@@ -467,9 +472,12 @@ class CandidateBudgetError(ValueError):
 
 
 def _candidate_space(target: ReconstructionTarget, max_candidates: int):
-    """Generator of the target's candidates as int64 bit-row chunks of
-    shape (c, n), bit j of rows[k, i] for the arc i -> j of candidate k,
-    c <= _CHUNK and c n^2 <= _CHUNK_CELLS, in enumeration order. The
+    """Generator of the target's candidates as vertex-major int64 bit-row
+    chunks of shape (n, c), bit j of rows[i, k] for the arc i -> j of
+    candidate k, c <= _CHUNK and c n^2 <= _CHUNK_CELLS, in enumeration
+    order. Vertex-major, each vertex's rows are contiguous, so the
+    search's reductions over a candidate's n vertices combine whole rows
+    instead of running along an n-wide inner axis. The
     target has validated its constraints; the refusals left here, on the
     first chunk and before anything is built, are n above
     bounds.MAX_TENSOR_N (ValueError), which no narrowing helps, and then a space
@@ -511,18 +519,19 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
     size = min(_CHUNK, _CHUNK_CELLS // (n * n))
     for start in range(0, total, size):
         index = np.arange(start, min(start + size, total))
-        rows = np.zeros((len(index), n), dtype=np.int64)
+        c = len(index)
+        rows = np.zeros((n, c), dtype=np.int64)
         if seq is not None:
             for i in reversed(range(n)):
                 index, choice = np.divmod(index, len(pools[i]))
-                rows[:, i] = pools[i][choice]
+                rows[i] = pools[i][choice]
         elif m is not None:
             picked = np.fromiter(itertools.chain.from_iterable(itertools.islice(
-                combos, len(index))), dtype=np.intp, count=len(index) * m)
+                combos, c)), dtype=np.intp, count=c * m)
             # slot s is the arc from i = s // (n - 1) to its (s % (n - 1))-th
             # other vertex; a row's bits are distinct, so adding them packs them
             i, other = np.divmod(picked.reshape(-1, m), n - 1)
-            np.add.at(rows.reshape(-1), np.arange(len(index))[:, None] * n + i,
+            np.add.at(rows.reshape(-1), i * c + np.arange(c)[:, None],
                       np.left_shift(1, other + (other >= i)))
         else:
             # vertex i's slots are the n - 1 bits of the mask from i(n - 1) on,
@@ -530,7 +539,7 @@ def _candidate_space(target: ReconstructionTarget, max_candidates: int):
             for i in range(n):
                 own = ((index + 1) >> i * (n - 1)) & ((1 << (n - 1)) - 1)
                 low = own & ((1 << i) - 1)
-                rows[:, i] = low | (own - low) << 1
+                rows[i] = low | (own - low) << 1
         yield rows
 
 
@@ -576,14 +585,14 @@ class _Search:
         return (lower > self.target.tolerance) & (lower >= best)
 
     def visit(self, rows):
-        count, n = rows.shape
+        n, count = rows.shape
         self.visited += count
         # strong connectivity is settled on the bit rows, and only the rest
         # are laid out: from here on the batch holds the candidates
         reach = _bounds._closure(rows)
         if self.target.require_strongly_connected:
-            strongly = (reach == (1 << n) - 1).all(axis=1)
-            rows, reach = rows[strongly], reach[strongly]
+            strongly = np.bitwise_and.reduce(reach, axis=0) == (1 << n) - 1
+            rows, reach = rows[:, strongly], reach[:, strongly]
         cols = BoundColumns(_bounds._unpack(rows), _reach=reach)
         if self.target.require_g_star:
             cols = cols.select(cols.in_g_star_class())
@@ -676,7 +685,8 @@ def reconstruct(target: ReconstructionTarget,
     more than max_candidates candidates (a product of binomials for an
     outdegree sequence, one binomial for a fixed m, 2^(n(n-1)) - 1
     otherwise) with CandidateBudgetError, a ValueError; the default
-    budget, 2^23, takes 4 to 8 s.
+    budget, 2^23, takes 3.5 to 7 s, or some 80 s where many candidates
+    reach the solver, as in the reducible n = 5, q = 3.0 search.
 
     candidates_visited counts every enumerated arc set, before any
     filtering. Matches are reduced to one representative per isomorphism

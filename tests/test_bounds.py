@@ -473,6 +473,53 @@ def test_strongly_connected_bit_rows_cross_bytes(n):
     assert strong_partition(columns) == strong_partition(BoundColumns.from_graphs(graphs))
 
 
+def _vertex_major_bit_rows(n, count=40):
+    """count random loop-free digraphs on n vertices, sparse to dense, each
+    with the arc 0 -> 1: their boolean (count, n, n) tensor and their
+    vertex-major int64 (n, count) bit rows, bit j of rows[i, k] for the
+    arc i -> j of digraph k."""
+    rng = np.random.default_rng(n)
+    p = np.linspace(0.2, 3.0, count)[:, None, None] * math.log(n + 1) / n
+    adj = rng.random((count, n, n)) < p
+    adj[:, np.arange(n), np.arange(n)] = False
+    adj[:, 0, 1] = True
+    rows = (adj.astype(np.int64) << np.arange(n)).sum(axis=2)  # distinct bits
+    return adj, np.ascontiguousarray(rows.T)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 33, 62])
+def test_closure_of_vertex_major_bit_rows_equals_warshall(n):
+    # n = 9 and 33 cross a byte and a word of bits, n = 62 reaches bit 61
+    adj, rows = _vertex_major_bit_rows(n)
+    reach = bounds._closure(rows)
+    assert reach.dtype == np.int64 and reach.shape == (n, len(adj))
+    for k, a in enumerate(adj):
+        expected = a | np.eye(n, dtype=bool)
+        for via in range(n):  # Warshall on booleans
+            expected |= expected[:, via, None] & expected[via]
+        got = (reach[:, k, None] >> np.arange(n)) & 1
+        assert got.astype(bool).tolist() == expected.tolist(), k
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 33, 62])
+def test_tensor_batch_takes_the_closure_of_its_bit_rows(n):
+    # the search hands BoundColumns its unpacked rows with their closure;
+    # the batch gets the same columns from its own packbits closure
+    adj, rows = _vertex_major_bit_rows(n)
+    assert bounds._unpack(rows).tolist() == adj.tolist()
+    packed = BoundColumns(adj)
+    given = BoundColumns(bounds._unpack(rows), _reach=bounds._closure(rows))
+    # split digraphs and arc heads of outdegree 0 are among them
+    assert 0 < packed.shape.strongly.sum() < len(adj)
+    assert (packed.shape.zero_head >= 0).any()
+    arrays = ["outdeg", "two_outdeg", "insum", "component_of", "component_count"]
+    for name, got, expected in zip(
+            arrays + [f"shape.{field}" for field in bounds._Shape._fields],
+            [getattr(given, name) for name in arrays] + list(given.shape),
+            [getattr(packed, name) for name in arrays] + list(packed.shape)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+
 @pytest.mark.parametrize("read_arcs", [False, True])
 def test_tensor_batch_selections_equal_graph_batches(read_arcs):
     # a tensor batch computes its columns and shape densely, select carries

@@ -212,6 +212,16 @@ def test_compute_missing_file_is_parse_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_compute_non_utf8_file_is_parse_error(tmp_path, capsys):
+    # a byte that is not UTF-8 raised UnicodeDecodeError out of main; it
+    # is a parse error naming the line of the byte, as on stdin
+    f = tmp_path / "bad.edges"
+    f.write_bytes(b"n 3\n1 2\n2 3\n3 1\n\xff\n")
+    assert main(["compute", "--input", str(f)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 5:") and "0xff" in err
+
+
 def test_compute_malformed_input(capsys):
     assert main(["compute", "--inline", "n 3; 1 1"]) == EXIT_PARSE
     assert "loop arc" in capsys.readouterr().err

@@ -812,7 +812,7 @@ def test_reconstruct_counts_its_space_before_enumerating():
     # the unconstrained n = 5 space, 2^20 - 1 candidates, is within budget
     space = verify._candidate_space(ReconstructionTarget(n=5, q=3.0),
                                     verify.DEFAULT_MAX_CANDIDATES)
-    assert next(space).shape == (verify._CHUNK, 5)
+    assert next(space).shape == (5, verify._CHUNK)
 
 
 def test_reconstruct_budget_is_raised_explicitly():
@@ -850,7 +850,7 @@ def test_reconstruct_refuses_more_than_62_vertices():
     space = verify._candidate_space(ReconstructionTarget(n=62, q=3.0, m=1),
                                     verify.DEFAULT_MAX_CANDIDATES)
     # 545 candidates, the most that fit 2^21 adjacency cells
-    assert next(space).shape == (verify._CHUNK_CELLS // 62 ** 2, 62)
+    assert next(space).shape == (62, verify._CHUNK_CELLS // 62 ** 2)
 
 
 @pytest.mark.parametrize("target, budget, chunks", [
@@ -865,15 +865,15 @@ def test_reconstruct_refuses_more_than_62_vertices():
     (ReconstructionTarget(n=8, q=3.0), 1 << 56, 1),
 ], ids=["outdeg_sequence", "fixed_m", "unconstrained", "n62_m1", "n8_first_chunk"])
 def test_candidate_space_packs_the_oracle_order(target, budget, chunks):
-    # bit j of rows[k, i] is the arc i -> j of the k-th candidate in the
+    # bit j of rows[i, k] is the arc i -> j of the k-th candidate in the
     # order reconstruct documents
     expected = _candidate_arc_sets(target)
     for rows in itertools.islice(verify._candidate_space(target, budget), chunks):
         packed = np.zeros_like(rows)
-        for k, arcs in enumerate(itertools.islice(expected, len(rows))):
+        for k, arcs in enumerate(itertools.islice(expected, rows.shape[1])):
             for i, j in arcs:
-                packed[k, i] |= 1 << j
-        assert rows.dtype == np.int64 and rows.shape[1] == target.n
+                packed[i, k] |= 1 << j
+        assert rows.dtype == np.int64 and rows.shape[0] == target.n
         assert rows.tolist() == packed.tolist()
     if chunks is None:
         assert next(expected, None) is None
