@@ -119,12 +119,15 @@ def _read_graph(args):
         raise _UsageError("exactly one of --input or --inline is required")
     if args.inline is not None:
         text = args.inline.replace(";", "\n")
-    elif args.input == "-":
-        text = sys.stdin.read()
+    elif args.input == "-" and not hasattr(sys.stdin, "buffer"):
+        text = sys.stdin.read()  # a text stream with no bytes beneath, such as io.StringIO
     else:
         try:
-            with open(args.input, "rb") as handle:
-                data = handle.read()
+            if args.input == "-":
+                data = sys.stdin.buffer.read()
+            else:
+                with open(args.input, "rb") as handle:
+                    data = handle.read()
         except OSError as exc:
             raise EdgeListParseError(0, f"cannot read {args.input}: {exc}") from exc
         try:

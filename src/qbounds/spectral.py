@@ -17,27 +17,32 @@ narrower than the tolerance.
 
 A block is iterated in two phases. It starts from the all-ones vector
 with power steps, which converge like (|lambda_2| / rho)^k; nearly every
-block closes this way. A block still open after _NODA_AFTER matvecs and
-with at most _NODA_MAX vertices switches to Noda's shifted inverse
-iteration x <- (hi I - Q[S])^-1 x, hi the current upper end (T. Noda,
-Numer. Math. 17, 1971), which keeps x positive and converges
-superlinearly on irreducible nonnegative matrices (L. Elsner, Linear
-Algebra Appl. 15, 1976). Each solve is followed by the same matvec
-check, and from the switch on the block's enclosure is the running
-[max lo, min hi] over its iterates.
+block closes this way. A block still open after _NODA_AFTER matvecs
+switches to Noda's shifted inverse iteration x <- (hi I - Q[S])^-1 x, hi
+the current upper end (T. Noda, Numer. Math. 17, 1971), which keeps x
+positive and converges superlinearly on irreducible nonnegative matrices
+(L. Elsner, Linear Algebra Appl. 15, 1976), when its kernel has at most
+_NODA_MAX vertices. Each solve eliminates the block's pass-through
+vertices, those with one in-arc and one out-arc inside it, along their
+chains (Kron reduction: F. Dorfler and F. Bullo, IEEE TCAS-I 60, 2013),
+solves the dense system of the k kernel vertices left and fills the
+chains back in. Each solve is followed by the same matvec check, and
+from the switch on the block's enclosure is the running [max lo, min hi]
+over its iterates, so solve rounding costs speed, never certification.
 
 No n x n matrix is built for the whole graph. Each block is read from
 the sorted arc arrays and multiplies straight from its arc lists, as
 diag * x + bincount(src, x[dst]), with no BLAS call. The solver runs
 the blocks of one bounds.BoundColumns batch, the layout the bound table
 and the sweep invariants read, in lockstep, as one disjoint union of
-arc lists, each block bitwise as it would run alone. A batch holds O(n + m) floats for its n vertices and m arcs, plus one
-dense n_b x n_b shifted matrix (and the solver's copy of it) per block
-of at most _NODA_MAX vertices taking Noda steps.
+arc lists, each block bitwise as it would run alone. A batch holds
+O(n + m) floats for its n vertices and m arcs, plus one k x k kernel
+matrix (and the solver's copy of it) per block taking Noda steps.
 """
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +71,14 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
 
 # A block still open after _NODA_AFTER power steps switches to Noda
-# steps when it has at most _NODA_MAX vertices (its dense shifted matrix
-# then takes at most 2 MB), for at most _NODA_STEPS solves. On a directed
-# 400-cycle plus one chord, where |lambda_2| / rho = 1 - O(1/n^2), power
-# steps alone need 52,294 matvecs; the switch closes the 1e-12 gap after
-# 1,008 matvecs and 8 solves. Of 80 random Hamiltonian cycles plus 1 to
-# 10 random arcs with n = 100..500, 54 switched and none took more than
-# 7 solves or 1,007 matvecs.
+# steps when its kernel has at most _NODA_MAX vertices (its k x k matrix
+# then takes at most 2 MB), for at most _NODA_STEPS steps of two solves.
+# On a directed 400-cycle plus one chord, where |lambda_2| / rho =
+# 1 - O(1/n^2) and k = 2, power steps alone need 52,294 matvecs; the
+# switch closes the 1e-12 gap after 1,008 matvecs and 8 steps, and at
+# n = 8,000 after 1,024 matvecs and 24 steps. Of 80 random Hamiltonian
+# cycles plus 1 to 10 random arcs with n = 100..500, 60 switched and
+# none took more than 8 steps or 1,008 matvecs.
 _NODA_AFTER = 1000
 _NODA_MAX = 512
 _NODA_STEPS = 64
@@ -101,29 +107,98 @@ class SpectralResult:
     hi: float
 
 
-def _dense_q(diag: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The one place that lays out Q, for build_q and for a block's Noda
-    steps: diag on the diagonal, 1.0 at every arc (src, dst), zero
-    elsewhere."""
-    q = np.diag(diag.astype(float))
-    q[src, dst] = 1.0
-    return q
-
-
 def build_q(g: Digraph) -> np.ndarray:
     """Dense signless Laplacian D + A as a float array."""
     data = g.data
-    return _dense_q(data.outdeg, data.src, data.dst)
+    q = np.diag(data.outdeg.astype(float))
+    q[data.src, data.dst] = 1.0
+    return q
 
 
-def _noda_step(shifted: np.ndarray, shifted_diag: np.ndarray, x: np.ndarray):
-    """(hi I - B)^-1 x normalised to max 1, given -B in shifted and
-    hi - diag in shifted_diag; None when the solve raises or the result
-    is not finite and strictly positive."""
-    np.fill_diagonal(shifted, shifted_diag)
+_Chains = namedtuple("_Chains", "diag src dst kernel succ rounds end head first cells")
+
+
+def _contract(diag, src, dst):
+    """The _Chains of one block B = diag(diag) + A for its Noda steps, or
+    None when its kernel has more than _NODA_MAX vertices.
+
+    A pass-through vertex has one in-arc and one out-arc inside the block;
+    the others form the kernel (a block that is one cycle keeps vertex 0
+    there). Each run of pass-through vertices u -> v1 ... vL -> w between
+    kernel vertices is a chain. succ points from each v to the next
+    vertex of its chain, or to the sentinel n_b after vL, and end holds
+    the kernel row of w (of v itself for a kernel vertex); rounds pointer
+    jumps take every succ to the sentinel. The kernel matrix entries are
+    numbered by cell i * k + j: the k diagonal cells, one cell per arc
+    between kernel vertices, then one per chain, whose v1 is in first and
+    whose u's row is in head.
+    """
+    n = len(diag)
+    through = (np.bincount(src, minlength=n) == 1) & (np.bincount(dst, minlength=n) == 1)
+    through[0] &= not through.all()
+    kernel = np.flatnonzero(~through)
+    k = len(kernel)
+    if k > _NODA_MAX:
+        return None
+    index = np.cumsum(~through) - 1  # a kernel vertex's row
+    succ = np.full(n + 1, n)
+    end = np.arange(n)
+    out = through[src]
+    succ[src[out]] = np.where(through[dst[out]], dst[out], n)
+    end[src[out]] = dst[out]
+    rounds, jump = 0, succ
+    while (jump[:n] < n).any():
+        jump, end, rounds = jump[jump], end[end], rounds + 1
+    direct = ~out & ~through[dst]
+    chain = ~out & through[dst]
+    head, first = index[src[chain]], dst[chain]
+    cells = np.concatenate((np.arange(k) * (k + 1), index[src[direct]] * k + index[dst[direct]],
+                            head * k + index[end[first]]))
+    return _Chains(diag, src, dst, kernel, succ, rounds, index[end], head, first, cells)
+
+
+def _noda_step(chains, h, x):
+    """(h I - B)^-1 x normalised to max 1, for a block contracted by
+    _contract and h above its radius; None when a solve raises or the
+    result is not finite and strictly positive.
+
+    With r_v = 1 / (h - d_v), a chain's solution is z_v = alpha_v +
+    beta_v z_w, from alpha_v = r_v (x_v + alpha_next) and beta_v = r_v
+    beta_next. Pointer jumping composes these maps in rounds steps and
+    never divides by a product of the r_v: beta_v may underflow on a long
+    chain, but z_v >= alpha_v >= r_v x_v stays positive. The kernel
+    system has h - d_u on its diagonal, -1 at each arc between kernel
+    vertices and -beta_v1 at each chain's (u, w), with alpha_v1 added to
+    the right-hand side at u. Its columns are scaled by x on the kernel,
+    which is close to the Perron vector, so that the solve's normwise
+    error is relative to each entry of z, however small. One step of
+    iterative refinement follows, on the residual x - (h I - B) z taken
+    from the block's arc lists.
+    """
+    diag, src, dst, kernel, succ, rounds, end, head, first, cells = chains
+    k, scale = len(kernel), x[kernel]
+    shifted = h - diag
     with np.errstate(all="ignore"):
+        r = 1.0 / shifted
+
+        def solve(rhs):
+            beta, alpha, jump = np.append(r, 1.0), np.append(r * rhs, 0.0), succ
+            for _ in range(rounds):
+                alpha = alpha + beta * alpha[jump]
+                beta = beta * beta[jump]
+                jump = jump[jump]
+            weights = np.concatenate((shifted[kernel], np.full(len(cells) - k - len(first), -1.0),
+                                      -beta[first]))
+            matrix = np.bincount(cells, weights, k * k).reshape(k, k) * scale
+            rhs_kernel = rhs[kernel] + np.bincount(head, alpha[first], k)
+            z_kernel = scale * np.linalg.solve(matrix, rhs_kernel)
+            z = alpha[:-1] + beta[:-1] * z_kernel[end]
+            z[kernel] = z_kernel
+            return z
+
         try:
-            z = np.linalg.solve(shifted, x)
+            z = solve(x)
+            z = z + solve(x - shifted * z + np.bincount(src, z[dst], minlength=len(x)))
         except np.linalg.LinAlgError:
             return None
         z = z / z.max()
@@ -141,12 +216,12 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
     Every iterate x is positive, so the min and max of (Bx)_i / x_i over
     a block's rows enclose its spectral radius; the first _NODA_AFTER
     iterates are power steps x <- Bx / max(Bx), on which they tighten.
-    A block of at most _NODA_MAX vertices still open then takes up to
-    _NODA_STEPS Noda steps x <- (hi I - B)^-1 x, normalised to max 1,
-    and keeps the running enclosure [max lo, min hi] over its iterates;
-    a solve that raises or gives a vector that is not finite and
-    positive sends it back to power steps. A block leaves the union at
-    the iterate where hi - lo <= tol. The result holds five rows, one
+    A block still open then whose kernel has at most _NODA_MAX vertices
+    takes up to _NODA_STEPS Noda steps x <- (hi I - B)^-1 x, normalised
+    to max 1, on its _contract chains, and keeps the running enclosure
+    [max lo, min hi] over its iterates; a step that raises or gives a
+    vector that is not finite and positive sends it back to power steps.
+    A block leaves the union at the iterate where hi - lo <= tol. The result holds five rows, one
     column per block: the midpoint, the defect ||Bx - rho x||_inf /
     ||x||_inf of that iterate, the matvec count, lo and hi. Open blocks
     keep their order, so when blocks are still open after max_iter
@@ -155,7 +230,8 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
     closed = np.empty((5, len(sizes)))
     owners = np.arange(len(sizes))  # the column of each open block
     starts = np.cumsum(sizes) - sizes
-    noda = []  # from the switch on, per block: [-B, solves] or None
+    noda = []  # from the switch on, per block: [chains, steps] or None
+    switched = np.zeros(len(sizes), dtype=bool)  # running enclosure
     x = np.ones(len(diag))
     for iteration in range(1, max_iter + 1):
         y = diag * x + np.bincount(src, weights=x[dst], minlength=len(x))
@@ -163,7 +239,6 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
         hi = np.maximum.reduceat(ratios, starts)
         lo = np.minimum.reduceat(ratios, starts)
         if iteration > _NODA_AFTER:
-            switched = sizes <= _NODA_MAX  # as at the switch: sizes never change
             lo = np.where(switched, np.maximum(lo, prev_lo), lo)
             hi = np.where(switched, np.minimum(hi, prev_hi), hi)
         done = hi - lo <= tol
@@ -183,15 +258,16 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
             src, dst = renumber[src[arcs]], renumber[dst[arcs]]
             x, y, diag = x[open_vertex], y[open_vertex], diag[open_vertex]
             lo, hi, sizes, owners = lo[keep], hi[keep], sizes[keep], owners[keep]
+            switched = switched[keep]
             starts = np.cumsum(sizes) - sizes
             noda = [state for state, k in zip(noda, keep.tolist()) if k]
         prev_lo, prev_hi = lo, hi
         if iteration == _NODA_AFTER:
-            noda = [None] * len(sizes)
-            for b in np.flatnonzero(sizes <= _NODA_MAX).tolist():
-                a, n_b = starts[b], sizes[b]
+            for a, n_b in zip(starts.tolist(), sizes.tolist()):
                 arcs = (src >= a) & (src < a + n_b)
-                noda[b] = [-_dense_q(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a), 0]
+                chains = _contract(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a)
+                noda.append(None if chains is None else [chains, 0])
+            switched = np.array([state is not None for state in noda])
         # entries of y are positive, so each block's max is its sup norm
         x_next = y / np.maximum.reduceat(y, starts).repeat(sizes)
         for b, state in enumerate(noda):
@@ -199,7 +275,7 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
                 continue
             state[1] += 1
             part = slice(starts[b], starts[b] + sizes[b])
-            z = _noda_step(state[0], hi[b] - diag[part], x[part])
+            z = _noda_step(state[0], hi[b], x[part])
             if z is None:
                 noda[b] = None
             else:

@@ -238,32 +238,15 @@ def canonical_form_oracle(g: Digraph):
 # patches them patches both solvers alike.
 
 
-def _dense_block(diag, src, dst):
-    q = np.diag(diag.astype(float))
-    q[src, dst] = 1.0
-    return q
-
-
 def _block_matvec(diag, src, dst):
     return lambda x: diag * x + np.bincount(src, weights=x[dst], minlength=len(diag))
-
-
-def _noda_step(shifted, shifted_diag, x):
-    np.fill_diagonal(shifted, shifted_diag)
-    with np.errstate(all="ignore"):
-        try:
-            z = np.linalg.solve(shifted, x)
-        except np.linalg.LinAlgError:
-            return None
-        z = z / z.max()
-    return z if np.isfinite(z).all() and (z > 0).all() else None
 
 
 def _power_iteration(diag, src, dst, tol, max_iter):
     size = len(diag)
     matvec = _block_matvec(diag, src, dst)
+    chains = None
     switched = False
-    shifted = None
     solves = 0
     x = np.ones(size)
     for iteration in range(1, max_iter + 1):
@@ -278,15 +261,17 @@ def _power_iteration(diag, src, dst, tol, max_iter):
             residual = float(np.abs(y - rho * x).max() / np.abs(x).max())
             return rho, residual, iteration, lo, hi
         prev_lo, prev_hi = lo, hi
-        if iteration == spectral._NODA_AFTER and size <= spectral._NODA_MAX:
-            switched = True
-            shifted = -_dense_block(diag, src, dst)
+        if iteration == spectral._NODA_AFTER:
+            # the solver's own contraction and Noda step: this oracle
+            # checks the lockstep batching, not the step
+            chains = spectral._contract(diag, src, dst)
+            switched = chains is not None
         z = None
-        if shifted is not None and solves < spectral._NODA_STEPS:
+        if chains is not None and solves < spectral._NODA_STEPS:
             solves += 1
-            z = _noda_step(shifted, hi - diag, x)
+            z = spectral._noda_step(chains, hi, x)
             if z is None:
-                shifted = None
+                chains = None
         x = y / y.max() if z is None else z
     raise ConvergenceError(
         f"power iteration did not close a two-sided gap of {tol} within "

@@ -222,6 +222,21 @@ def test_compute_non_utf8_file_is_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: line 5:") and "0xff" in err
 
 
+def test_compute_non_utf8_stdin_is_parse_error(monkeypatch, capsys):
+    # a strict UTF-8 stdin (as under PYTHONIOENCODING=utf-8:strict) raised
+    # UnicodeDecodeError out of main; its bytes are read as a file's are
+    def stdin(data):
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+
+    monkeypatch.setattr("sys.stdin", stdin(b"n 3\n1 2\n2 3\n3 1\n# \xff\n"))
+    assert main(["compute", "--input", "-"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 5:") and "0xff" in err
+    monkeypatch.setattr("sys.stdin", stdin(STAR.encode()))
+    assert main(["compute", "--input", "-"]) == EXIT_OK
+    assert "q = 4.0000" in capsys.readouterr().out
+
+
 def test_compute_malformed_input(capsys):
     assert main(["compute", "--inline", "n 3; 1 1"]) == EXIT_PARSE
     assert "loop arc" in capsys.readouterr().err

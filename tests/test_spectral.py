@@ -339,17 +339,20 @@ def _cycle_plus_random_arcs(n, extra, seed):
     return from_arc_list(n, sorted(arcs))
 
 
-def _counting_solve(mp, replace=None):
-    """Wrap np.linalg.solve so calls are counted, optionally replacing
-    its result; returns the call list."""
+def _counting_steps(mp, replace=None):
+    """Wrap spectral._noda_step so Noda steps are counted (a step makes
+    two np.linalg.solve calls), optionally replacing the result of
+    np.linalg.solve; returns the list of the steps' shifts."""
     calls = []
-    real_solve = np.linalg.solve
+    real_step = spectral._noda_step
 
-    def solve(a, b):
-        calls.append(a.shape)
-        return real_solve(a, b) if replace is None else replace(a, b)
+    def step(chains, h, x):
+        calls.append(h)
+        return real_step(chains, h, x)
 
-    mp.setattr(spectral.np.linalg, "solve", solve)
+    mp.setattr(spectral, "_noda_step", step)
+    if replace is not None:
+        mp.setattr(spectral.np.linalg, "solve", replace)
     return calls
 
 
@@ -383,7 +386,7 @@ SLOW_BLOCK_GRAPHS = {
 def test_noda_steps_close_slow_blocks(name):
     g = SLOW_BLOCK_GRAPHS[name]
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_solve(mp)
+        calls = _counting_steps(mp)
         r = spectral_radius(g)
     _assert_certified(r, g)
     assert spectral._NODA_AFTER < r.iterations < 2000
@@ -417,8 +420,9 @@ def test_noda_budget_exhaustion_reports_running_enclosure():
 def test_noda_switch_respects_block_size_limit():
     g = _cycle_plus_chord(60)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_NODA_MAX", 59)
-        calls = _counting_solve(mp)
+        # its kernel is {0, 2}: the cap is on k, not on the 60 vertices
+        mp.setattr(spectral, "_NODA_MAX", 1)
+        calls = _counting_steps(mp)
         r = spectral_radius(g)
     assert calls == []
     assert r == _without_noda(g)
@@ -463,7 +467,7 @@ def test_failed_solve_finishes_block_on_power_steps(failure):
     g = _cycle_plus_chord(50)
     off = _without_noda(g)
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_solve(mp, replace)
+        calls = _counting_steps(mp, replace)
         r = spectral_radius(g)
     assert len(calls) == 1
     _assert_certified(r, g)
@@ -475,10 +479,127 @@ def test_noda_solves_stop_at_budget():
     g = _cycle_plus_chord(400)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_NODA_STEPS", 1)
-        calls = _counting_solve(mp)
+        calls = _counting_steps(mp)
         r = spectral_radius(g)
     assert len(calls) == 1
     _assert_certified(r, g)
+
+
+def test_noda_steps_keep_small_entries_accurate():
+    # the Perron vector's entries span many orders of magnitude here: the
+    # step closes the block in 2 steps, but without its kernel column
+    # scaling it takes all 64, and without its refinement step 19
+    g = _cycle_plus_random_arcs(400, 15, seed=10)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_steps(mp)
+        r = spectral_radius(g)
+    _assert_certified(r, g)
+    assert len(calls) <= 4
+
+
+def test_noda_steps_close_the_8000_cycle_plus_chord():
+    # power steps alone exit after 1,000,000 matvecs; its kernel is {0, 2},
+    # so a Noda step costs O(n) and no 8,000 x 8,000 array (512 MB) is made
+    g = _cycle_plus_chord(8000)
+    g.data  # graph data are not the solver's memory
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_steps(mp)
+        tracemalloc.start()
+        try:
+            r = spectral_radius(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert r.lo <= r.q <= r.hi
+    assert r.hi - r.lo <= spectral.DEFAULT_TOL
+    assert spectral._NODA_AFTER < r.iterations < 2000
+    assert 1 <= len(calls) <= spectral._NODA_STEPS
+    assert peak < 16 * 2**20
+
+
+# --- the chain-contracted Noda step -------------------------------------------
+
+
+def _slow_block(g):
+    """Diagonal and arcs of the largest strong component of g, renumbered
+    from 0 in vertex order."""
+    data = g.data
+    label = np.argmax(np.bincount(data.component_of))
+    vertices = np.flatnonzero(data.component_of == label)
+    local = np.full(g.n, -1)
+    local[vertices] = np.arange(len(vertices))
+    inside = (data.component_of[data.src] == label) & (data.component_of[data.dst] == label)
+    return data.outdeg[vertices].astype(float), local[data.src[inside]], local[data.dst[inside]]
+
+
+def _assert_step_solves_dense(diag, src, dst, h):
+    """The contracted step agrees componentwise with np.linalg.solve of the
+    dense shifted block, normalised to max 1; returns the _Chains."""
+    chains = spectral._contract(diag, src, dst)
+    shifted = np.diag(h - diag)
+    shifted[src, dst] = -1.0
+    x = np.random.default_rng(0).uniform(0.5, 1.5, len(diag))
+    expected = np.linalg.solve(shifted, x)
+    z = spectral._noda_step(chains, h, x)
+    np.testing.assert_allclose(z, expected / expected.max(), rtol=1e-12, atol=0)
+    return chains
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_BLOCK_GRAPHS))
+def test_contracted_step_solves_the_shifted_block(name):
+    g = SLOW_BLOCK_GRAPHS[name]
+    diag, src, dst = _slow_block(g)
+    chains = _assert_step_solves_dense(diag, src, dst, spectral_radius(g).q * (1 + 1e-6))
+    assert len(chains.kernel) < len(diag)
+
+
+def _arcs(*paths):
+    return np.array([(a, b) for path in paths for a, b in zip(path, path[1:])]).T
+
+
+CONTRACTION_CASES = {
+    # every vertex is pass-through: vertex 0 stays in the kernel
+    "one_cycle": ([1.0, 2.5, 1.0, 4.0, 1.5, 1.0], _arcs([0, 1, 2, 3, 4, 5, 0]), 1),
+    # two chains 0 -> 1 and the arc 0 -> 1 between the same kernel pair
+    "parallel_chains": ([3.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                        _arcs([0, 2, 3, 1], [0, 4, 1], [0, 1, 5, 0]), 2),
+    # two chains from kernel vertex 0 back to itself
+    "chains_to_self": ([2.0, 1.0, 1.0, 1.5, 1.0, 1.0], _arcs([0, 1, 2, 0], [0, 3, 4, 5, 0]), 1),
+    # no pass-through vertex: the kernel is the whole block
+    "no_chain": ([3.0, 3.0, 3.0, 4.0],
+                 _arcs(*[[i, j] for i in range(4) for j in range(4) if i != j]), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_CASES))
+def test_contracted_step_structures(name, monkeypatch):
+    diag, (src, dst), k = CONTRACTION_CASES[name]
+    diag = np.array(diag)
+    order = np.lexsort((dst, src))  # each row's arcs in sorted order
+    src, dst = src[order], dst[order]
+    dense = np.diag(diag)
+    dense[src, dst] = 1.0
+    h = max(np.linalg.eigvals(dense).real) * (1 + 1e-6)
+    chains = _assert_step_solves_dense(diag, src, dst, h)
+    assert len(chains.kernel) == k
+    monkeypatch.setattr(spectral, "_NODA_MAX", k - 1)
+    assert spectral._contract(diag, src, dst) is None
+
+
+def test_contracted_step_on_a_chain_whose_products_underflow():
+    # a 1,200-cycle whose vertex 0 has diagonal 6 (as if arcs left the
+    # block): rho = 6 to double precision, r_v = 1 / (h - 1) < 1/5 on the
+    # chain, and the running product of the r_v underflows to 0
+    n = 1200
+    diag = np.ones(n)
+    diag[0] = 6.0
+    src, dst = np.arange(n), (np.arange(n) + 1) % n
+    h = 6.0 * (1 + 1e-6)
+    assert np.prod(1.0 / (h - diag[1:])) == 0.0
+    chains = _assert_step_solves_dense(diag, src, dst, h)
+    assert len(chains.kernel) == 1
+    z = spectral._noda_step(chains, h, np.ones(n))
+    assert (z > 0).all()
 
 
 def test_result_enclosure_of_size_one_blocks(path3):
