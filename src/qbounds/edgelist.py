@@ -20,10 +20,9 @@ class EdgeListParseError(ValueError):
 
 def parse_edge_list(text: str) -> Digraph:
     declared_n = None
-    arcs = []  # (line_number, i, j), already 0-based
-    line_count = 0
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line_count = line_number
+    arcs = []  # (i, j), already 0-based
+    lines = text.splitlines()
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -65,20 +64,19 @@ def parse_edge_list(text: str) -> Digraph:
             raise EdgeListParseError(line_number, "vertex ids are 1-based")
         if i == j:
             raise EdgeListParseError(line_number, f"loop arc {i} -> {j} is not allowed")
-        arcs.append((line_number, i - 1, j - 1))
-
-    if not arcs:
-        raise EdgeListParseError(max(line_count, 1), "no arcs in document")
-    n = declared_n
-    if n is None:
-        n = 1 + max(max(i, j) for _, i, j in arcs)
-    for line_number, i, j in arcs:
-        if i >= n or j >= n:
+        if declared_n is not None and max(i, j) > declared_n:
             raise EdgeListParseError(
                 line_number,
-                f"arc endpoint {max(i, j) + 1} exceeds declared vertex count {n}",
+                f"arc endpoint {max(i, j)} exceeds declared vertex count {declared_n}",
             )
-    return Digraph(n, frozenset((i, j) for _, i, j in arcs))
+        arcs.append((i - 1, j - 1))
+
+    if not arcs:
+        raise EdgeListParseError(max(len(lines), 1), "no arcs in document")
+    n = declared_n
+    if n is None:
+        n = 1 + max(max(i, j) for i, j in arcs)
+    return Digraph(n, frozenset(arcs))
 
 
 def serialize_edge_list(g: Digraph) -> str:

@@ -27,8 +27,9 @@ vertices, those with one in-arc and one out-arc inside it, along their
 chains (Kron reduction: F. Dorfler and F. Bullo, IEEE TCAS-I 60, 2013),
 solves the dense system of the k kernel vertices left and fills the
 chains back in. Each solve is followed by the same matvec check, and
-from the switch on the block's enclosure is the running [max lo, min hi]
-over its iterates, so solve rounding costs speed, never certification.
+from the switch on a block's enclosure is a running one, floored at its
+largest diagonal entry (_lockstep), so solve rounding costs speed, never
+certification.
 
 No n x n matrix is built for the whole graph. Each block is read from
 the sorted arc arrays and multiplies straight from its arc lists, as
@@ -54,11 +55,8 @@ from .digraph import Digraph, adjacency, is_strongly_connected
 class ConvergenceError(RuntimeError):
     """A block's iteration failed to reach the requested tolerance.
 
-    lo and hi are the tightest Collatz-Wielandt enclosure reached for the
-    block that failed: that of the last iterate during power steps (the
-    two ends tighten monotonically), the running one once the block has
-    switched to Noda steps. They bracket that block's radius, so lo is a
-    lower bound on q.
+    lo and hi are the enclosure _lockstep holds for the block that
+    failed. They bracket that block's radius, so lo is a lower bound on q.
     """
 
     def __init__(self, message: str, lo: float, hi: float):
@@ -70,9 +68,9 @@ class ConvergenceError(RuntimeError):
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
 
-# A block still open after _NODA_AFTER power steps switches to Noda
-# steps when its kernel has at most _NODA_MAX vertices (its k x k matrix
-# then takes at most 2 MB), for at most _NODA_STEPS steps of two solves.
+# Noda steps of two solves run at iterates _NODA_AFTER to _NODA_AFTER +
+# _NODA_STEPS - 1, on the open blocks whose kernel has at most _NODA_MAX
+# vertices (its k x k matrix then takes at most 2 MB).
 # On a directed 400-cycle plus one chord, where |lambda_2| / rho =
 # 1 - O(1/n^2) and k = 2, power steps alone need 52,294 matvecs; the
 # switch closes the 1e-12 gap after 1,008 matvecs and 8 steps, and at
@@ -92,12 +90,10 @@ class SpectralResult:
     hi - lo is at most the tolerance. residual is the worst final-iterate
     defect ||Q[S]x - q_S x||_inf / ||x||_inf over the iterated blocks
     (size-one blocks are exact and contribute zero). For a block closed
-    by power steps it is at most half that block's enclosure width; for a
-    block that took Noda steps, whose enclosure may join the ends of two
-    iterates, it is at most the distance from q_S to the farther end of
-    the final iterate's own enclosure. iterations counts block
-    matrix-vector products across all blocks; Noda solves are not
-    counted."""
+    before the switch it is at most half that block's enclosure width;
+    after it, at most the distance from q_S to the farther end of the
+    final iterate's own enclosure. iterations counts block matrix-vector
+    products across all blocks; Noda solves are not counted."""
 
     q: float
     residual: float
@@ -214,33 +210,36 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
     every row as its block alone would.
 
     Every iterate x is positive, so the min and max of (Bx)_i / x_i over
-    a block's rows enclose its spectral radius; the first _NODA_AFTER
-    iterates are power steps x <- Bx / max(Bx), on which they tighten.
-    A block still open then whose kernel has at most _NODA_MAX vertices
-    takes up to _NODA_STEPS Noda steps x <- (hi I - B)^-1 x, normalised
-    to max 1, on its _contract chains, and keeps the running enclosure
-    [max lo, min hi] over its iterates; a step that raises or gives a
-    vector that is not finite and positive sends it back to power steps.
-    A block leaves the union at the iterate where hi - lo <= tol. The result holds five rows, one
-    column per block: the midpoint, the defect ||Bx - rho x||_inf /
-    ||x||_inf of that iterate, the matvec count, lo and hi. Open blocks
-    keep their order, so when blocks are still open after max_iter
-    matvecs, ConvergenceError names the first of them.
+    a block's rows enclose its spectral radius. Before the switch at
+    iterate _NODA_AFTER, a block's enclosure is that of its last power
+    step x <- Bx / max(Bx). At the switch lo is raised to the block's
+    largest diagonal entry, as rho(B) >= max_i B_ii (R. A. Horn and C. R.
+    Johnson, Matrix Analysis, ch. 8), and from then on the block keeps
+    the running enclosure [max lo, min hi] over its iterates. At iterates
+    _NODA_AFTER to _NODA_AFTER + _NODA_STEPS - 1, a block with _contract
+    chains takes Noda steps x <- (hi I - B)^-1 x, normalised to max 1;
+    one that raises or gives a vector that is not finite and positive
+    drops the chains. A block leaves the union at the iterate where hi -
+    lo <= tol. The result holds five rows, one column per block: the
+    midpoint, the defect ||Bx - rho x||_inf / ||x||_inf of that iterate,
+    the matvec count, lo and hi. Open blocks keep their order, so when
+    blocks are still open after max_iter matvecs, ConvergenceError names
+    the first of them.
     """
     closed = np.empty((5, len(sizes)))
     owners = np.arange(len(sizes))  # the column of each open block
     starts = np.cumsum(sizes) - sizes
-    noda = []  # from the switch on, per block: [chains, steps] or None
-    switched = np.zeros(len(sizes), dtype=bool)  # running enclosure
+    noda = []  # from the switch on, per open block: its _contract chains or None
     x = np.ones(len(diag))
     for iteration in range(1, max_iter + 1):
         y = diag * x + np.bincount(src, weights=x[dst], minlength=len(x))
         ratios = y / x
         hi = np.maximum.reduceat(ratios, starts)
         lo = np.minimum.reduceat(ratios, starts)
-        if iteration > _NODA_AFTER:
-            lo = np.where(switched, np.maximum(lo, prev_lo), lo)
-            hi = np.where(switched, np.minimum(hi, prev_hi), hi)
+        if iteration == _NODA_AFTER:
+            lo = np.maximum(lo, np.maximum.reduceat(diag, starts))  # rho(B) >= max_i B_ii
+        elif iteration > _NODA_AFTER:
+            lo, hi = np.maximum(lo, prev_lo), np.minimum(hi, prev_hi)
         done = hi - lo <= tol
         if np.count_nonzero(done):
             rho = 0.5 * (hi + lo)
@@ -258,28 +257,25 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
             src, dst = renumber[src[arcs]], renumber[dst[arcs]]
             x, y, diag = x[open_vertex], y[open_vertex], diag[open_vertex]
             lo, hi, sizes, owners = lo[keep], hi[keep], sizes[keep], owners[keep]
-            switched = switched[keep]
             starts = np.cumsum(sizes) - sizes
-            noda = [state for state, k in zip(noda, keep.tolist()) if k]
+            noda = [chains for chains, k in zip(noda, keep.tolist()) if k]
         prev_lo, prev_hi = lo, hi
         if iteration == _NODA_AFTER:
             for a, n_b in zip(starts.tolist(), sizes.tolist()):
                 arcs = (src >= a) & (src < a + n_b)
-                chains = _contract(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a)
-                noda.append(None if chains is None else [chains, 0])
-            switched = np.array([state is not None for state in noda])
+                noda.append(_contract(diag[a:a + n_b], src[arcs] - a, dst[arcs] - a))
         # entries of y are positive, so each block's max is its sup norm
         x_next = y / np.maximum.reduceat(y, starts).repeat(sizes)
-        for b, state in enumerate(noda):
-            if state is None or state[1] >= _NODA_STEPS:
-                continue
-            state[1] += 1
-            part = slice(starts[b], starts[b] + sizes[b])
-            z = _noda_step(state[0], hi[b], x[part])
-            if z is None:
-                noda[b] = None
-            else:
-                x_next[part] = z
+        if iteration < _NODA_AFTER + _NODA_STEPS:
+            for b, chains in enumerate(noda):
+                if chains is None:
+                    continue
+                part = slice(starts[b], starts[b] + sizes[b])
+                z = _noda_step(chains, hi[b], x[part])
+                if z is None:
+                    noda[b] = None
+                else:
+                    x_next[part] = z
         x = x_next
     raise ConvergenceError(
         f"power iteration did not close a two-sided gap of {tol} within "

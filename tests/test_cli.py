@@ -75,6 +75,13 @@ def test_parse_rejects_id_beyond_header():
         parse_edge_list("n 2\n1 3\n")
 
 
+def test_parse_reports_the_first_faulty_line():
+    # the header comes first, so an arc's range is checked at its own line
+    message = "line 2: arc endpoint 5 exceeds declared vertex count 3"
+    with pytest.raises(EdgeListParseError, match=message):
+        parse_edge_list("n 3\n1 5\nfoo bar baz\n")
+
+
 def test_parse_rejects_late_or_duplicate_header():
     with pytest.raises(EdgeListParseError, match="header must come before"):
         parse_edge_list("1 2\nn 3\n")

@@ -517,6 +517,43 @@ def test_noda_steps_close_the_8000_cycle_plus_chord():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("noda_max", [spectral._NODA_MAX, 0])
+def test_diagonal_floor_closes_a_block_at_the_switch(noda_max):
+    # q exceeds the largest outdegree, 3, by less than one ulp: after
+    # 1,000 power steps hi reads 3.0 while the iterate's lo is 2.06, and
+    # a Noda step at shift 3.0 divides by zero. The floor lo >= max_i
+    # B_ii closes it at the switch, whether or not the block has chains;
+    # max_iter keeps a regression from running 1,000,000 matvecs.
+    g = _cycle_plus_random_arcs(20000, 200, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_NODA_MAX", noda_max)
+        calls = _counting_steps(mp)
+        r = spectral_radius(g, max_iter=2_000)
+    assert calls == []
+    assert r.iterations <= spectral._NODA_AFTER
+    assert r.lo >= g.data.outdeg.max() == 3
+    assert r.lo <= r.q <= r.hi
+    assert r.hi - r.lo <= 1e-12
+
+
+@pytest.mark.parametrize("noda_max", [spectral._NODA_MAX, 0])
+def test_running_enclosure_keeps_the_floor_past_the_switch(noda_max):
+    # a bidirected star on {0, 1, 2} (rho = 2 + sqrt(3)) whose center
+    # also starts a 1,200-vertex chain back to vertex 1: far along the
+    # chain every power iterate up to 1,001 has ratio exactly 2, below
+    # the center's outdegree 3
+    n = 1203
+    g = from_arc_list(n, [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3)]
+                      + [(v, v + 1) for v in range(3, n - 1)] + [(n - 1, 1)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_NODA_MAX", noda_max)
+        with pytest.raises(ConvergenceError) as info:
+            spectral_radius(g, max_iter=spectral._NODA_AFTER + 1)
+    e = info.value
+    assert e.lo >= g.data.outdeg.max() == 3
+    assert e.lo <= 2 + math.sqrt(3) <= e.hi
+
+
 # --- the chain-contracted Noda step -------------------------------------------
 
 
