@@ -39,6 +39,16 @@ and the sweep invariants read, in lockstep, as one disjoint union of
 arc lists, each block bitwise as it would run alone. A batch holds
 O(n + m) floats for its n vertices and m arcs, plus one k x k kernel
 matrix (and the solver's copy of it) per block taking Noda steps.
+
+That lockstep loop is the package's one Collatz-Wielandt engine, and
+it never raises: every block still open at the matvec budget max_iter
+leaves with its last enclosure, which still brackets its radius. _solve
+turns the blocks into SpectralResults and raises ConvergenceError for
+the first block left open. The reconstruct search's q interval runs
+the same loop with a budget of a few dozen matvecs and a window (a, b)
+of the q it can still use: a block also leaves once its enclosure lies
+wholly below a or above b, as more steps would not change what the
+search decides.
 """
 
 import math
@@ -57,6 +67,8 @@ class ConvergenceError(RuntimeError):
 
     lo and hi are the enclosure _lockstep holds for the block that
     failed. They bracket that block's radius, so lo is a lower bound on q.
+    An end that is not finite, as when an iterate entry underflows to 0,
+    is replaced by the block's bracket [max d, 2 max d].
     """
 
     def __init__(self, message: str, lo: float, hi: float):
@@ -201,7 +213,7 @@ def _noda_step(chains, h, x):
     return z if np.isfinite(z).all() and (z > 0).all() else None
 
 
-def _lockstep(diag, src, dst, sizes, tol, max_iter):
+def _lockstep(diag, src, dst, sizes, tol, max_iter, window):
     """Collatz-Wielandt iteration on primitive blocks laid out one after
     another, block b on the sizes[b] vertices from sum(sizes[:b]) on, with
     diagonal diag and the arcs src -> dst inside the blocks, each row's
@@ -220,11 +232,12 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
     chains takes Noda steps x <- (hi I - B)^-1 x, normalised to max 1;
     one that raises or gives a vector that is not finite and positive
     drops the chains. A block leaves the union at the iterate where hi -
-    lo <= tol. The result holds five rows, one column per block: the
-    midpoint, the defect ||Bx - rho x||_inf / ||x||_inf of that iterate,
-    the matvec count, lo and hi. Open blocks keep their order, so when
-    blocks are still open after max_iter matvecs, ConvergenceError names
-    the first of them.
+    lo <= tol, or, when window is a pair (a, b) and not None, where hi <
+    a or lo > b, and every block still open leaves at iterate max_iter.
+    The result holds five rows, one column per block: the midpoint, the
+    defect ||Bx - rho x||_inf / ||x||_inf of that iterate, the matvec
+    count, lo and hi. An iterate entry that underflows to 0 makes an end
+    nan or inf, and the block then stays open to max_iter.
     """
     closed = np.empty((5, len(sizes)))
     owners = np.arange(len(sizes))  # the column of each open block
@@ -240,7 +253,9 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
             lo = np.maximum(lo, np.maximum.reduceat(diag, starts))  # rho(B) >= max_i B_ii
         elif iteration > _NODA_AFTER:
             lo, hi = np.maximum(lo, prev_lo), np.minimum(hi, prev_hi)
-        done = hi - lo <= tol
+        done = hi - lo <= tol if iteration < max_iter else np.ones(len(hi), bool)
+        if window is not None:
+            done |= (hi < window[0]) | (lo > window[1])
         if np.count_nonzero(done):
             rho = 0.5 * (hi + lo)
             residual = (np.maximum.reduceat(np.abs(y - rho.repeat(sizes) * x), starts)
@@ -277,29 +292,24 @@ def _lockstep(diag, src, dst, sizes, tol, max_iter):
                 else:
                     x_next[part] = z
         x = x_next
-    raise ConvergenceError(
-        f"power iteration did not close a two-sided gap of {tol} within "
-        f"{max_iter} iterations (block size {sizes[0]})",
-        float(lo[0]), float(hi[0]))
 
 
-def _solve(cols: BoundColumns, tol, max_iter) -> list:
-    """The SpectralResult of each digraph of a BoundColumns batch, in
-    order, per_component in the batch's component order. A stable sort
-    by component label puts every block of size > 1 on consecutive
-    vertices in vertex order, _lockstep runs those blocks together, and
-    a size-one block is its outdegree, exactly. Each result is bitwise
-    independent of the rest of the batch. A block still open after
-    max_iter matvecs raises ConvergenceError for the first such digraph."""
+def _enclose(cols: BoundColumns, tol, max_iter, window=None):
+    """The Collatz-Wielandt enclosure of every block of a BoundColumns
+    batch, as (first, label, blocks): blocks holds the five _lockstep
+    rows, one column per block in the batch's component order, the
+    blocks of digraph k from column first[k] on, and label is each
+    vertex's column. A stable sort by label puts every block of size > 1
+    on consecutive vertices in vertex order, _lockstep runs those blocks
+    together, with tol, max_iter and window as it takes them, and a
+    size-one block is its outdegree, exactly. Each column is bitwise
+    independent of the rest of the batch."""
     first = np.cumsum(cols.component_count) - cols.component_count
     label = first[cols.vertex_graph] + cols.component_of  # across the batch
     outdeg = cols.outdeg.astype(float)
     sizes = np.bincount(label)
-    exact = np.empty(len(sizes))
-    exact[label] = outdeg  # the radius of a size-one block
-    zero = np.zeros(len(sizes))
-    # per block: value, residual, matvecs, lo, hi
-    blocks = np.array([exact, zero, zero, exact, exact])
+    blocks = np.zeros((5, len(sizes)))  # per block: value, residual, matvecs, lo, hi
+    blocks[np.ix_([0, 3, 4], label)] = outdeg  # the radius of a size-one block
     big = sizes > 1
     if big.any():
         order = np.argsort(label, kind="stable")
@@ -308,9 +318,28 @@ def _solve(cols: BoundColumns, tol, max_iter) -> list:
         number = np.empty(len(label), dtype=np.intp)
         number[order] = np.arange(len(order))
         inside = label[cols.tail] == label[cols.head]
-        blocks[:, big] = _lockstep(outdeg[order], number[cols.tail[inside]],
-                                   number[cols.head[inside]], sizes[big],
-                                   tol, max_iter)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x_i = 0 gives nan or inf
+            blocks[:, big] = _lockstep(outdeg[order], number[cols.tail[inside]],
+                                       number[cols.head[inside]], sizes[big],
+                                       tol, max_iter, window)
+    return first, label, blocks
+
+
+def _solve(cols: BoundColumns, tol, max_iter) -> list:
+    """The SpectralResult of each digraph of a BoundColumns batch, in
+    order, per_component in the batch's component order, from _enclose.
+    A block still open after max_iter matvecs raises ConvergenceError for
+    the first such digraph, with an end that is not finite replaced by
+    the bracket [max d, 2 max d] of the block's diagonal and row sums."""
+    first, label, blocks = _enclose(cols, tol, max_iter)
+    wide = ~(blocks[4] - blocks[3] <= tol)  # a nan end is wide too
+    if wide.any():
+        b = int(wide.argmax())
+        ends, peak = blocks[3:, b], float(cols.outdeg[label == b].max())
+        raise ConvergenceError(
+            f"power iteration did not close a two-sided gap of {tol} within "
+            f"{max_iter} iterations (block size {np.count_nonzero(label == b)})",
+            *np.where(np.isfinite(ends), ends, [peak, 2 * peak]).tolist())
     best = np.maximum.reduceat(blocks, first, axis=1).tolist()
     matvecs = np.add.reduceat(blocks[2], first).astype(int).tolist()
     values = blocks[0].tolist()

@@ -20,10 +20,12 @@ store of candidates from then on, which lays out arcs only when an arc
 column or the solver reads them: the G* constraint and the target's
 bound columns, read without witnesses, are numpy expressions over it,
 bitwise equal to all_bounds. They give the exact row deviation, and q
-enters as an interval from its tensor. The candidates that could still
-match or beat the nearest miss are solved for q in one solver call per
-chunk, on that batch, so the nearest miss is exact in every mode. Only
-the reported digraphs, rows of its tensor, are built as Digraphs.
+enters as an interval: the row-sum bracket, narrowed by a short budgeted
+run of the solver's own per-block Collatz-Wielandt enclosure. The
+candidates that could still match or beat the nearest miss are solved
+for q in one solver call per chunk, on that batch, so the nearest miss
+is exact in every mode. Only the reported digraphs, rows of its tensor,
+are built as Digraphs.
 """
 
 import dataclasses
@@ -443,13 +445,13 @@ class ReconstructionReport:
 # _CHUNK candidates and _CHUNK_CELLS adjacency cells; it bounds the
 # search's working memory, a few (chunk, n, n) arrays. Smaller chunks pay
 # more numpy call overhead. Larger ones give the first chunk, searched
-# before any nearest miss exists, more q intervals to iterate, and past
-# 2^21 cells their float arrays outgrow the cache: at n = 62 chunks of
-# 2,048 took 2.2 times as long as chunks of 512.
+# before any nearest miss exists, more q intervals to enclose. At n = 62
+# the 3,782 single-arc candidates took 0.100 s in chunks of 2,048 and
+# 0.091 s in chunks of 512 (one core of a shared 2-core x86-64 machine).
 _CHUNK = 2048
 _CHUNK_CELLS = 1 << 21
 
-# Most Collatz-Wielandt steps spent on one candidate's q interval.
+# The matvec budget of the q interval's run of the solver.
 _CW_ITERATIONS = 64
 
 # Widening of every q interval: the solver tolerance, plus 1e-9 for the
@@ -462,7 +464,7 @@ _Q_SLACK = DEFAULT_TOL + 1e-9
 # unconstrained n = 5 space, with a full bound row, one column or q alone
 # (one core of a shared 2-core x86-64 machine). A search that solves many
 # of its candidates costs more: the reducible n = 5, q = 3.0 target
-# solves 307,090 of 1,048,575 at about 10 us per candidate, some 80 s at
+# solves 59,970 of 1,048,575 at about 3 us per candidate, some 27 s at
 # this budget.
 DEFAULT_MAX_CANDIDATES = 1 << 23
 
@@ -650,27 +652,21 @@ class _Search:
 
     def q_interval(self, cols: BoundColumns, dev):
         """An interval holding q for every candidate: the row-sum bracket
-        [2 min d, 2 max d], narrowed by Collatz-Wielandt ratios of Q + I,
-        from the batch's tensor, for the candidates it leaves unsettled."""
+        [2 min d, 2 max d], narrowed, for the candidates it leaves
+        unsettled, by one _CW_ITERATIONS-matvec run of the solver's
+        per-block enclosure. A candidate's ends are the largest of its
+        blocks' ends. A block also stops once it lies wholly outside the
+        q that self.best and the tolerance leave open, and so never
+        decides whether its candidate is settled."""
         q_lo, q_hi = 2.0 * cols.shape.lo, 2.0 * cols.shape.hi
-        (active,) = np.nonzero(~self.settled(dev, q_lo, q_hi, self.best))
-        if not active.size:
+        active = ~self.settled(dev, q_lo, q_hi, self.best)
+        if not active.any():
             return q_lo, q_hi
-        d = cols.outdeg.reshape(len(cols), -1)[active]
-        # Q + I keeps the iterate positive; its radius is q + 1
-        shifted = cols._adj[active] + np.eye(d.shape[1]) * (d + 1)[:, None]
-        x = np.ones(d.shape)
-        for _ in range(_CW_ITERATIONS):
-            y = (shifted * x[:, None, :]).sum(axis=2)
-            # min and max are exact, and far faster along n contiguous rows
-            ratios = (y / x).T.copy()
-            q_lo[active] = np.maximum(q_lo[active], ratios.min(axis=0) - 1.0)
-            q_hi[active] = np.minimum(q_hi[active], ratios.max(axis=0) - 1.0)
-            open_ = ~self.settled(dev[active], q_lo[active], q_hi[active], self.best)
-            if not open_.any():
-                break
-            active, shifted, y = active[open_], shifted[open_], y[open_]
-            x = y / y.T.copy().max(axis=0)[:, None]
+        tq, reach = self.target.q, max(self.target.tolerance, self.best) + _Q_SLACK
+        first, _, blocks = _spectral._enclose(cols.select(active), DEFAULT_TOL,
+                                              _CW_ITERATIONS, (tq - reach, tq + reach))
+        lo, hi = np.maximum.reduceat(blocks[3:], first, axis=1)
+        q_lo[active], q_hi[active] = np.maximum(q_lo[active], lo), np.minimum(q_hi[active], hi)
         return q_lo, q_hi
 
 
@@ -686,7 +682,7 @@ def reconstruct(target: ReconstructionTarget,
     more than max_candidates candidates (a product of binomials for an
     outdegree sequence, one binomial for a fixed m, 2^(n(n-1)) - 1
     otherwise) with CandidateBudgetError, a ValueError; the default
-    budget, 2^23, takes 3.5 to 7 s, or some 80 s where many candidates
+    budget, 2^23, takes 3.5 to 7 s, or some 27 s where many candidates
     reach the solver, as in the reducible n = 5, q = 3.0 search.
 
     candidates_visited counts every enumerated arc set, before any

@@ -273,6 +273,25 @@ def test_compute_non_convergence_exit(capsys):
     assert "best enclosure [2.0, 6.0]" in err
 
 
+def test_compute_non_convergence_prints_no_nan(tmp_path):
+    # a bidirected K4 whose vertex 1 starts a 600-vertex chain back to
+    # vertex 2: the iterate underflows to 0 along the chain, and the run
+    # still reports a finite enclosure, with no numpy warning on stderr
+    k4 = [f"{i} {j}" for i in range(1, 5) for j in range(1, 5) if i != j]
+    chain = ["1 5"] + [f"{v} {v + 1}" for v in range(5, 604)] + ["604 2"]
+    path = tmp_path / "k4_chain.edges"
+    path.write_text("n 604\n" + "\n".join(k4 + chain) + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "qbounds.cli", "compute", "--input", str(path),
+            "--max-iter", "2000"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_NO_CONVERGENCE
+    assert "best enclosure [4.0, 8.0]" in done.stderr
+    assert "nan" not in done.stderr and "RuntimeWarning" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "error, shown",
     [

@@ -554,6 +554,24 @@ def test_running_enclosure_keeps_the_floor_past_the_switch(noda_max):
     assert e.lo <= 2 + math.sqrt(3) <= e.hi
 
 
+def test_convergence_error_never_carries_nan():
+    # a bidirected K4 whose vertex 0 starts a 600-vertex chain back to
+    # vertex 1: the Perron entries decay along the chain until the iterate
+    # underflows to 0 there, so both ends read nan from then on; the error
+    # holds the block's bracket [max d, 2 max d] instead, with no division
+    # warning (warnings are errors here)
+    n = 604
+    k4 = [(i, j) for i in range(4) for j in range(4) if i != j]
+    g = from_arc_list(n, k4 + [(0, 4)] + [(v, v + 1) for v in range(4, n - 1)] + [(n - 1, 1)])
+    with pytest.raises(ConvergenceError) as info:
+        spectral_radius(g, max_iter=2000)
+    e = info.value
+    q = np.linalg.eigvals(build_q(g)).real.max()
+    assert math.isfinite(e.lo) and math.isfinite(e.hi)
+    assert e.lo <= q <= e.hi
+    assert "nan" not in str(e)
+
+
 # --- the chain-contracted Noda step -------------------------------------------
 
 
@@ -732,6 +750,33 @@ def test_tensor_batches_solve_as_graph_batches():
             == _solved(bounds.BoundColumns(adj[kept])))
     assert (_solved(bounds.BoundColumns.from_graphs(graphs).select(first).select(second))
             == spectral_radii([graphs[k] for k in kept.tolist()]))
+
+
+def test_budgeted_enclosure_is_the_solver_run_cut_short():
+    # one mixed batch, strong digraphs and reducible ones, run by _enclose
+    # with a budget of 64 matvecs and the window (3, 5) beside the full
+    # solve: a block closed within the budget ends bitwise as it does in
+    # the solve, a block stopped by the window lies wholly outside it,
+    # and each digraph's interval holds its q
+    from qbounds import RandomCorpusSpec, random_corpus
+
+    graphs = [g for _, g in random_corpus(RandomCorpusSpec(30, 3, 12, (0.2, 0.5), seed=1))]
+    graphs += [_cycle_plus_chord(60), gen_bidirectional_star(5)]
+    graphs += MULTI_SCC_GRAPHS.values()
+    cols = bounds.BoundColumns.from_graphs(graphs)
+    tol, a, b = spectral.DEFAULT_TOL, 3.0, 5.0
+    first, _, full = spectral._enclose(cols, tol, spectral.DEFAULT_MAX_ITER)
+    _, _, cut = spectral._enclose(cols, tol, 64, (a, b))
+    closed = cut[4] - cut[3] <= tol
+    stopped = ~closed & (cut[2] < 64)
+    assert closed.any() and stopped.any() and (~closed & ~stopped).any()
+    assert cut[:, closed].tolist() == full[:, closed].tolist()
+    assert ((cut[4, stopped] < a) | (cut[3, stopped] > b)).all()
+    lo, hi = np.maximum.reduceat(cut[3:], first, axis=1)
+    for k, r in enumerate(_solved(cols)):
+        assert lo[k] <= r.q <= hi[k]
+        if closed[first[k]:first[k] + cols.component_count[k]].all():
+            assert (lo[k], hi[k]) == (r.lo, r.hi)
 
 
 def _convergence_error(g, max_iter):

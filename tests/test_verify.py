@@ -603,19 +603,29 @@ def test_search_solves_each_chunk_in_one_call(monkeypatch):
     assert len(solved) == 2
     assert sum(solved) == report.stages.scalar_evaluated == 30
     solved.clear()
-    # a reducible candidate's q interval is loose, so its ceiling is too,
-    # and the solved set may hold candidates that the replay settles
     report = reconstruct(EQUIVALENCE_TARGETS["reducible"])
     assert len(solved) == 2
-    assert sum(solved) >= report.stages.scalar_evaluated
+    assert sum(solved) == report.stages.scalar_evaluated == 58
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
+def test_q_interval_window_changes_no_decision(monkeypatch, name):
+    # a block that the window stops lies wholly outside the q that best
+    # and the tolerance leave open, so running it to the budget instead
+    # settles the same candidates
+    full = reconstruct(EQUIVALENCE_TARGETS[name])
+    enclose = spectral._enclose
+    monkeypatch.setattr(spectral, "_enclose",
+                        lambda cols, tol, max_iter, window=None: enclose(cols, tol, max_iter))
+    assert reconstruct(EQUIVALENCE_TARGETS[name]) == full
 
 
 @pytest.mark.parametrize("target, stages", [
     (PRESETS["g1"], EQUIVALENCE_STAGES["g1"]),
-    # reducible candidates, 607 of them solved, and no match: the
+    # reducible candidates, 45 of them solved, and no match: the
     # nearest miss is reported
     (ReconstructionTarget(n=4, q=3.3, require_strongly_connected=False),
-     (0, 0, 3488, 607, 0)),
+     (0, 0, 4050, 45, 0)),
 ])
 def test_search_builds_digraphs_for_reported_candidates_only(monkeypatch, target,
                                                              stages):
@@ -881,9 +891,11 @@ def test_candidate_space_packs_the_oracle_order(target, budget, chunks):
 
 def test_search_lays_out_arcs_only_for_the_candidates_it_solves(monkeypatch):
     # no column of this row reads arcs, so a tensor batch and its
-    # selections lay out arcs only for the candidates handed to the solver
-    batches, solved = [], []
-    init, select, solve = BoundColumns.__init__, BoundColumns.select, spectral._solve
+    # selections lay out arcs only for the candidates handed to the
+    # solver's _enclose: the q interval's budgeted run and the solve
+    batches, enclosed, solved = [], [], []
+    init, select = BoundColumns.__init__, BoundColumns.select
+    enclose, solve = spectral._enclose, spectral._solve
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -893,12 +905,17 @@ def test_search_lays_out_arcs_only_for_the_candidates_it_solves(monkeypatch):
         batches.append(select(self, rows))
         return batches[-1]
 
+    def recording_enclose(cols, *args):
+        enclosed.append(len(cols))
+        return enclose(cols, *args)
+
     def recording_solve(cols, *args):
         solved.append(len(cols))
         return solve(cols, *args)
 
     monkeypatch.setattr(BoundColumns, "__init__", recording_init)
     monkeypatch.setattr(BoundColumns, "select", recording_select)
+    monkeypatch.setattr(spectral, "_enclose", recording_enclose)
     monkeypatch.setattr(spectral, "_solve", recording_solve)
     columns = (BoundId.DEG_PLUS_AVG, BoundId.INDEG_SQRT, BoundId.HONG_YOU,
                BoundId.DEG_EXTREMES)
@@ -906,7 +923,9 @@ def test_search_lays_out_arcs_only_for_the_candidates_it_solves(monkeypatch):
         PRESETS["g1"], row={bid: dict(PRESETS["g1"].row)[bid] for bid in columns})
     reconstruct(target)
     laid_out = sum(len(cols) for cols in batches if "tail" in vars(cols))
-    assert 0 < sum(solved) == laid_out < sum(len(cols) for cols in batches)
+    # every g1 candidate is one strong block, so each call reads its arcs
+    assert 0 < sum(solved) < sum(enclosed)
+    assert sum(enclosed) == laid_out < sum(len(cols) for cols in batches)
 
 
 def _single_arc_target(n):
