@@ -553,8 +553,7 @@ class BoundColumns:
         for k in np.flatnonzero(possible & regular).tolist():
             n, arcs = s.n[k], slice(self.arc_start[k], self.arc_start[k] + s.m[k])
             i, j = (ends[arcs] - self.vertex_start[k] for ends in (self.tail, self.head))
-            cover = Digraph(2 * n, zip(np.r_[i, i + n].tolist(),
-                                       np.r_[j + n, j].tolist()))
+            cover = Digraph.from_arrays(2 * n, np.r_[i, i + n], np.r_[j + n, j])
             component_of = cover.data.component_of
             semiregular[k] = (component_of[:n] != component_of[n:]).all()
         return Classification(

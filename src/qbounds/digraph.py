@@ -17,62 +17,144 @@ is_strongly_connected are views over it.
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
 _INT = (int, np.integer)
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """Immutable digraph on vertices 0..n-1 with a nonempty arc set. n
-    and the arc endpoints are Python or numpy ints; anything else, bool
-    included, raises ValueError."""
+    """Immutable digraph on vertices 0..n-1 with a nonempty arc set.
 
-    n: int
-    arcs: frozenset
+    A Digraph is n plus its arc keys i * n + j, a sorted, duplicate-free,
+    read-only int64 array (so n is at most 3,037,000,499). Equality,
+    hashing, repr, m and sorted_arcs read them, and copies and pickles
+    carry nothing else; arcs and data are views built on first use.
+    Digraph(n, arcs) checks (i, j) tuples one at a time, from_arrays
+    checks integer arrays with array operations. n and the endpoints are
+    Python or numpy ints; anything else, bool included, and any malformed
+    arc raise ValueError.
+    """
 
-    def __post_init__(self):
-        if type(self.n) is bool or not isinstance(self.n, _INT):
-            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
-        for arc in self.arcs:
-            i, j = arc
+    def __init__(self, n, arcs):
+        n = _order(n)
+        if not isinstance(arcs, frozenset):
+            arcs = tuple(arcs)
+        for arc in arcs:
+            try:
+                i, j = arc
+            except (TypeError, ValueError):
+                raise ValueError(f"an arc must be a pair (i, j), got {arc!r}") from None
             if (not (isinstance(i, _INT) and isinstance(j, _INT))
                     or type(i) is bool or type(j) is bool):
                 raise ValueError(f"arc endpoints must be integers, got ({i!r}, {j!r})")
             if i == j:
                 raise ValueError(f"loop arc ({i}, {j}) is not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"arc ({i}, {j}) out of range for n={self.n}")
-        if not self.arcs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"arc ({i}, {j}) out of range for n={n}")
+        if not arcs:
             raise ValueError("digraph must have at least one arc")
+        try:
+            arcs = frozenset(arcs)
+        except TypeError:  # a pair of integers that is not a tuple
+            arc = next(arc for arc in arcs if not isinstance(arc, tuple))
+            raise ValueError(f"an arc must be a tuple (i, j), got {arc!r}") from None
+        self.__dict__.update(n=n, arcs=arcs)
+
+    @classmethod
+    def from_arrays(cls, n, src, dst) -> "Digraph":
+        """The digraph with the arcs src[k] -> dst[k]; duplicates collapse.
+        src and dst are 1-D integer arrays of one length, bool refused."""
+        n = _order(n)
+        src, dst = np.asarray(src), np.asarray(dst)
+        for ends in (src, dst):
+            if ends.ndim != 1 or ends.dtype.kind not in "iu":
+                raise ValueError(f"arc endpoints must be a 1-D integer array, "
+                                 f"got {ends.dtype} of shape {ends.shape}")
+        if src.size != dst.size:
+            raise ValueError(f"{src.size} tails but {dst.size} heads")
+        if not src.size:
+            raise ValueError("digraph must have at least one arc")
+        bad = (src == dst) | (src < 0) | (dst < 0) | (src >= n) | (dst >= n)
+        if bad.any():  # the per-arc check raises, naming the first faulty arc
+            k = bad.argmax()
+            cls(n, [(int(src[k]), int(dst[k]))])
+        keys = src.astype(np.int64) * n + dst.astype(np.int64)
+        keys.sort()  # np.unique hashes: some 60 times slower on a million keys
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        keys.flags.writeable = False
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, _keys=keys)
+        return g
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        # int64 arithmetic whatever the endpoints' int type: i * n on an
+        # np.int32 endpoint would wrap once n > 46,340
+        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), np.int64,
+                           2 * len(self.arcs))
+        keys = ends[0::2] * self.n + ends[1::2]
+        keys.sort()
+        keys.flags.writeable = False
+        return keys
+
+    @functools.cached_property
+    def arcs(self) -> frozenset:
+        """The arc set as (i, j) tuples, built from the keys on first use."""
+        return frozenset(self.sorted_arcs())
+
+    @functools.cached_property
+    def data(self) -> "GraphData":
+        """The graph data, built on first use; it never goes stale."""
+        return _build_graph_data(self)
 
     @property
     def m(self) -> int:
         """Number of arcs."""
-        return len(self.arcs)
+        return self._keys.size
 
-    @functools.cached_property
-    def data(self) -> "GraphData":
-        """The graph data, built on first use. The arc set is frozen, so it
-        never goes stale; it is not a field, so equality, hashing and repr
-        do not see it."""
-        return _build_graph_data(self)
+    def __eq__(self, other):
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._keys, other._keys)
+
+    def __hash__(self):
+        return hash((self.n, self._keys.tobytes()))
 
     def __getstate__(self):
-        # copies and pickles rebuild the data on demand rather than carry
-        # arrays that would come back writable
-        return {"n": self.n, "arcs": self.arcs}
+        return {"n": self.n, "_keys": self._keys}
+
+    def __setstate__(self, state):
+        state["_keys"].flags.writeable = False
+        self.__dict__.update(state)
 
     def sorted_arcs(self) -> list:
-        return list(zip(self.data.src.tolist(), self.data.dst.tolist()))
+        src, dst = np.divmod(self._keys, self.n)
+        return list(zip(src.tolist(), dst.tolist()))
 
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={self.sorted_arcs()})"
+
+
+def _order(n) -> int:
+    """The vertex count n as a Python int, checked: an integer (bool
+    refused), positive, and small enough that every arc key fits int64."""
+    if type(n) is bool or not isinstance(n, _INT):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    if n * n > 2**63:  # the largest key, n * n - 1, must fit int64
+        raise ValueError(f"vertex count {n} is too large: arc keys i * n + j "
+                         f"must fit int64")
+    return n
 
 
 def from_arc_list(n: int, pairs) -> Digraph:
@@ -102,12 +184,7 @@ class GraphData:
 
 def _build_graph_data(g: Digraph) -> GraphData:
     n = g.n
-    # int64 arithmetic whatever the endpoints' int type: i * n on an
-    # np.int32 endpoint would wrap once n > 46,340
-    ends = np.fromiter(itertools.chain.from_iterable(g.arcs), np.int64, 2 * g.m)
-    keys = ends[0::2] * n + ends[1::2]
-    keys.sort()
-    src, dst = np.divmod(keys, n)
+    src, dst = np.divmod(g._keys, n)
     outdeg = np.bincount(src, minlength=n)
     offsets = np.concatenate(([0], np.cumsum(outdeg)))
     components, component_of = _tarjan(n, offsets.tolist(), dst.tolist())

@@ -5,7 +5,19 @@ line as "<i> <j>", ids 1-based; ids and count are ASCII decimal. "#"
 starts a comment anywhere on a line; blank lines are skipped. Without a
 header the vertex count is the largest id mentioned. serialize always
 writes the header so trailing isolated vertices survive a round trip.
+
+parse_edge_list reads a document in one of two ways. A document whose
+first line is the header "n <digits>" or an arc line, and whose other
+lines hold only ASCII digits, spaces and tabs, is decoded whole by numpy
+and handed to Digraph.from_arrays. Every other document (comments,
+"\r", signs, other whitespace, non-ASCII text, "_"), and every one that
+the array path refuses, takes the line walk, which reads it line by line
+and is the only writer of parse errors and their line numbers.
 """
+
+import re
+
+import numpy as np
 
 from .digraph import Digraph
 
@@ -19,6 +31,26 @@ class EdgeListParseError(ValueError):
 
 
 def parse_edge_list(text: str) -> Digraph:
+    header = re.match(r"[ \t]*n[ \t]+([0-9]+)[ \t]*(?:\n|\Z)", text)
+    body = text[header.end():] if header else text
+    if body.isascii() and not body.encode().translate(None, b"0123456789 \t\n"):
+        # the -1s close the lines, and each line holds no token or two
+        values = np.fromstring(body.replace("\n", " -1 "), dtype=np.int64, sep=" ")
+        closes = np.flatnonzero(values < 0)
+        counts = np.diff(closes, prepend=-1, append=values.size) - 1
+        ids = np.delete(values, closes)
+        if ids.size and ((counts == 0) | (counts == 2)).all():
+            try:
+                # an id too long for int64 reads as its largest value,
+                # which no vertex count admits
+                n = int(header[1]) if header else int(ids.max())
+                return Digraph.from_arrays(n, ids[0::2] - 1, ids[1::2] - 1)
+            except ValueError:
+                pass  # the line walk names the faulty line
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Digraph:
     declared_n = None
     arcs = []  # (i, j), already 0-based
     lines = text.splitlines()
@@ -47,6 +79,7 @@ def parse_edge_list(text: str) -> Digraph:
                 ) from None
             if declared_n < 1:
                 raise EdgeListParseError(line_number, "vertex count must be positive")
+            header_line = line_number
             continue
         if len(tokens) != 2:
             raise EdgeListParseError(
@@ -76,7 +109,11 @@ def parse_edge_list(text: str) -> Digraph:
     n = declared_n
     if n is None:
         n = 1 + max(max(i, j) for i, j in arcs)
-    return Digraph(n, frozenset(arcs))
+        header_line = len(lines)
+    try:
+        return Digraph(n, frozenset(arcs))
+    except ValueError as exc:  # a vertex count too large for int64 arc keys
+        raise EdgeListParseError(header_line, str(exc)) from None
 
 
 def serialize_edge_list(g: Digraph) -> str:

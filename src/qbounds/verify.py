@@ -730,7 +730,7 @@ def reconstruct(target: ReconstructionTarget,
 
 def _rendered(adj, q, deviation) -> ReconstructionMatch:
     """A reported digraph, built from its adjacency row, with its bound row."""
-    g = Digraph(len(adj), frozenset(map(tuple, np.argwhere(adj).tolist())))
+    g = Digraph.from_arrays(len(adj), *np.nonzero(adj))
     return ReconstructionMatch(g, q, all_bounds(g), deviation)
 
 

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qbounds.cli as cli
+import qbounds.edgelist as edgelist
 from qbounds import (
     INVARIANTS,
     RandomCorpusSpec,
@@ -97,6 +99,7 @@ def test_parse_rejects_late_or_duplicate_header():
     ("n 1_0", "vertex count is not an integer: '1_0'"),
     ("n \u0663", "vertex count is not an integer: '\u0663'"),
     ("n 0", "vertex count must be positive"),
+    ("n 3037000500", "vertex count 3037000500 is too large"),
 ])
 def test_parse_rejects_malformed_header(header, message):
     with pytest.raises(EdgeListParseError, match=f"line 1: {re.escape(message)}"):
@@ -129,6 +132,74 @@ def test_serialize_writes_header_and_sorted_arcs(star4):
 @given(digraphs())
 def test_round_trip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+# plain documents take the array path; the rest mix in everything that
+# sends a document, or one of its lines, to the line walk
+_PLAIN = [str(k) for k in range(1, 13)] + ["007", "0"]
+_PLAIN_IDS = st.sampled_from(_PLAIN)
+_IDS = st.sampled_from(_PLAIN * 2 + [
+    "+2", "-1", "1_0", "\u0663", "2\u0663", "3037000499", "3037000500", "9" * 19,
+    "4611686018427387904", "9223372036854775807", "9223372036854775808",
+    "1" + "0" * 19, "18446744073709551617",
+])
+_PLAIN_GAPS = st.sampled_from([" ", "  ", "\t", " \t"])
+_GAPS = st.one_of(_PLAIN_GAPS, st.sampled_from(["\x0b", "\x0c", "\x1c", "\u00a0"]))
+
+
+@st.composite
+def _edge_list_documents(draw):
+    plain = draw(st.booleans())
+    ids, gaps = (_PLAIN_IDS, _PLAIN_GAPS) if plain else (_IDS, _GAPS)
+    kinds = ["arc"] * 6 + ["blank", "odd"] + ([] if plain else ["comment", "late n"])
+    edges = st.sampled_from(["", "", " ", "\t", "  \t "])
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(edges) + "n" + draw(gaps) + draw(ids) + draw(edges))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "arc":
+            line = draw(ids) + draw(gaps) + draw(ids)
+        elif kind == "blank":
+            line = ""
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# c", "1 2 # c", "# a\x0b3 3"]))
+        elif kind == "odd":
+            line = " ".join(draw(st.lists(ids, min_size=1, max_size=3)))
+        else:
+            line = "n " + draw(ids)
+        lines.append(draw(edges) + line + draw(edges))
+    ends = st.just("\n") if plain else st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except EdgeListParseError as exc:
+        return str(exc), exc.line_number
+
+
+@settings(max_examples=300)
+@given(_edge_list_documents())
+@example("1\n2 3 4\n")  # six tokens, but no line holds two
+@example("n 3\n1 2\n3 1\n3 5\n")
+@example("1 2\n2 18446744073709551617\n")
+def test_array_path_agrees_with_line_walk(text):
+    assert _parsed(parse_edge_list, text) == _parsed(edgelist._parse_lines, text)
+
+
+def test_plain_documents_take_the_array_path(monkeypatch):
+    texts = ("n 3\n1 2\n2 3\n3 1\n", "1 2\n2 3\n3 1", " n\t5 \n\n1 2 \n\t2  1\n\n",
+             "n 2\n1 2\n1 2\n", "0001 2\n2 1\n")
+    walked = [edgelist._parse_lines(text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError(f"{text!r} reached the line walk")
+
+    monkeypatch.setattr(edgelist, "_parse_lines", refuse)
+    assert [parse_edge_list(text) for text in texts] == walked
 
 
 # --- compute ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from qbounds import (
     gen_directed_cycle,
     gen_random_strongly_connected,
     is_strongly_connected,
+    parse_edge_list,
     random_corpus,
     scc,
     serialize_edge_list,
@@ -60,6 +61,13 @@ def test_rejects_nonpositive_order():
         Digraph(0, frozenset([(0, 1)]))
 
 
+class _Arrays(tuple):
+    """Tails and heads for Digraph.from_arrays."""
+
+    def __new__(cls, src, dst):
+        return super().__new__(cls, (src, dst))
+
+
 @pytest.mark.parametrize("n, arcs, value", [
     # 0.5 * 3 + 1 would truncate to the key of the arc (0, 2)
     (3, [(0.5, 1), (1, 2), (2, 0)], "0.5"),
@@ -71,10 +79,31 @@ def test_rejects_nonpositive_order():
     # a bool is an int to isinstance, but no vertex count or vertex
     (2, [(True, False)], "(True, False)"),
     (True, [(0, 1)], "True"),
+    # a malformed arc is named, not unpacked or hashed
+    (3, frozenset({1}), "got 1"),
+    (3, [(0, 1), [1, 2]], "got [1, 2]"),
+    (3, [(0, 1, 2)], "got (0, 1, 2)"),
+    # from_arrays refuses by dtype and shape, never by casting
+    (3, _Arrays([0, 1], [1, 2.5]), "float64"),
+    (3, _Arrays(np.array([True, False]), [1, 2]), "bool"),
+    (3, _Arrays(np.array([[0, 1]]), np.array([[1, 2]])), "(1, 2)"),
+    (3, _Arrays(np.array([0, 1]), np.array([1, 2, 0])), "2 tails but 3 heads"),
+    (3, _Arrays(np.array(["0"]), np.array([1])), "<U1"),
+    (3, _Arrays(np.zeros(0, int), np.zeros(0, int)), "at least one arc"),
+    (3.0, _Arrays([0], [1]), "3.0"),
+    (3, _Arrays(np.array([0, 1]), np.array([1, 1], np.uint8)), "loop arc (1, 1)"),
+    (3, _Arrays(np.array([0, -1]), np.array([1, 2])), "arc (-1, 2) out of range"),
+    (3, _Arrays(np.array([0, 1], np.uint64), np.array([1, 3])), "arc (1, 3) out of range"),
+    # the largest arc key, n * n - 1, must fit int64
+    (3_037_000_500, [(0, 1)], "vertex count 3037000500 is too large"),
+    (3_037_000_500, _Arrays([0], [1]), "vertex count 3037000500 is too large"),
 ])
 def test_rejects_non_integers(n, arcs, value):
     with pytest.raises(ValueError, match=re.escape(value)):
-        Digraph(n, frozenset(arcs))
+        if isinstance(arcs, _Arrays):
+            Digraph.from_arrays(n, *arcs)
+        else:
+            Digraph(n, arcs)
 
 
 def test_from_arc_list_does_not_truncate():
@@ -91,6 +120,11 @@ def test_numpy_ints_are_integers():
     ends = np.int32(0), np.int32(49_999)
     wide = from_arc_list(50_000, [ends, ends[::-1]])
     assert wide.sorted_arcs() == [(0, 49_999), (49_999, 0)]
+    # the largest order whose keys fit int64
+    n = 3_037_000_499
+    g = Digraph.from_arrays(n, [n - 1, 0], [n - 2, n - 1])
+    assert g == Digraph(n, [(0, n - 1), (n - 1, n - 2)])
+    assert g.sorted_arcs() == [(0, n - 1), (n - 1, n - 2)]
 
 
 def test_duplicate_arcs_collapse():
@@ -103,6 +137,29 @@ def test_digraph_is_hashable_value_object():
     b = from_arc_list(3, [(1, 2), (0, 1)])
     assert a == b
     assert hash(a) == hash(b)
+    # every entry gives the same value: arrays of any integer dtype,
+    # unsorted and with duplicates, and parsed text on either path
+    twins = [
+        Digraph(3, {(1, 2), (0, 1)}),
+        Digraph.from_arrays(3, np.array([1, 0, 1], np.int32), np.array([2, 1, 2], np.int32)),
+        Digraph.from_arrays(3, np.array([1, 0, 0]), np.array([2, 1, 1])),
+        Digraph.from_arrays(3, np.array([1, 0], np.uint8), np.array([2, 1], np.uint64)),
+        parse_edge_list("2 3\n1 2\n2 3\n"),
+        parse_edge_list("n 3\n1 2  # a comment takes the line walk\n2 3\n"),
+    ]
+    for twin in twins:
+        assert "data" not in vars(twin)
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+        assert (twin.arcs, twin.m, twin.sorted_arcs()) == (a.arcs, 2, [(0, 1), (1, 2)])
+        assert "data" not in vars(twin)
+        for copied in (copy.deepcopy(twin), pickle.loads(pickle.dumps(twin))):
+            assert copied == a and "data" not in vars(copied)
+            assert copied.sorted_arcs() == a.sorted_arcs()
+            assert not copied._keys.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.n = 4
+    assert a != from_arc_list(4, [(0, 1), (1, 2)])
+    assert a != Digraph.from_arrays(3, [0, 1], [1, 0])
     # the cached graph data stays invisible: build it on one side only
     data = a.data
     assert "data" not in vars(b)

@@ -630,13 +630,19 @@ def test_q_interval_window_changes_no_decision(monkeypatch, name):
 def test_search_builds_digraphs_for_reported_candidates_only(monkeypatch, target,
                                                              stages):
     # the search solves and deduplicates on its adjacency rows
-    built, init = [], Digraph.__post_init__
+    # every Digraph built, by either of its two entries
+    built, init, from_arrays = [], Digraph.__init__, Digraph.from_arrays.__func__
 
-    def counting(g):
+    def counting_init(g, *args):
+        init(g, *args)
         built.append(g)
-        init(g)
 
-    monkeypatch.setattr(Digraph, "__post_init__", counting)
+    def counting_from_arrays(cls, *args):
+        built.append(from_arrays(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Digraph, "__init__", counting_init)
+    monkeypatch.setattr(Digraph, "from_arrays", classmethod(counting_from_arrays))
     report = reconstruct(target)
     assert dataclasses.astuple(report.stages) == stages
     shown = [m.digraph for m in report.matches]
