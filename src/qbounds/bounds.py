@@ -308,11 +308,12 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
         return None
     cols = BoundColumns.from_graphs([g])
     if kind == "arc":  # replayed by its index among the sorted arcs
-        ints = isinstance(w, tuple) and all(
-            np.issubdtype(type(x), np.integer) for x in w)
-        if not (ints and w in g.arcs):
+        pair = isinstance(w, tuple) and len(w) == 2 and all(
+            np.issubdtype(type(x), np.integer) and 0 <= x < g.n for x in w)
+        at = np.flatnonzero((cols.tail == w[0]) & (cols.head == w[1])) if pair else ()
+        if len(at) != 1:
             raise ValueError(f"{bv.id.value} witness {w!r} is not an arc of g")
-        (w,) = np.flatnonzero((cols.tail == w[0]) & (cols.head == w[1]))
+        (w,) = at
     elif not np.issubdtype(type(w), np.integer):  # refuses bool and float
         raise ValueError(f"{bv.id.value} witness {w!r} is not an integer")
     elif not 0 <= w < g.n:

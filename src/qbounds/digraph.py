@@ -8,9 +8,9 @@ outdegree data:
 * 2-outdegree t+(i): sum of d+(j) over the out-neighbors j of i
 * average 2-outdegree m+(i) = t+(i) / d+(i), undefined when d+(i) = 0
 
-Everything derived from the arc set (the sorted arc arrays, the degrees
-and the strong components) is computed once per Digraph, on first use,
-into its GraphData. adjacency, degree_profile, scc and
+A Digraph holds n and its sorted int64 arc keys; the arc arrays, the
+degrees and the strong components are computed from them once, on first
+use, into its GraphData. adjacency, degree_profile, scc and
 is_strongly_connected are views over it.
 """
 
@@ -27,25 +27,24 @@ _INT = (int, np.integer)
 class Digraph:
     """Immutable digraph on vertices 0..n-1 with a nonempty arc set.
 
-    A Digraph is n plus its arc keys i * n + j, a sorted, duplicate-free,
-    read-only int64 array (so n is at most 3,037,000,499). Equality,
-    hashing, repr, m and sorted_arcs read them, and copies and pickles
-    carry nothing else; arcs and data are views built on first use.
-    Digraph(n, arcs) checks (i, j) tuples one at a time, from_arrays
-    checks integer arrays with array operations. n and the endpoints are
-    Python or numpy ints; anything else, bool included, and any malformed
-    arc raise ValueError.
+    A Digraph holds n and its arc keys i * n + j, a sorted,
+    duplicate-free, read-only int64 array (so n is at most 3,037,000,499),
+    whichever constructor built it. Equality, hashing, repr, m and
+    sorted_arcs read the keys, and copies and pickles carry nothing else;
+    the arcs frozenset and data are views built on first use.
+    Digraph(n, arcs) checks an iterable of (i, j) tuples one at a time,
+    from_arrays checks integer arrays with array operations. n and the
+    endpoints are Python or numpy ints; anything else, bool included, and
+    any malformed arc raise ValueError.
     """
 
     def __init__(self, n, arcs):
         n = _order(n)
-        if not isinstance(arcs, frozenset):
-            arcs = tuple(arcs)
+        arcs = tuple(arcs)
         for arc in arcs:
-            try:
-                i, j = arc
-            except (TypeError, ValueError):
-                raise ValueError(f"an arc must be a pair (i, j), got {arc!r}") from None
+            if not (isinstance(arc, tuple) and len(arc) == 2):
+                raise ValueError(f"an arc must be a 2-tuple (i, j), got {arc!r}")
+            i, j = arc
             if (not (isinstance(i, _INT) and isinstance(j, _INT))
                     or type(i) is bool or type(j) is bool):
                 raise ValueError(f"arc endpoints must be integers, got ({i!r}, {j!r})")
@@ -55,12 +54,8 @@ class Digraph:
                 raise ValueError(f"arc ({i}, {j}) out of range for n={n}")
         if not arcs:
             raise ValueError("digraph must have at least one arc")
-        try:
-            arcs = frozenset(arcs)
-        except TypeError:  # a pair of integers that is not a tuple
-            arc = next(arc for arc in arcs if not isinstance(arc, tuple))
-            raise ValueError(f"an arc must be a tuple (i, j), got {arc!r}") from None
-        self.__dict__.update(n=n, arcs=arcs)
+        ends = np.fromiter(itertools.chain.from_iterable(arcs), np.int64, 2 * len(arcs))
+        self.__dict__.update(n=n, _keys=_sorted_keys(n, ends[0::2], ends[1::2]))
 
     @classmethod
     def from_arrays(cls, n, src, dst) -> "Digraph":
@@ -80,12 +75,8 @@ class Digraph:
         if bad.any():  # the per-arc check raises, naming the first faulty arc
             k = bad.argmax()
             cls(n, [(int(src[k]), int(dst[k]))])
-        keys = src.astype(np.int64) * n + dst.astype(np.int64)
-        keys.sort()  # np.unique hashes: some 60 times slower on a million keys
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        keys.flags.writeable = False
         g = object.__new__(cls)
-        g.__dict__.update(n=n, _keys=keys)
+        g.__dict__.update(n=n, _keys=_sorted_keys(n, src, dst))
         return g
 
     def __setattr__(self, name, value):
@@ -93,17 +84,6 @@ class Digraph:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @functools.cached_property
-    def _keys(self) -> np.ndarray:
-        # int64 arithmetic whatever the endpoints' int type: i * n on an
-        # np.int32 endpoint would wrap once n > 46,340
-        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), np.int64,
-                           2 * len(self.arcs))
-        keys = ends[0::2] * self.n + ends[1::2]
-        keys.sort()
-        keys.flags.writeable = False
-        return keys
 
     @functools.cached_property
     def arcs(self) -> frozenset:
@@ -157,9 +137,22 @@ def _order(n) -> int:
     return n
 
 
+def _sorted_keys(n: int, src, dst) -> np.ndarray:
+    """The arc keys src * n + dst of checked endpoints: sorted,
+    duplicate-free and read-only."""
+    # int64 arithmetic whatever the endpoints' int type: i * n on an
+    # np.int32 endpoint would wrap once n > 46,340
+    keys = np.asarray(src, np.int64) * n + np.asarray(dst, np.int64)
+    keys.sort()  # np.unique hashes: some 60 times slower on a million keys
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    keys.flags.writeable = False
+    return keys
+
+
 def from_arc_list(n: int, pairs) -> Digraph:
-    """Build a digraph from an iterable of (i, j) pairs; duplicates collapse."""
-    return Digraph(n, frozenset((i, j) for i, j in pairs))
+    """The digraph with the arcs (i, j) of an iterable of pairs of any
+    sequence type, such as lists or array rows; duplicates collapse."""
+    return Digraph(n, map(tuple, pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,28 +349,24 @@ def classify(g: Digraph) -> Classification:
 def gen_directed_cycle(n: int) -> Digraph:
     if n < 2:
         raise ValueError("directed cycle needs n >= 2")
-    return Digraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return Digraph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def gen_bidirectional_complete(n: int) -> Digraph:
     if n < 2:
         raise ValueError("bidirectional complete digraph needs n >= 2")
-    return Digraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
+    return Digraph(n, itertools.permutations(range(n), 2))
 
 
 def gen_bidirectional_star(n: int) -> Digraph:
     if n < 3:
         raise ValueError("bidirectional star needs n >= 3")
-    arcs = set()
-    for leaf in range(1, n):
-        arcs.add((0, leaf))
-        arcs.add((leaf, 0))
-    return Digraph(n, frozenset(arcs))
+    return _bidirected(n, [(0, leaf) for leaf in range(1, n)])
 
 
 def _bidirected(vertex_count, edges) -> Digraph:
     """The digraph carrying both arcs of every edge (a, b)."""
-    return Digraph(vertex_count, frozenset(edges) | {(b, a) for a, b in edges})
+    return Digraph(vertex_count, [*edges, *((b, a) for a, b in edges)])
 
 
 def gen_bipartite_semiregular(p: int, q: int, r: int, s: int) -> Digraph:
@@ -446,4 +435,4 @@ def gen_random_strongly_connected(n: int, arc_probability: float, seed: int) -> 
         for j in range(n):
             if i != j and (i, j) not in cycle and rng.random() < arc_probability:
                 arcs.add((i, j))
-    return Digraph(n, frozenset(arcs))
+    return Digraph(n, arcs)

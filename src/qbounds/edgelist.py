@@ -68,15 +68,11 @@ def _parse_lines(text: str) -> Digraph:
                 raise EdgeListParseError(line_number, "duplicate header line")
             if len(tokens) != 2:
                 raise EdgeListParseError(line_number, "header must be 'n <count>'")
-            try:
-                # int() alone would also read 1_0 as 10, and non-ASCII digits
-                if not tokens[1].isascii() or "_" in tokens[1]:
-                    raise ValueError(tokens[1])
-                declared_n = int(tokens[1])
-            except ValueError:
+            declared_n = _integer(line_number, tokens[1], "vertex count")
+            if declared_n is None:
                 raise EdgeListParseError(
                     line_number, f"vertex count is not an integer: {tokens[1]!r}"
-                ) from None
+                )
             if declared_n < 1:
                 raise EdgeListParseError(line_number, "vertex count must be positive")
             header_line = line_number
@@ -85,14 +81,11 @@ def _parse_lines(text: str) -> Digraph:
             raise EdgeListParseError(
                 line_number, f"expected an arc line '<i> <j>', got {line!r}"
             )
-        try:
-            if "_" in line or not (tokens[0].isascii() and tokens[1].isascii()):
-                raise ValueError(line)
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        i, j = (_integer(line_number, token, "arc endpoint") for token in tokens)
+        if i is None or j is None:
             raise EdgeListParseError(
                 line_number, f"arc endpoints must be integers, got {line!r}"
-            ) from None
+            )
         if i < 1 or j < 1:
             raise EdgeListParseError(line_number, "vertex ids are 1-based")
         if i == j:
@@ -111,9 +104,24 @@ def _parse_lines(text: str) -> Digraph:
         n = 1 + max(max(i, j) for i, j in arcs)
         header_line = len(lines)
     try:
-        return Digraph(n, frozenset(arcs))
+        return Digraph(n, arcs)
     except ValueError as exc:  # a vertex count too large for int64 arc keys
         raise EdgeListParseError(header_line, str(exc)) from None
+
+
+def _integer(line_number: int, token: str, what: str):
+    """The value of an ASCII decimal token, a sign allowed, else None.
+    int() alone would also read 1_0 as 10 and non-ASCII digits, and it
+    raises past 4,300 digits: a token of more than 10 digits, leading
+    zeros aside, exceeds every vertex count (3,037,000,499 at most) and
+    is refused as too large, unconverted."""
+    digits = token[1:] if token[0] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 10:
+        raise EdgeListParseError(line_number, f"{what} of {len(digits)} digits is too large")
+    return -int(digits) if token[0] == "-" else int(digits)
 
 
 def serialize_edge_list(g: Digraph) -> str:

@@ -186,6 +186,16 @@ def test_witness_replay_reproduces_value(g):
             assert replay is None
 
 
+def test_arc_witness_replay_leaves_the_arcs_view_unbuilt():
+    # the tuple frozenset of a million-arc digraph costs some 115 MB
+    g = Digraph.from_arrays(4, [0, 1, 2, 3, 0, 2], [1, 2, 3, 0, 2, 0])
+    arc_witnesses = [bv for bv in all_bounds(g) if isinstance(bv.witness, tuple)]
+    assert arc_witnesses
+    for bv in arc_witnesses:
+        assert witness_value(g, bv) == bv.value
+    assert "arcs" not in vars(g)
+
+
 def test_witness_value_inapplicable_returns_none(path3, star4):
     bv = bound(path3, BoundId.ARC_DEG_SUM)
     assert witness_value(path3, bv) is None
@@ -211,6 +221,8 @@ def test_witness_value_inapplicable_returns_none(path3, star4):
     (BoundId.INDEG_SQRT, 1.5, "witness 1.5 is not an integer"),
     (BoundId.ARC_DEG_SUM, [0, 1], r"witness \[0, 1\] is not an arc"),
     (BoundId.ARC_DEG_SUM, (0.0, 1), r"witness \(0.0, 1\) is not an arc"),
+    (BoundId.ARC_DEG_SUM, (0, 10**30), rf"witness \(0, {10**30}\) is not an arc"),
+    (BoundId.OVAL_AVG, (0, 1, 2), r"witness \(0, 1, 2\) is not an arc"),
 ])
 def test_witness_value_refuses_witnesses_outside_g(star4, bid, witness, refusal):
     bv = (bound_generic_f(star4, lambda i, j: 1.0) if bid is BoundId.GENERIC_WEIGHT

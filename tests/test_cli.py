@@ -106,6 +106,15 @@ def test_parse_rejects_malformed_header(header, message):
         parse_edge_list(f"{header}\n1 2\n")
 
 
+@pytest.mark.parametrize("text", ["n " + "1" * 5000 + "\n1 2\n", "1 " + "2" * 5000 + "\n"],
+                         ids=["count", "endpoint"])
+def test_parse_refuses_long_digit_strings_as_too_large(text):
+    # int() raises past 4,300 digits; the message counts them instead
+    with pytest.raises(EdgeListParseError, match="^line 1: .* of 5000 digits is too large$") as exc:
+        parse_edge_list(text)
+    assert len(str(exc.value)) < 200
+
+
 def test_parse_rejects_garbage_tokens():
     with pytest.raises(EdgeListParseError, match="expected an arc line"):
         parse_edge_list("1 2 3\n")

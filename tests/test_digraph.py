@@ -141,6 +141,10 @@ def test_digraph_is_hashable_value_object():
     # unsorted and with duplicates, and parsed text on either path
     twins = [
         Digraph(3, {(1, 2), (0, 1)}),
+        Digraph(3, frozenset({(1, 2), (0, 1)})),
+        Digraph(3, [(1, 2), (0, 1), (1, 2)]),
+        Digraph(3, ((i, i + 1) for i in range(2))),
+        from_arc_list(3, [[1, 2], np.array([0, 1])]),
         Digraph.from_arrays(3, np.array([1, 0, 1], np.int32), np.array([2, 1, 2], np.int32)),
         Digraph.from_arrays(3, np.array([1, 0, 0]), np.array([2, 1, 1])),
         Digraph.from_arrays(3, np.array([1, 0], np.uint8), np.array([2, 1], np.uint64)),
@@ -148,16 +152,22 @@ def test_digraph_is_hashable_value_object():
         parse_edge_list("n 3\n1 2  # a comment takes the line walk\n2 3\n"),
     ]
     for twin in twins:
-        assert "data" not in vars(twin)
+        # one state, however the digraph was built: the views come later
+        assert set(vars(twin)) == {"n", "_keys"}
         assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
         assert (twin.arcs, twin.m, twin.sorted_arcs()) == (a.arcs, 2, [(0, 1), (1, 2)])
         assert "data" not in vars(twin)
         for copied in (copy.deepcopy(twin), pickle.loads(pickle.dumps(twin))):
-            assert copied == a and "data" not in vars(copied)
+            assert copied == a and set(vars(copied)) == {"n", "_keys"}
             assert copied.sorted_arcs() == a.sorted_arcs()
             assert not copied._keys.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             twin.n = 4
+    generated = [gen_directed_cycle(4), gen_bidirectional_complete(4),
+                 gen_bidirectional_star(4), gen_bipartite_semiregular(2, 2, 1, 1),
+                 gen_random_strongly_connected(5, 0.3, seed=1)]
+    for g in generated:
+        assert set(vars(g)) == {"n", "_keys"}
     assert a != from_arc_list(4, [(0, 1), (1, 2)])
     assert a != Digraph.from_arrays(3, [0, 1], [1, 0])
     # the cached graph data stays invisible: build it on one side only
