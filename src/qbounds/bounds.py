@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .digraph import Classification, Digraph
+from .digraph import Classification, Digraph, _arc_ends
 
 
 class BoundId(enum.Enum):
@@ -251,7 +251,7 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
     enter the computation. The bound is scale-invariant in f and collapses
     to arc_deg_sum when f is constant.
     """
-    data = g.data
+    src, dst = _arc_ends(g)
     arcs = g.sorted_arcs()
     weights = np.array([float(f(i, j)) for i, j in arcs])
     bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))
@@ -261,8 +261,8 @@ def bound_generic_f(g: Digraph, f: ArcWeightFunction) -> BoundValue:
             f"arc weight function must be positive and finite on every "
             f"arc; got f{arcs[k]} = {float(weights[k])}"
         )
-    row = np.bincount(data.src, weights, g.n)  # summed in arc order
-    values = (row[data.src] + row[data.dst]) / weights
+    row = np.bincount(src, weights, g.n)  # summed in arc order
+    values = (row[src] + row[dst]) / weights
     k = int(np.argmax(values))  # first maximizer in sorted arc order
     return BoundValue(BoundId.GENERIC_WEIGHT, float(values[k]), witness=arcs[k])
 
@@ -380,13 +380,13 @@ class BoundColumns:
     shape at once from the tensor, and numbers the components by their
     lowest vertices from a bitmask closure; its arc arrays are laid out
     on first use, as are those of its selections. from_graphs(graphs)
-    lays out Digraphs of any n from their GraphData, arcs included,
-    components in its order. slices(graphs) cuts a list into batches of
-    at most _SLICE_ARCS arcs. values(bid) gives each digraph's value and
-    witness, bitwise those of all_bounds, a batch of one that renders
-    the reasons; values_only(bid) the values alone, without the two
-    passes that find the witnesses, and classification() the flags of
-    classify, also a batch of one.
+    lays out a nonempty list of Digraphs of any n from their arc keys,
+    components in the order of their GraphData. slices(graphs) cuts a
+    list into batches of at most _SLICE_ARCS arcs. values(bid) gives each
+    digraph's value and witness, bitwise those of all_bounds, a batch of
+    one that renders the reasons; values_only(bid) the values alone,
+    without the two passes that find the witnesses, and classification()
+    the flags of classify, also a batch of one.
     """
 
     def __init__(self, adj, _reach=None):  # _reach: a caller's closure of adj
@@ -452,12 +452,14 @@ class BoundColumns:
     def from_graphs(cls, graphs) -> "BoundColumns":
         """The batch of a nonempty list of Digraphs, in order, each with its
         strong components in GraphData's numbering."""
-        datas = [g.data for g in graphs]
+        if not graphs:
+            raise ValueError("from_graphs needs a nonempty list of digraphs, got none")
         n, m = np.array([g.n for g in graphs]), np.array([g.m for g in graphs])
-        count = np.array([len(data.components) for data in datas])
+        count = np.array([g.data.component_count for g in graphs])
         size, starts = n.sum(), np.cumsum(n) - n
-        dst, offset = np.concatenate([data.dst for data in datas]), np.repeat(starts, m)
-        tail, head = np.concatenate([data.src for data in datas]) + offset, dst + offset
+        src, dst = np.divmod(np.concatenate([g._keys for g in graphs]), np.repeat(n, m))
+        offset = np.repeat(starts, m)
+        tail, head = src + offset, dst + offset
         d = np.bincount(tail, minlength=size)
         zero_head = np.minimum.reduceat(np.where(d[head] == 0, dst, size),
                                         np.cumsum(m) - m)
@@ -467,7 +469,7 @@ class BoundColumns:
                        np.bincount(head, d[tail], size).astype(np.int64)],
                       _Shape(n, m, np.minimum.reduceat(d, starts),
                              np.maximum.reduceat(d, starts), count == 1, zero_head),
-                      np.concatenate([data.component_of for data in datas]), count)
+                      np.concatenate([g.data.component_of for g in graphs]), count)
         cols._arcs(tail, head)
         return cols
 

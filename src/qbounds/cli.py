@@ -24,8 +24,10 @@ import json
 import signal
 import sys
 
+import numpy as np
+
 from .bounds import _SPECS, ROW_ORDER, all_bounds
-from .digraph import classify
+from .digraph import _arc_ends, classify
 from .edgelist import EdgeListParseError, parse_edge_list, serialize_edge_list
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, spectral_radius
 from .verify import (
@@ -154,7 +156,7 @@ def _compute_report(g, tol, max_iter):
         result = spectral_radius(g, tol=tol, max_iter=max_iter)
     except ValueError as exc:  # the solver's own check of --tol and --max-iter
         raise _UsageError(str(exc)) from exc
-    outdeg = g.data.outdeg
+    outdeg = np.bincount(_arc_ends(g)[0], minlength=g.n)
     flags = classify(g)
     bound_entries = []
     for bv in all_bounds(g):

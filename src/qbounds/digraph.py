@@ -8,10 +8,10 @@ outdegree data:
 * 2-outdegree t+(i): sum of d+(j) over the out-neighbors j of i
 * average 2-outdegree m+(i) = t+(i) / d+(i), undefined when d+(i) = 0
 
-A Digraph holds n and its sorted int64 arc keys; the arc arrays, the
-degrees and the strong components are computed from them once, on first
-use, into its GraphData. adjacency, degree_profile, scc and
-is_strongly_connected are views over it.
+A Digraph holds n and its sorted int64 arc keys and caches one thing
+more, on first use: its strong components (GraphData). Everything else
+is computed where it is read: the arc arrays by one divmod of the keys,
+the degrees by np.bincount over them.
 """
 
 import functools
@@ -31,7 +31,8 @@ class Digraph:
     duplicate-free, read-only int64 array (so n is at most 3,037,000,499),
     whichever constructor built it. Equality, hashing, repr, m and
     sorted_arcs read the keys, and copies and pickles carry nothing else;
-    the arcs frozenset and data are views built on first use.
+    the arcs frozenset and data, its strong components, are cached views,
+    and the arc arrays and degrees are computed where they are read.
     Digraph(n, arcs) checks an iterable of (i, j) tuples one at a time,
     from_arrays checks integer arrays with array operations. n and the
     endpoints are Python or numpy ints; anything else, bool included, and
@@ -92,7 +93,7 @@ class Digraph:
 
     @functools.cached_property
     def data(self) -> "GraphData":
-        """The graph data, built on first use; it never goes stale."""
+        """The strong components, found on first use; they never go stale."""
         return _build_graph_data(self)
 
     @property
@@ -116,7 +117,7 @@ class Digraph:
         self.__dict__.update(state)
 
     def sorted_arcs(self) -> list:
-        src, dst = np.divmod(self._keys, self.n)
+        src, dst = _arc_ends(self)
         return list(zip(src.tolist(), dst.tolist()))
 
     def __repr__(self):
@@ -149,6 +150,12 @@ def _sorted_keys(n: int, src, dst) -> np.ndarray:
     return keys
 
 
+def _arc_ends(g: Digraph):
+    """The arc tails and heads of g in sorted (tail, head) order, as two
+    int64 arrays computed from its keys."""
+    return np.divmod(g._keys, g.n)
+
+
 def from_arc_list(n: int, pairs) -> Digraph:
     """The digraph with the arcs (i, j) of an iterable of pairs of any
     sequence type, such as lists or array rows; duplicates collapse."""
@@ -157,54 +164,38 @@ def from_arc_list(n: int, pairs) -> Digraph:
 
 @dataclass(frozen=True, eq=False)
 class GraphData:
-    """What the package reads of one digraph, as read-only integer arrays.
+    """The strong components of one digraph, all that a Digraph caches.
 
-    src, dst      arc tails and heads in sorted (src, dst) order
-    outdeg        d+(i);  indeg: d-(i)
-    two_outdeg    t+(i), the sum of d+(j) over out-neighbors j
-    component_of  index of the strong component holding each vertex
-    components    the strong components as in SccDecomposition
+    component_of     read-only intp array: the strong component of each
+                     vertex, numbered as in SccDecomposition
+    component_count  the number of strong components
     """
 
-    src: np.ndarray
-    dst: np.ndarray
-    outdeg: np.ndarray
-    indeg: np.ndarray
-    two_outdeg: np.ndarray
     component_of: np.ndarray
-    components: tuple
+    component_count: int
 
 
 def _build_graph_data(g: Digraph) -> GraphData:
     n = g.n
-    src, dst = np.divmod(g._keys, n)
-    outdeg = np.bincount(src, minlength=n)
-    offsets = np.concatenate(([0], np.cumsum(outdeg)))
-    components, component_of = _tarjan(n, offsets.tolist(), dst.tolist())
-    arrays = dict(
-        src=src,
-        dst=dst,
-        outdeg=outdeg,
-        indeg=np.bincount(dst, minlength=n),
-        two_outdeg=np.bincount(src, outdeg[dst], n).astype(np.int64),
-        component_of=np.array(component_of, dtype=np.intp),
-    )
-    for array in arrays.values():
-        array.flags.writeable = False
-    return GraphData(components=components, **arrays)
+    src, dst = _arc_ends(g)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    count, component_of = _tarjan(n, offsets.tolist(), dst.tolist())
+    component_of = np.array(component_of, dtype=np.intp)
+    component_of.flags.writeable = False
+    return GraphData(component_of, count)
 
 
 def _tarjan(n: int, offsets: list, heads: list):
     """Tarjan's algorithm over CSR out-neighbor lists, iterative to stay
-    clear of recursion limits. Returns the components, sorted vertex
-    tuples in reverse topological order, and the component of each
-    vertex."""
+    clear of recursion limits. Returns the number of components and the
+    component of each vertex, components numbered in reverse topological
+    order."""
     index = [-1] * n
     low = [0] * n
     onstack = [False] * n
     component_of = [0] * n
     stack = []
-    components = []
+    count = 0
     counter = 0
 
     for root in range(n):
@@ -237,16 +228,14 @@ def _tarjan(n: int, offsets: list, heads: list):
                 if low[v] < low[u]:
                     low[u] = low[v]
             if low[v] == index[v]:
-                comp = []
                 while True:
                     w = stack.pop()
                     onstack[w] = False
-                    component_of[w] = len(components)
-                    comp.append(w)
+                    component_of[w] = count
                     if w == v:
                         break
-                components.append(tuple(sorted(comp)))
-    return tuple(components), component_of
+                count += 1
+    return count, component_of
 
 
 def _split(values: np.ndarray, counts: np.ndarray) -> list:
@@ -258,9 +247,10 @@ def _split(values: np.ndarray, counts: np.ndarray) -> list:
 
 def adjacency(g: Digraph):
     """Sorted out- and in-neighbor lists."""
-    data = g.data
-    tails_by_head = data.src[np.argsort(data.dst, kind="stable")]
-    return _split(data.dst, data.outdeg), _split(tails_by_head, data.indeg)
+    src, dst = _arc_ends(g)
+    tails_by_head = src[np.argsort(dst, kind="stable")]
+    return (_split(dst, np.bincount(src, minlength=g.n)),
+            _split(tails_by_head, np.bincount(dst, minlength=g.n)))
 
 
 @dataclass(frozen=True)
@@ -281,13 +271,14 @@ class DegreeProfile:
 
 
 def degree_profile(g: Digraph) -> DegreeProfile:
-    data = g.data
-    outdeg = tuple(data.outdeg.tolist())
-    two_outdeg = tuple(data.two_outdeg.tolist())
+    src, dst = _arc_ends(g)
+    degrees = np.bincount(src, minlength=g.n)
+    outdeg = tuple(degrees.tolist())
+    two_outdeg = tuple(np.bincount(src, degrees[dst], g.n).astype(np.int64).tolist())
     avg = tuple((t / d) if d > 0 else None for d, t in zip(outdeg, two_outdeg))
     return DegreeProfile(
         outdeg=outdeg,
-        indeg=tuple(data.indeg.tolist()),
+        indeg=tuple(np.bincount(dst, minlength=g.n).tolist()),
         two_outdeg=two_outdeg,
         avg_two_outdeg=avg,
         max_outdeg=max(outdeg),
@@ -312,13 +303,16 @@ class SccDecomposition:
 
 
 def scc(g: Digraph) -> SccDecomposition:
-    """The strong components found by Tarjan's algorithm."""
-    data = g.data
-    return SccDecomposition(tuple(data.component_of.tolist()), data.components)
+    """The strong components found by Tarjan's algorithm, listed from the
+    cached component_of on each call."""
+    component_of = g.data.component_of
+    # a stable sort by component keeps each component's vertices ascending
+    members = _split(np.argsort(component_of, kind="stable"), np.bincount(component_of))
+    return SccDecomposition(tuple(component_of.tolist()), tuple(map(tuple, members)))
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    return len(g.data.components) == 1
+    return g.data.component_count == 1
 
 
 @dataclass(frozen=True)
@@ -392,7 +386,7 @@ def gen_bipartite_semiregular(p: int, q: int, r: int, s: int) -> Digraph:
     n = p + q
     for _ in range(n):
         # components of the underlying graph, ordered by smallest vertex
-        comps = sorted(_bidirected(n, edges).data.components)
+        comps = sorted(scc(_bidirected(n, edges)).components)
         if len(comps) <= 1:
             break
         first = sorted(e for e in edges if e[0] in comps[0])
@@ -401,7 +395,7 @@ def gen_bipartite_semiregular(p: int, q: int, r: int, s: int) -> Digraph:
             rest = sorted(e for e in edges if e[0] in comp)
             for (x1, y1), (x2, y2) in itertools.product(first, rest):
                 trial = (edges - {(x1, y1), (x2, y2)}) | {(x1, y2), (x2, y1)}
-                if len(_bidirected(n, trial).data.components) < len(comps):
+                if _bidirected(n, trial).data.component_count < len(comps):
                     edges = trial
                     improved = True
                     break

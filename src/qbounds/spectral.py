@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundColumns
-from .digraph import Digraph, adjacency, is_strongly_connected
+from .digraph import Digraph, _arc_ends, is_strongly_connected
 
 
 class ConvergenceError(RuntimeError):
@@ -117,9 +117,9 @@ class SpectralResult:
 
 def build_q(g: Digraph) -> np.ndarray:
     """Dense signless Laplacian D + A as a float array."""
-    data = g.data
-    q = np.diag(data.outdeg.astype(float))
-    q[data.src, data.dst] = 1.0
+    src, dst = _arc_ends(g)
+    q = np.diag(np.bincount(src, minlength=g.n).astype(float))
+    q[src, dst] = 1.0
     return q
 
 
@@ -393,13 +393,10 @@ def oval_containment(g: Digraph, value: float) -> OvalCheck:
     """
     if not is_strongly_connected(g):
         raise ValueError("oval containment needs a strongly connected digraph")
-    data = g.data
-    src, dst = data.src, data.dst
-    center = data.outdeg.astype(float)
-    out, _ = adjacency(g)
-    d = data.outdeg.tolist()
-    radius = np.array([sum(math.sqrt(d[j] / d[i]) for j in out[i])
-                       for i in range(g.n)])
+    src, dst = _arc_ends(g)
+    center = np.bincount(src, minlength=g.n).astype(float)
+    # each r(i) summed from 0.0 in sorted arc order, one term per out-neighbor
+    radius = np.bincount(src, np.sqrt(center[dst] / center[src]), g.n)
     lhs = np.abs(value - center[src]) * np.abs(value - center[dst])
     rhs = radius[src] * radius[dst]
     # Equality cases (e.g. the bidirectional star) put the spectral

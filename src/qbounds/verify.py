@@ -42,7 +42,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import spectral as _spectral
 from .bounds import BoundColumns, BoundId, all_bounds
-from .digraph import Digraph, degree_profile, gen_random_strongly_connected
+from .digraph import Digraph, _arc_ends, degree_profile, gen_random_strongly_connected
 from .edgelist import serialize_edge_list
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, oval_containment
 
@@ -307,7 +307,7 @@ def canonical_form(g: Digraph):
         raise CandidateBudgetError(
             f"a canonical form on n = {g.n} vertices takes {relabelings:,} "
             f"relabelings, over the budget of {DEFAULT_MAX_CANDIDATES:,}")
-    return _canonical_forms(g.n, [(g.data.src, g.data.dst)])[0]
+    return _canonical_forms(g.n, [_arc_ends(g)])[0]
 
 
 # Relabelings per block of _canonical_forms: the bidirected K9 then peaks

@@ -10,7 +10,9 @@ copy of the one-block-at-a-time loop that spectral_radii replaced: the
 batched solver must reproduce it bitwise.  Likewise the bound row and the
 sweep are frozen copies of the one-graph-at-a-time evaluator and sweep
 loop that the ragged BoundColumns batch replaced; the sweep runs its own
-copies of the nine scalar invariants, not verify.INVARIANTS.
+copies of the nine scalar invariants, not verify.INVARIANTS. Arc arrays
+and degrees are read from sorted_arcs() and counted arc by arc, and
+strong components are read from scc(), never from a digraph's cache.
 """
 
 import functools
@@ -35,6 +37,7 @@ from qbounds import (
     degree_profile,
     is_strongly_connected,
     oval_containment,
+    scc,
     serialize_edge_list,
     spectral,
     spectral_radius,
@@ -42,6 +45,23 @@ from qbounds import (
     witness_value,
 )
 from qbounds.spectral import ConvergenceError, SpectralResult
+
+
+def arc_arrays(g: Digraph):
+    """The tails and heads of g's arcs in sorted order, from sorted_arcs()."""
+    arcs = np.array(g.sorted_arcs(), dtype=np.int64)
+    return arcs[:, 0], arcs[:, 1]
+
+
+def degrees(g: Digraph):
+    """The outdegree d+ and 2-outdegree t+ of every vertex of g, counted
+    arc by arc."""
+    src, dst = arc_arrays(g)
+    d = np.zeros(g.n, dtype=np.int64)
+    np.add.at(d, src, 1)
+    t = np.zeros(g.n, dtype=np.int64)
+    np.add.at(t, src, d[dst])
+    return d, t
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -285,9 +305,10 @@ def per_block_spectral_radius(g: Digraph, tol=spectral.DEFAULT_TOL,
                               max_iter=spectral.DEFAULT_MAX_ITER) -> SpectralResult:
     """spectral_radius(g) as computed one strong component after another,
     each block with its own power and Noda steps."""
-    data = g.data
-    src, dst, component_of = data.src, data.dst, data.component_of
-    outdeg = data.outdeg.astype(float)
+    decomposition = scc(g)
+    src, dst = arc_arrays(g)
+    component_of = np.array(decomposition.component_of)
+    outdeg = degrees(g)[0].astype(float)
     sizes = np.bincount(component_of)
     by_component = np.argsort(component_of, kind="stable")
     local = np.empty(g.n, dtype=np.intp)
@@ -304,7 +325,7 @@ def per_block_spectral_radius(g: Digraph, tol=spectral.DEFAULT_TOL,
     enclosures = []
     total_iterations = 0
     worst_residual = 0.0
-    for cid, comp in enumerate(data.components):
+    for cid, comp in enumerate(decomposition.components):
         if len(comp) == 1:
             value = block_lo = block_hi = float(outdeg[comp[0]])
         else:
@@ -377,15 +398,15 @@ def _row_sum_bracket(case, sums, name):
 
 def _inv_bracket_plain_rows(case):
     # rows of Q: 2 d(i)
-    return _row_sum_bracket(case, 2.0 * case.g.data.outdeg, "plain")
+    return _row_sum_bracket(case, 2.0 * degrees(case.g)[0], "plain")
 
 
 def _inv_bracket_deg_avg(case):
     # rows of D^-1 Q D: d(i) + m(i), defined when every outdegree is positive
-    d = case.g.data.outdeg
+    d, t = degrees(case.g)
     if d.min() == 0:
         return None
-    return _row_sum_bracket(case, d + case.g.data.two_outdeg / d, "degree-average")
+    return _row_sum_bracket(case, d + t / d, "degree-average")
 
 
 def _inv_oval_contains_q(case):
@@ -398,7 +419,7 @@ def _inv_oval_contains_q(case):
 
 
 def _inv_regular_equality(case):
-    d = case.g.data.outdeg
+    d = degrees(case.g)[0]
     if d.min() != d.max():
         return None
     expected = 2.0 * int(d.max())
@@ -427,7 +448,7 @@ def _inv_q_exceeds_max_outdeg(case):
     # among them the 1x1 block max outdegree. A failure is a solver bug.
     if not is_strongly_connected(case.g):
         return None
-    max_outdeg = int(case.g.data.outdeg.max())
+    max_outdeg = int(degrees(case.g)[0].max())
     if case.q <= max_outdeg - DOMINANCE_TOL:
         return f"q = {case.q!r} not above max outdegree {max_outdeg}"
     return None
@@ -458,8 +479,7 @@ SCALAR_INVARIANTS = {
 
 
 def _shape_oracle(g: Digraph):
-    data = g.data
-    d, dst = data.outdeg, data.dst
+    d, dst = degrees(g)[0], arc_arrays(g)[1]
     zero_heads = dst[d[dst] == 0]
     return bounds._Shape(
         n=g.n,
@@ -476,17 +496,17 @@ def _evaluate_oracle(bid, g: Digraph, shape) -> BoundValue:
     reason = bounds._reason(spec.conditions, shape)
     if reason is not None:
         return BoundValue(bid, None, reason)
-    data = g.data
-    d, t = data.outdeg, data.two_outdeg
+    d, t = degrees(g)
+    src, dst = arc_arrays(g)
     if spec.kind == "arc":
-        src, dst = data.src, data.dst
         values = spec.term(d[src], d[dst], t[src], t[dst])
         k = int(np.argmax(values))  # first maximizer in sorted arc order
         return BoundValue(bid, float(values[k]),
                           witness=(int(src[k]), int(dst[k])))
     if spec.kind == "vertex":
         (vertices,) = np.nonzero(d > 0)
-        insum = np.bincount(data.dst, d[data.src], g.n).astype(np.int64)
+        insum = np.zeros(g.n, dtype=np.int64)
+        np.add.at(insum, dst, d[src])
         values = spec.term(d[vertices], t[vertices], insum[vertices])
         k = int(np.argmax(values))
         return BoundValue(bid, float(values[k]), witness=int(vertices[k]))

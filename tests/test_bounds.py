@@ -30,6 +30,7 @@ from qbounds import (
     gen_directed_cycle,
     is_strongly_connected,
     random_corpus,
+    scc,
     spectral_radius,
     witness_value,
 )
@@ -37,7 +38,7 @@ import qbounds.bounds as bounds
 import qbounds.spectral as spectral
 
 from conftest import bound, sc_digraphs, digraphs, strong_partition
-from oracles import bound_row_oracle, classify_oracle, generic_f_oracle
+from oracles import arc_arrays, bound_row_oracle, classify_oracle, generic_f_oracle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -481,7 +482,7 @@ def test_strongly_connected_bit_rows_cross_bytes(n):
     columns = BoundColumns(adj)
     assert columns.shape.strongly.tolist() == expected
     # the closure numbers the strong components Tarjan finds
-    assert columns.component_count.tolist() == [len(g.data.components) for g in graphs]
+    assert columns.component_count.tolist() == [len(scc(g).components) for g in graphs]
     assert strong_partition(columns) == strong_partition(BoundColumns.from_graphs(graphs))
 
 
@@ -541,7 +542,8 @@ def test_tensor_batch_selections_equal_graph_batches(read_arcs):
     graphs = _every_4_vertex_digraph()
     adj = np.zeros((len(graphs), 4, 4), dtype=bool)
     for k, g in enumerate(graphs):
-        adj[k, g.data.src, g.data.dst] = True
+        src, dst = arc_arrays(g)
+        adj[k, src, dst] = True
     cols = BoundColumns(adj)
     adj[:] = False  # the batch reads its arcs from a tensor of its own
     with pytest.raises(AttributeError, match="no_such_array"):
@@ -741,6 +743,11 @@ def test_batched_columns_refuse_a_tensor_that_is_not_square(shape):
     adj[..., 1, 2 if len(shape) == 2 else 3] = True
     with pytest.raises(ValueError, match=re.escape(f"shape (N, n, n), got {shape}")):
         BoundColumns(adj)
+
+
+def test_graph_batches_refuse_an_empty_list():
+    with pytest.raises(ValueError, match="nonempty list of digraphs"):
+        BoundColumns.from_graphs([])
 
 
 # --- the ragged batch against the per-graph evaluator ------------------------

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +117,7 @@ def test_numpy_ints_are_integers():
     arcs = [(0, 1), (1, 2), (2, 0)]
     g = Digraph(np.int64(3), frozenset((np.int32(i), np.int64(j)) for i, j in arcs))
     assert g == from_arc_list(3, arcs)
-    assert g.data.src.tolist() == [0, 1, 2]
+    assert g.sorted_arcs() == arcs
     # 49,999 * 50,000 does not fit an int32
     ends = np.int32(0), np.int32(49_999)
     wide = from_arc_list(50_000, [ends, ends[::-1]])
@@ -219,6 +221,36 @@ def test_graph_data_built_once_per_digraph(monkeypatch, tmp_path, capsys):
     assert len(builds) == len(corpus)
 
 
+def test_graph_data_keeps_only_the_strong_components():
+    # n = 1,000 and m = 100,000: one arc array alone would retain 800 kB,
+    # the component of each vertex 8 kB
+    n = 1_000
+    keys = np.random.default_rng(0).choice(n * n, 120_000, replace=False)
+    src, dst = np.divmod(keys, n)
+    loops = src == dst
+    g, twin = (Digraph.from_arrays(n, src[~loops][:100_000], dst[~loops][:100_000])
+               for _ in range(2))
+    assert g.m == 100_000
+    # Tarjan's work stack keeps up to n 2-tuples alive, and Python holds
+    # freed 2-tuples on a free list: the twin's build fills it first. A
+    # full collection empties that list, so the collector stays off from
+    # the warm-up to the end of the window.
+    gc.collect()
+    gc.disable()
+    try:
+        twin.data
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        data = g.data
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained <= 16 * n + 4096, retained
+    assert [field.name for field in dataclasses.fields(data)] == [
+        "component_of", "component_count"]
+
+
 def test_sorted_arcs_deterministic(two_islands):
     arcs = two_islands.sorted_arcs()
     assert arcs == sorted(arcs)
@@ -304,8 +336,16 @@ def test_scc_reverse_topological_order():
 
 @given(digraphs())
 def test_scc_matches_reachability_oracle(g):
-    ours = {frozenset(c) for c in scc(g).components}
+    decomposition = scc(g)
+    ours = {frozenset(c) for c in decomposition.components}
     assert ours == set(scc_oracle(g))
+    for k, component in enumerate(decomposition.components):
+        assert list(component) == sorted(component)
+        assert all(decomposition.component_of[v] == k for v in component)
+    # reverse topological order: every arc between components runs from a
+    # later-listed component to an earlier-listed one
+    for i, j in g.sorted_arcs():
+        assert decomposition.component_of[i] >= decomposition.component_of[j]
 
 
 @given(digraphs())

@@ -20,13 +20,14 @@ from qbounds import (
     gen_directed_cycle,
     gen_random_strongly_connected,
     oval_containment,
+    scc,
     spectral,
     spectral_radii,
     spectral_radius,
 )
 
 from conftest import digraphs, sc_digraphs
-from oracles import per_block_spectral_radius, spectral_radius_oracle
+from oracles import arc_arrays, degrees, per_block_spectral_radius, spectral_radius_oracle
 
 
 def test_build_q_entries(star4):
@@ -170,7 +171,7 @@ def _assert_matches_oracle(g):
     r = spectral_radius(g)
     assert r.q == pytest.approx(spectral_radius_oracle(g), abs=1e-6)
     assert r.residual <= spectral.DEFAULT_TOL
-    assert [cid for cid, _ in r.per_component] == list(range(len(g.data.components)))
+    assert [cid for cid, _ in r.per_component] == list(range(len(scc(g).components)))
 
 
 def _union(*parts, links=()):
@@ -397,8 +398,8 @@ def test_noda_block_sets_q_of_reducible_graph():
     g = SLOW_BLOCK_GRAPHS["reducible"]
     r = spectral_radius(g)
     radii = dict(r.per_component)
-    slow = g.data.component_of[0]
-    assert len(g.data.components) == 5
+    slow = scc(g).component_of[0]
+    assert len(scc(g).components) == 5
     assert r.q == radii[slow] > 2.0
     others = sorted(v for cid, v in radii.items() if cid != slow)
     assert others == pytest.approx([0.0, 1.0, 2.0, 2.0], abs=1e-12)
@@ -531,7 +532,7 @@ def test_diagonal_floor_closes_a_block_at_the_switch(noda_max):
         r = spectral_radius(g, max_iter=2_000)
     assert calls == []
     assert r.iterations <= spectral._NODA_AFTER
-    assert r.lo >= g.data.outdeg.max() == 3
+    assert r.lo >= degrees(g)[0].max() == 3
     assert r.lo <= r.q <= r.hi
     assert r.hi - r.lo <= 1e-12
 
@@ -550,7 +551,7 @@ def test_running_enclosure_keeps_the_floor_past_the_switch(noda_max):
         with pytest.raises(ConvergenceError) as info:
             spectral_radius(g, max_iter=spectral._NODA_AFTER + 1)
     e = info.value
-    assert e.lo >= g.data.outdeg.max() == 3
+    assert e.lo >= degrees(g)[0].max() == 3
     assert e.lo <= 2 + math.sqrt(3) <= e.hi
 
 
@@ -578,13 +579,14 @@ def test_convergence_error_never_carries_nan():
 def _slow_block(g):
     """Diagonal and arcs of the largest strong component of g, renumbered
     from 0 in vertex order."""
-    data = g.data
-    label = np.argmax(np.bincount(data.component_of))
-    vertices = np.flatnonzero(data.component_of == label)
+    component_of = np.array(scc(g).component_of)
+    src, dst = arc_arrays(g)
+    label = np.argmax(np.bincount(component_of))
+    vertices = np.flatnonzero(component_of == label)
     local = np.full(g.n, -1)
     local[vertices] = np.arange(len(vertices))
-    inside = (data.component_of[data.src] == label) & (data.component_of[data.dst] == label)
-    return data.outdeg[vertices].astype(float), local[data.src[inside]], local[data.dst[inside]]
+    inside = (component_of[src] == label) & (component_of[dst] == label)
+    return degrees(g)[0][vertices].astype(float), local[src[inside]], local[dst[inside]]
 
 
 def _assert_step_solves_dense(diag, src, dst, h):
@@ -732,7 +734,8 @@ def test_tensor_batches_solve_as_graph_batches():
               for mask in range(1, 1 << len(pool))]
     adj = np.zeros((len(graphs), 4, 4), dtype=bool)
     for k, g in enumerate(graphs):
-        adj[k, g.data.src, g.data.dst] = True
+        src, dst = arc_arrays(g)
+        adj[k, src, dst] = True
     cols = bounds.BoundColumns(adj)
     expected = spectral_radii(graphs)
     assert len(expected) == 4095

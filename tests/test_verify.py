@@ -42,7 +42,9 @@ from oracles import (
     SCALAR_INVARIANTS,
     GraphCase,
     _candidate_arc_sets,
+    arc_arrays,
     canonical_form_oracle,
+    degrees,
     reconstruct_oracle,
     sweep_oracle,
 )
@@ -146,17 +148,17 @@ def _perturbations():
         return math.nextafter(x, -math.inf)
 
     def extremes(g):
-        d = g.data.outdeg
+        d = degrees(g)[0]
         return int(d.min()), int(d.max())
 
     def lowest_bound(g):
         return min(bv.value for bv in all_bounds(g) if bv.applicable)
 
     def deg_avg_low(g):
-        d = g.data.outdeg
+        d, t = degrees(g)
         if d.min() == 0:
             return math.inf
-        return float((d + g.data.two_outdeg / d).min())
+        return float((d + t / d).min())
 
     return [
         lambda g, q: q,
@@ -360,7 +362,7 @@ def test_canonical_forms_in_blocks_match_brute_force(monkeypatch, n):
     monkeypatch.setattr(verify, "_RELABEL_BLOCK", 5)
     graphs = [g for _, g in random_corpus(RandomCorpusSpec(6, n, n, (0.3, 0.7), n))]
     graphs += [gen_directed_cycle(n), from_arc_list(n, [(n - 1, 0)])]
-    arcs = [(g.data.src, g.data.dst) for g in graphs]
+    arcs = [arc_arrays(g) for g in graphs]
     assert verify._canonical_forms(n, arcs) == [canonical_form_oracle(g) for g in graphs]
     assert canonical_form(graphs[0]) == canonical_form_oracle(graphs[0])
 
