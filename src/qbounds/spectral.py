@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundColumns
-from .digraph import Digraph, _arc_ends, is_strongly_connected
+from .digraph import Digraph, _arc_ends
 
 
 class ConvergenceError(RuntimeError):
@@ -380,30 +380,35 @@ class OvalCheck:
     witness_arc: tuple | None
 
 
+def _first_oval(cols: BoundColumns, values):
+    """Per digraph k, the batch index of its first sorted arc whose oval
+    holds values[k], or -1; each r(i) sums from 0.0 in sorted arc order."""
+    d, tail, head = cols.outdeg.astype(float), cols.tail, cols.head
+    radius = np.bincount(tail, np.sqrt(d[head] / d[tail]), len(d))
+    value = np.asarray(values, dtype=float)[cols.arc_graph]
+    lhs = np.abs(value - d[tail]) * np.abs(value - d[head])
+    rhs = radius[tail] * radius[head]
+    # Equality cases (e.g. the bidirectional star) put the spectral
+    # radius exactly on the boundary, where the radius product can
+    # round one ulp short; allow a relative slack of 1e-9.
+    inside = lhs <= rhs + 1e-9 * np.maximum(1.0, rhs)
+    first = np.minimum.reduceat(np.where(inside, np.arange(len(tail)), len(tail)), cols.arc_start)
+    return np.where(first < len(tail), first, -1)
+
+
 def oval_containment(g: Digraph, value: float) -> OvalCheck:
     """Whether value lies in the union of the per-arc Cassini ovals
     |z - d(i)| * |z - d(j)| <= r(i) * r(j) of P = D^-1/2 Q D^1/2, where
     r(i), the off-diagonal row sum of P at i, sums sqrt(d(j)/d(i)) over
     the out-neighbors j of i. For a strongly connected digraph every
     eigenvalue of Q lies in that union, so the computed q must test as
-    contained.
+    contained. It is a batch of one of the sweep's oval test.
 
     The witness is the lexicographically first arc whose oval contains
     the value.
     """
-    if not is_strongly_connected(g):
+    cols = BoundColumns.from_graphs([g])
+    if not cols.shape.strongly[0]:
         raise ValueError("oval containment needs a strongly connected digraph")
-    src, dst = _arc_ends(g)
-    center = np.bincount(src, minlength=g.n).astype(float)
-    # each r(i) summed from 0.0 in sorted arc order, one term per out-neighbor
-    radius = np.bincount(src, np.sqrt(center[dst] / center[src]), g.n)
-    lhs = np.abs(value - center[src]) * np.abs(value - center[dst])
-    rhs = radius[src] * radius[dst]
-    # Equality cases (e.g. the bidirectional star) put the spectral
-    # radius exactly on the boundary, where the radius product can
-    # round one ulp short; allow a relative slack of 1e-9.
-    inside = lhs <= rhs + 1e-9 * np.maximum(1.0, rhs)
-    k = int(np.argmax(inside))  # first contained arc in sorted arc order
-    if not inside[k]:
-        return OvalCheck(contained=False, witness_arc=None)
-    return OvalCheck(contained=True, witness_arc=(int(src[k]), int(dst[k])))
+    (k,) = _first_oval(cols, [value]).tolist()
+    return OvalCheck(k >= 0, (int(cols.tail[k]), int(cols.head[k])) if k >= 0 else None)

@@ -42,9 +42,9 @@ import numpy as np
 from . import bounds as _bounds
 from . import spectral as _spectral
 from .bounds import BoundColumns, BoundId, all_bounds
-from .digraph import Digraph, _arc_ends, degree_profile, gen_random_strongly_connected
+from .digraph import Digraph, _arc_ends, gen_random_strongly_connected
 from .edgelist import serialize_edge_list
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, oval_containment
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 DOMINANCE_TOL = 1e-9
 
@@ -132,9 +132,10 @@ def _first_bound(s, off, render):
 
 
 def _inv_degree_consistency(s):
-    return [f"degree sums disagree with arc count {g.m}"
-            if sum(p.outdeg) != g.m or sum(p.indeg) != g.m else None
-            for g, p in zip(s.graphs, map(degree_profile, s.graphs))]
+    cols, m = s.cols, s.cols.shape.m
+    degrees = np.array([cols.outdeg, np.bincount(cols.head, minlength=len(cols.outdeg))])
+    off = (np.add.reduceat(degrees, cols.vertex_start, axis=1) != m).any(axis=0)
+    return _details(off, lambda k: f"degree sums disagree with arc count {m[k].item()}")
 
 
 def _inv_dominance(s):
@@ -171,9 +172,8 @@ def _inv_bracket_deg_avg(s):
 
 
 def _inv_oval_contains_q(s):
-    return [f"q = {q!r} escapes every per-arc oval"
-            if strongly and not oval_containment(g, q).contained else None
-            for g, q, strongly in zip(s.graphs, s.q.tolist(), s.cols.shape.strongly)]
+    escapes = s.cols.shape.strongly & (_spectral._first_oval(s.cols, s.q) < 0)
+    return _details(escapes, lambda k: f"q = {s.q[k].item()!r} escapes every per-arc oval")
 
 
 def _inv_regular_equality(s):
@@ -652,13 +652,13 @@ class _Search:
 
     def q_interval(self, cols: BoundColumns, dev):
         """An interval holding q for every candidate: the row-sum bracket
-        [2 min d, 2 max d], narrowed, for the candidates it leaves
-        unsettled, by one _CW_ITERATIONS-matvec run of the solver's
-        per-block enclosure. A candidate's ends are the largest of its
-        blocks' ends. A block also stops once it lies wholly outside the
-        q that self.best and the tolerance leave open, and so never
-        decides whether its candidate is settled."""
-        q_lo, q_hi = 2.0 * cols.shape.lo, 2.0 * cols.shape.hi
+        [2 min d, 2 max d], its lower end raised to max d (rho(Q) >= max
+        Q_ii), narrowed, for the candidates it leaves unsettled, by one
+        _CW_ITERATIONS-matvec run of the solver's per-block enclosure.
+        A candidate's ends are the largest of its blocks' ends. A block
+        also stops once it lies wholly outside the q that self.best and
+        the tolerance leave open, where more steps would decide nothing."""
+        q_lo, q_hi = np.maximum(2.0 * cols.shape.lo, cols.shape.hi), 2.0 * cols.shape.hi
         active = ~self.settled(dev, q_lo, q_hi, self.best)
         if not active.any():
             return q_lo, q_hi

@@ -10,7 +10,9 @@ copy of the one-block-at-a-time loop that spectral_radii replaced: the
 batched solver must reproduce it bitwise.  Likewise the bound row and the
 sweep are frozen copies of the one-graph-at-a-time evaluator and sweep
 loop that the ragged BoundColumns batch replaced; the sweep runs its own
-copies of the nine scalar invariants, not verify.INVARIANTS. Arc arrays
+copies of the nine scalar invariants, not verify.INVARIANTS, and tests
+q against the Cassini ovals with a frozen copy of the per-graph loop
+that oval_containment replaced. Arc arrays
 and degrees are read from sorted_arcs() and counted arc by arc, and
 strong components are read from scc(), never from a digraph's cache.
 """
@@ -36,7 +38,6 @@ from qbounds import (
     classify,
     degree_profile,
     is_strongly_connected,
-    oval_containment,
     scc,
     serialize_edge_list,
     spectral,
@@ -44,7 +45,7 @@ from qbounds import (
     verify,
     witness_value,
 )
-from qbounds.spectral import ConvergenceError, SpectralResult
+from qbounds.spectral import ConvergenceError, OvalCheck, SpectralResult
 
 
 def arc_arrays(g: Digraph):
@@ -99,6 +100,23 @@ def spectral_radius_oracle(g: Digraph) -> float:
         roots = np.roots(char_poly_coefficients(block))
         radius = max(radius, float(np.abs(roots).max()))
     return radius
+
+
+def oval_containment_oracle(g: Digraph, value: float) -> OvalCheck:
+    """oval_containment of a strongly connected g as a per-graph loop:
+    each r(i) a Python sum of sqrt(d(j) / d(i)) over i's sorted
+    out-neighbors from 0.0, then the per-arc oval test with the same 1e-9
+    slack, arc by arc in sorted order until one holds the value."""
+    d = degrees(g)[0].tolist()
+    arcs = g.sorted_arcs()
+    radius = [0.0] * g.n
+    for i, j in arcs:
+        radius[i] += math.sqrt(d[j] / d[i])
+    for i, j in arcs:
+        rhs = radius[i] * radius[j]
+        if abs(value - d[i]) * abs(value - d[j]) <= rhs + 1e-9 * max(1.0, rhs):
+            return OvalCheck(contained=True, witness_arc=(i, j))
+    return OvalCheck(contained=False, witness_arc=None)
 
 
 def reachability_matrix(g: Digraph) -> np.ndarray:
@@ -412,7 +430,7 @@ def _inv_bracket_deg_avg(case):
 def _inv_oval_contains_q(case):
     if not is_strongly_connected(case.g):
         return None
-    check = oval_containment(case.g, case.q)
+    check = oval_containment_oracle(case.g, case.q)
     if not check.contained:
         return f"q = {case.q!r} escapes every per-arc oval"
     return None

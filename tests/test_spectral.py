@@ -26,8 +26,9 @@ from qbounds import (
     spectral_radius,
 )
 
-from conftest import digraphs, sc_digraphs
-from oracles import arc_arrays, degrees, per_block_spectral_radius, spectral_radius_oracle
+from conftest import digraphs, exhaustive_sc, sc_digraphs
+from oracles import (arc_arrays, degrees, oval_containment_oracle, per_block_spectral_radius,
+                     spectral_radius_oracle)
 
 
 def test_build_q_entries(star4):
@@ -317,6 +318,19 @@ def test_oval_witness_is_lexicographically_first(k3):
     # symmetric graph: every arc's oval contains q, the first arc wins
     r = spectral_radius(k3)
     assert oval_containment(k3, r.q).witness_arc == (0, 1)
+
+
+def test_oval_containment_equals_the_per_graph_loop():
+    # every strongly connected labeled digraph with n <= 4, at q, on both
+    # sides of it, far above it and at 0: contained or not, and the witness
+    graphs = [g for n in (2, 3, 4) for g in exhaustive_sc(n)]
+    escaped = 0
+    for g, r in zip(graphs, spectral_radii(graphs)):
+        for value in (r.q, r.q - 1e-9, r.q + 1e-9, r.q + 10.0, 0.0):
+            check = oval_containment(g, value)
+            assert check == oval_containment_oracle(g, value), (g, value)
+            escaped += not check.contained
+    assert 0 < escaped < 5 * len(graphs)
 
 
 # --- Noda steps for blocks that power steps close slowly -----------------------

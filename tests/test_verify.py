@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from qbounds import (
     sweep,
 )
 import qbounds.bounds as bounds
+import qbounds.digraph as digraph
 import qbounds.spectral as spectral
 import qbounds.verify as verify
 
@@ -209,10 +211,10 @@ def test_sweep_equals_oracle_with_perturbed_q(monkeypatch, cap, c3, star4,
         monkeypatch.setattr(bounds, "_SLICE_ARCS", cap)
     report = sweep(corpus, description="perturbed")
     assert report == sweep_oracle(corpus, description="perturbed")
-    # every invariant with an array form but the witness replay is tripped
+    # every invariant that reads q is tripped: all but the degree count
+    # and the witness replay
     tripped = {failure.invariant for failure in report.failures}
-    assert tripped >= {"dominance", "bracket_plain_rows", "bracket_deg_avg",
-                       "regular_equality", "q_exceeds_max_outdeg"}
+    assert tripped == set(INVARIANTS) - {"degree_consistency", "witness_consistency"}
 
 
 def test_sweep_lays_out_each_slice_once(monkeypatch, c3, star4, two_islands,
@@ -295,6 +297,37 @@ def test_semiregular_equality_failure_renders_as_the_scalar_copy():
     assert details == [SCALAR_INVARIANTS["semiregular_equality"](GraphCase("", g, x))
                        for g, x in zip(graphs, q)]
     assert [d is None for d in details] == [True, False, True]
+
+
+def test_sweep_calls_no_per_graph_view(monkeypatch, c3, star4, two_islands, path3, arc2):
+    # every invariant reads the slice's batch: the sweep equals the oracle
+    # with each per-graph view made to raise in every qbounds namespace
+    # that holds it
+    corpus = _oracle_corpus(c3, star4, two_islands, path3, arc2)
+    expected = sweep_oracle(corpus)
+    views = [digraph.degree_profile, digraph.adjacency, digraph.scc,
+             spectral.oval_containment, spectral.build_q, spectral.spectral_radius]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep called a per-graph view")
+
+    patched = [(module, name) for key, module in list(sys.modules.items())
+               if key == "qbounds" or key.startswith("qbounds.")
+               for name, value in vars(module).items()
+               if any(value is view for view in views)]
+    for module, name in patched:
+        monkeypatch.setattr(module, name, refused)
+    assert len(patched) > len(views)  # the package re-exports them too
+    assert sweep(corpus) == expected
+
+
+def test_degree_consistency_reads_the_batch(c3, star4, path3):
+    # one corrupted outdegree in the slice's batch fails its digraph alone
+    graphs = [c3, star4, path3]
+    s = SweepSlice.of(graphs, [spectral_radius(g).q for g in graphs])
+    s.cols.outdeg[s.cols.vertex_start[1] + 2] += 1
+    assert INVARIANTS["degree_consistency"](s) == [
+        None, "degree sums disagree with arc count 6", None]
 
 
 def test_empty_corpus_passes_trivially():
@@ -608,6 +641,26 @@ def test_search_solves_each_chunk_in_one_call(monkeypatch):
     report = reconstruct(EQUIVALENCE_TARGETS["reducible"])
     assert len(solved) == 2
     assert sum(solved) == report.stages.scalar_evaluated == 58
+
+
+def test_q_interval_encloses_no_candidate_above_the_target(monkeypatch):
+    # rho(Q) >= max d, so once a match makes best -inf, the bracket alone
+    # settles a candidate whose largest outdegree lies above q + tolerance
+    # + _Q_SLACK. In chunks of four the match (0, 1), (0, 2) (q = 2) comes
+    # in the first chunk, which holds no outdegree above 2
+    target = ReconstructionTarget(n=4, q=2.0, require_strongly_connected=False)
+    full = reconstruct(target)
+    peaks, enclose = [], spectral._enclose
+
+    def recording(cols, tol, max_iter, window=None):
+        peaks.append(cols.shape.hi.max())
+        return enclose(cols, tol, max_iter, window)
+
+    monkeypatch.setattr(verify, "_CHUNK", 4)
+    monkeypatch.setattr(spectral, "_enclose", recording)
+    assert reconstruct(target) == full
+    assert full.found and peaks
+    assert max(peaks) <= target.q + target.tolerance + verify._Q_SLACK
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TARGETS))
