@@ -42,7 +42,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import spectral as _spectral
 from .bounds import BoundColumns, BoundId, all_bounds
-from .digraph import Digraph, _arc_ends, gen_random_strongly_connected
+from .digraph import Digraph, gen_random_strongly_connected
 from .edgelist import serialize_edge_list
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL
 
@@ -103,10 +103,9 @@ def random_corpus(spec: RandomCorpusSpec) -> list:
 
 
 class SweepSlice(NamedTuple):
-    """A run of sweep digraphs, their BoundColumns batch, q per digraph and
+    """The BoundColumns batch of a run of sweep digraphs, q per digraph and
     the batch's bound row {bid: (values, witnesses)} in ROW_ORDER."""
 
-    graphs: list
     cols: BoundColumns
     q: np.ndarray
     row: dict
@@ -116,7 +115,7 @@ class SweepSlice(NamedTuple):
         """The slice of nonempty graphs and their q; cols is their batch."""
         cols = BoundColumns.from_graphs(graphs) if cols is None else cols
         row = {bid: cols.values(bid) for bid in _bounds.ROW_ORDER}
-        return cls(graphs, cols, np.asarray(q, dtype=float), row)
+        return cls(cols, np.asarray(q, dtype=float), row)
 
 
 def _details(flags, render):
@@ -293,42 +292,48 @@ def sweep(corpus, description="") -> SweepReport:
 
 
 def canonical_form(g: Digraph):
-    """Minimum adjacency bitstring over all vertex relabelings.
-
-    A relabeling perm sets bits perm[i] * n + perm[j], m of them, so the
-    minimum is the one whose bits, highest first, sort first. Factorial
-    time, so n! above DEFAULT_MAX_CANDIDATES (n >= 11, minutes per
-    digraph) raises CandidateBudgetError before anything is built;
-    meant for the small matches that come out of a reconstruction, not
-    for bulk candidate filtering.
-    """
-    relabelings = math.factorial(g.n)
-    if relabelings > DEFAULT_MAX_CANDIDATES:
-        raise CandidateBudgetError(
-            f"a canonical form on n = {g.n} vertices takes {relabelings:,} "
-            f"relabelings, over the budget of {DEFAULT_MAX_CANDIDATES:,}")
-    return _canonical_forms(g.n, [_arc_ends(g)])[0]
+    """(n, form): the least bitstring with bit perm[i] * n + perm[j] for each
+    arc i -> j over all n! relabelings perm; n! above DEFAULT_MAX_CANDIDATES
+    (n >= 11) raises CandidateBudgetError before anything is built."""
+    _refuse_relabelings(g.n, DEFAULT_MAX_CANDIDATES, "a canonical form")
+    rows = np.bincount(g._keys // g.n, np.ldexp(1.0, g._keys % g.n), g.n)
+    return _canonical_forms(rows.astype(np.int64)[:, None])[0]
 
 
-# Relabelings per block of _canonical_forms: the bidirected K9 then peaks
-# at 7 MiB under tracemalloc, not 424 MiB, in the same time.
-_RELABEL_BLOCK = 4096
+def _refuse_relabelings(n, budget, what, advice=""):
+    if math.factorial(n) > budget:
+        raise CandidateBudgetError(f"{what} on n = {n} vertices takes {math.factorial(n):,} "
+                                   f"relabelings, over the budget of {budget:,}{advice}")
 
 
-def _canonical_forms(n, arcs) -> list:
-    """canonical_form of each digraph on n vertices, from its (tail, head)
-    arc index arrays, in O(_RELABEL_BLOCK m) memory."""
+# Relabelings x digraphs x n held at once, split evenly; cache-sized blocks run fastest.
+_RELABEL_CELLS = 1 << 16
+
+
+def _canonical_forms(rows) -> list:
+    """canonical_form of each digraph of int64 bit rows (n, N), bit j of rows[i, k] for
+    the arc i -> j of digraph k. Per block of relabelings perm, a matmul by 2^perm[j]
+    relabels every row's 0/1 columns, one per perm adds row i into float64 key
+    perm[i] // per_key, and a survivor pass keeps the least keys, highest first."""
+    n, count = rows.shape
+    per_key = 53 // n  # keys sum distinct powers of two below 2^53: exact for n <= 53
+    keys, relabelings = -(-n // per_key), math.factorial(n)
+    group = min(count, max(1, math.isqrt(_RELABEL_CELLS // n)))
+    block = min(relabelings, max(1, _RELABEL_CELLS // (n * group)))
     perms = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    forms = [math.inf] * len(arcs)
-    for start in range(0, math.factorial(n), _RELABEL_BLOCK):
-        rows = min(_RELABEL_BLOCK, math.factorial(n) - start)
-        block = np.fromiter(perms, np.intp, count=rows * n).reshape(rows, n)
-        for k, (tail, head) in enumerate(arcs):
-            bits = np.sort(block[:, tail] * n + block[:, head], axis=1)
-            # lexsort keys on the last column first
-            smallest = bits[np.lexsort(bits.T)[0]].tolist()
-            forms[k] = min(forms[k], sum(1 << bit for bit in smallest))
-    return [(n, form) for form in forms]
+    best = np.full((keys, count), np.inf)
+    for start in range(0, relabelings, block):
+        perm = np.fromiter(perms, np.intp, min(block, relabelings - start) * n).reshape(-1, n)
+        (key, place), weights = np.divmod(perm, per_key), np.ldexp(1.0, perm)
+        to_keys = np.ldexp(1.0 * (key[:, None] == np.arange(keys)[:, None]), n * place[:, None])
+        for part in (slice(first, first + group) for first in range(0, count, group)):
+            relabeled = weights @ ((rows[:, None, part] >> np.arange(n)[:, None]) & 1)
+            cand = np.concatenate([best[None, :, part], to_keys @ relabeled.transpose(1, 0, 2)])
+            for c in reversed(range(keys)):  # the least key among those tied above it
+                alive = (cand[:, c + 1:] == best[c + 1:, part]).all(axis=1)
+                best[c, part] = cand[:, c].min(axis=0, where=alive, initial=np.inf)
+    forms = sum(k << n * per_key * c for c, k in enumerate(best.astype(np.int64).astype(object)))
+    return [(n, form) for form in forms.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -705,16 +710,11 @@ def reconstruct(target: ReconstructionTarget,
 
     found = search.matches
     if len(found) > 1:  # one match needs no permutation array
-        relabelings = math.factorial(target.n)
-        if relabelings > max_candidates:
-            raise CandidateBudgetError(
-                f"deduplicating {len(found):,} matches on n = {target.n} vertices "
-                f"takes {relabelings:,} relabelings, over the budget of "
-                f"{max_candidates:,}; narrow the target or raise max_candidates"
-            )
+        _refuse_relabelings(target.n, max_candidates, f"deduplicating {len(found):,} matches",
+                            "; narrow the target or raise max_candidates")
+        rows = np.array([a for a, _, _ in found]) @ (1 << np.arange(target.n))
         unique = {}
-        arcs = [np.nonzero(a) for a, _, _ in found]
-        for form, match in zip(_canonical_forms(target.n, arcs), found):
+        for form, match in zip(_canonical_forms(rows.T), found):
             unique.setdefault(form, match)
         found = list(unique.values())
     matches = tuple(_rendered(*match) for match in found)

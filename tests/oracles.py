@@ -34,7 +34,6 @@ from qbounds import (
     all_bounds,
     bounds,
     build_q,
-    canonical_form,
     classify,
     degree_profile,
     is_strongly_connected,
@@ -253,7 +252,7 @@ def reconstruct_oracle(target):
             nearest = candidate
     unique = {}
     for match in matches:
-        unique.setdefault(canonical_form(match.digraph), match)
+        unique.setdefault(canonical_form_oracle(match.digraph), match)
     return visited, tuple(unique.values()), None if unique else nearest
 
 

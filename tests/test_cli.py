@@ -462,7 +462,7 @@ def test_sweep_flag_validation(capsys):
 
 def test_sweep_table_prints_each_counterexample(monkeypatch, capsys):
     def always_unhappy(s):
-        return [f"synthetic failure for digraph {k}" for k in range(len(s.graphs))]
+        return [f"synthetic failure for digraph {k}" for k in range(len(s.cols))]
 
     monkeypatch.setitem(INVARIANTS, "always_unhappy", always_unhappy)
     rc = main(["sweep", "--count", "2", "--n", "3..3", "--p", "0", "--seed", "1"])

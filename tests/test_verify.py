@@ -44,7 +44,6 @@ from oracles import (
     SCALAR_INVARIANTS,
     GraphCase,
     _candidate_arc_sets,
-    arc_arrays,
     canonical_form_oracle,
     degrees,
     reconstruct_oracle,
@@ -124,7 +123,7 @@ def test_sweep_runs_on_handmade_corpus(c3, star4, two_islands, path3):
 
 def test_sweep_reports_failures(monkeypatch, c3, star4):
     def always_unhappy(s):
-        return [f"synthetic failure for digraph {k}" for k in range(len(s.graphs))]
+        return [f"synthetic failure for digraph {k}" for k in range(len(s.cols))]
 
     monkeypatch.setitem(INVARIANTS, "always_unhappy", always_unhappy)
     report = sweep([("c3", c3), ("star", star4)])
@@ -388,16 +387,48 @@ def test_canonical_form_memory_is_bounded():
     assert peak < 64 * 2 ** 20
 
 
+def _bit_rows(n, graphs):
+    """The vertex-major int64 bit rows (n, N) of digraphs on n vertices."""
+    rows = np.zeros((n, len(graphs)), dtype=np.int64)
+    for k, g in enumerate(graphs):
+        for i, j in g.arcs:
+            rows[i, k] |= 1 << j
+    return rows
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_canonical_forms_in_blocks_match_brute_force(monkeypatch, n):
-    # 5 divides neither 3! nor 4!, so the last block is short, and each
-    # digraph keeps its smallest form across blocks
-    monkeypatch.setattr(verify, "_RELABEL_BLOCK", 5)
+    # these cells give groups of 3, 3, 5, 5 of the 8 digraphs and blocks
+    # of 4, 5, 7, 7 of the n! relabelings, so both last blocks are short,
+    # and each digraph keeps its least form across blocks
+    monkeypatch.setattr(verify, "_RELABEL_CELLS", {3: 36, 4: 60, 5: 175, 6: 210}[n])
     graphs = [g for _, g in random_corpus(RandomCorpusSpec(6, n, n, (0.3, 0.7), n))]
     graphs += [gen_directed_cycle(n), from_arc_list(n, [(n - 1, 0)])]
-    arcs = [arc_arrays(g) for g in graphs]
-    assert verify._canonical_forms(n, arcs) == [canonical_form_oracle(g) for g in graphs]
+    forms = verify._canonical_forms(_bit_rows(n, graphs))
+    assert forms == [canonical_form_oracle(g) for g in graphs]
     assert canonical_form(graphs[0]) == canonical_form_oracle(graphs[0])
+
+
+def test_canonical_forms_of_every_digraph_on_four_vertices():
+    # the 4,095 labeled digraphs fall into the 218 classes of OEIS A000273
+    # less the empty one
+    slots = [(i, j) for i in range(4) for j in range(4) if i != j]
+    graphs = [from_arc_list(4, [s for b, s in enumerate(slots) if mask >> b & 1])
+              for mask in range(1, 1 << 12)]
+    forms = verify._canonical_forms(_bit_rows(4, graphs))
+    assert forms == [canonical_form_oracle(g) for g in graphs]
+    assert len(set(forms)) == 217
+
+
+def test_reconstruct_deduplicates_the_same_in_blocks(monkeypatch):
+    # 623 matches in 35 classes; 60 cells split them into groups of 3 and
+    # the 24 relabelings into blocks of 5
+    target = ReconstructionTarget(n=4, q=2.0, require_strongly_connected=False)
+    default = reconstruct(target)
+    monkeypatch.setattr(verify, "_RELABEL_CELLS", 60)
+    blocked = reconstruct(target)
+    assert (blocked.stages.matched, len(blocked.matches)) == (623, 35)
+    assert blocked == default
 
 
 def test_canonical_form_refuses_past_the_budget(monkeypatch):
