@@ -337,15 +337,14 @@ def witness_value(g: Digraph, bv: BoundValue) -> float | None:
 _SLICE_ARCS = 1 << 14
 
 
-# The most vertices BoundColumns(adj) takes: its strong connectivity runs
-# on int64 bitmask rows, one bit per vertex. from_graphs takes any n.
+# The most vertices BoundColumns(rows) takes: a digraph's rows and their
+# closure are int64 bitmasks, one bit per vertex. from_graphs takes any n.
 MAX_TENSOR_N = 62
 
 
 def _unpack(rows):
-    """The boolean (N, n, n) tensor of vertex-major bit rows, int64 (n, N)
-    with bit j of rows[i, k] for the arc i -> j of digraph k. They are
-    transposed to little-endian (N, n) rows, whose bytes unpack in order."""
+    """The boolean (N, n, n) adjacency tensor of int64 bit rows (n, N), bit j of
+    rows[i, k] for the arc i -> j of digraph k, via little-endian (N, n) rows."""
     n, count = rows.shape
     octets = np.ascontiguousarray(rows.T, dtype="<i8").view(np.uint8)
     return np.unpackbits(octets.reshape(count, n, 8), axis=2, count=n,
@@ -374,47 +373,47 @@ class BoundColumns:
     component_of (strong components, numbered in each digraph); per
     digraph: component_count and shape (shape.strongly: one component).
 
-    BoundColumns(adj), a tensor batch of a boolean (N, n, n) tensor
-    (adj[k, i, j] for the arc i -> j of digraph k; each with an arc and
-    no loop, n at most MAX_TENSOR_N), computes the vertex columns and the
-    shape at once from the tensor, and numbers the components by their
-    lowest vertices from a bitmask closure; its arc arrays are laid out
-    on first use, as are those of its selections. from_graphs(graphs)
-    lays out a nonempty list of Digraphs of any n from their arc keys,
-    components in the order of their GraphData. slices(graphs) cuts a
-    list into batches of at most _SLICE_ARCS arcs. values(bid) gives each
-    digraph's value and witness, bitwise those of all_bounds, a batch of
-    one that renders the reasons; values_only(bid) the values alone,
-    without the two passes that find the witnesses, and classification()
-    the flags of classify, also a batch of one.
+    BoundColumns(rows), a tensor batch of vertex-major integer bit rows
+    (n, N) (bit j of rows[i, k] for the arc i -> j of digraph k; each with
+    an arc, no loop and no bit at or above n, n at most MAX_TENSOR_N),
+    computes the vertex columns and the shape at once from their unpacked
+    tensor, and numbers the components by their lowest vertices from the
+    rows' closure; its arc arrays are laid out on first use, as are those
+    of its selections. from_graphs(graphs) lays out a nonempty list of
+    Digraphs of any n from their arc keys, components in the order of
+    their GraphData. slices(graphs) cuts a list into batches of at most
+    _SLICE_ARCS arcs. values(bid) gives each digraph's value and witness,
+    bitwise those of all_bounds, a batch of one that renders the reasons;
+    values_only(bid) the values alone, without the two passes that find
+    the witnesses, and classification() the flags of classify, also a
+    batch of one.
     """
 
-    def __init__(self, adj, _reach=None):  # _reach: a caller's closure of adj
-        adj = np.array(adj, dtype=bool)  # its own copy: the arcs are read from it later
-        if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
-            raise ValueError(f"adj must have shape (N, n, n), got {adj.shape}")
-        count, n = adj.shape[:2]
+    def __init__(self, rows, _reach=None):  # _reach: a caller's _closure(rows)
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or not np.issubdtype(rows.dtype, np.integer):  # refuses bool, float
+            raise ValueError(f"bit rows must be (n, N) integers, got {rows.dtype} {rows.shape}")
+        n, count = rows.shape
         if n > MAX_TENSOR_N:
-            raise ValueError(
-                f"BoundColumns(adj) takes at most {MAX_TENSOR_N} vertices, got "
-                f"n = {n}; lay out larger digraphs with BoundColumns.from_graphs")
-        if adj[:, np.arange(n), np.arange(n)].any():
+            raise ValueError(f"BoundColumns(rows) takes at most {MAX_TENSOR_N} vertices, got "
+                             f"n = {n}; lay out larger digraphs with BoundColumns.from_graphs")
+        rows = rows.astype(np.int64)  # its own copy: the arcs are read from it later
+        if (rows >> n).any():  # a negative row has its sign bits set
+            raise ValueError(f"rows may only hold bits below n = {n}")
+        a = _unpack(rows).astype(np.float32)  # exact: t(i) and insum are at most 61 * 61
+        if np.trace(a, axis1=1, axis2=2).any():
             raise ValueError("loop arcs are not allowed")
-        a = adj.astype(np.float32)  # exact: t(i) and insum are at most 61 * 61
         d = np.einsum("kij->ki", a)
         insum = np.einsum("kij,ki->kj", a, d)
         degrees = [x.astype(np.int64) for x in (d, np.einsum("kij,kj->ki", a, d), insum)]
         # reductions over each digraph's vertices run on vertex-major (n, N)
         # arrays, the outdegrees' copy and the closure, combining whole rows
         outdeg = np.ascontiguousarray(degrees[0].T)
-        m, lo = outdeg.sum(axis=0), outdeg.min(axis=0)
+        m = outdeg.sum(axis=0)
         if not m.all():
             raise ValueError("every digraph needs at least one arc")
-        if _reach is None:  # the closure of the tensor's bit rows
-            packed = np.packbits(adj, axis=2, bitorder="little")
-            _reach = _closure(np.ascontiguousarray(sum(
-                packed[:, :, b].astype(np.int64) << 8 * b
-                for b in range(packed.shape[2])).T))
+        lo = outdeg.min(axis=0)
+        _reach = _closure(rows) if _reach is None else _reach
         # one component in a strongly connected digraph; elsewhere i and j
         # share one when they reach the same vertices, numbered by lowest vertex
         component_of = np.zeros((count, n), dtype=np.intp)
@@ -433,7 +432,7 @@ class BoundColumns:
         if some.size:
             zero_heads = (insum[some] > 0) & (d[some] == 0)
             zero_head[some] = np.where(zero_heads.any(axis=1), zero_heads.argmax(axis=1), -1)
-        self._adj = adj
+        self._rows = rows
         self._lay_out([x.ravel() for x in degrees],
                       _Shape(np.full(count, n), m, lo, outdeg.max(axis=0),
                              component_count == 1, zero_head),
@@ -443,8 +442,8 @@ class BoundColumns:
         """A tensor batch lays out its arcs when one of them is first read."""
         if name not in ("tail", "head", "arc_graph", "arc_start"):
             raise AttributeError(name)
-        n = self._adj.shape[1]
-        tail, j = np.divmod(np.flatnonzero(self._adj), n)  # tail = k n + i, arc i -> j
+        n = len(self._rows)  # tail = k n + i for the arc i -> j of digraph k
+        tail, j = np.divmod(np.flatnonzero(_unpack(self._rows)), n)
         self._arcs(tail, tail - tail % n + j)
         return getattr(self, name)
 
@@ -503,17 +502,17 @@ class BoundColumns:
     def __len__(self):
         return len(self.vertex_start)
 
-    def select(self, rows) -> "BoundColumns":
+    def select(self, mask) -> "BoundColumns":
         """The digraphs that a boolean mask over the batch picks, in order."""
-        kept = rows[self.vertex_graph]
+        kept = mask[self.vertex_graph]
         picked = object.__new__(BoundColumns)
         picked._lay_out([x[kept] for x in (self.outdeg, self.two_outdeg, self.insum)],
-                        _Shape(*(field[rows] for field in self.shape)),
-                        self.component_of[kept], self.component_count[rows])
-        if "_adj" in vars(self):
-            picked._adj = self._adj[rows]
+                        _Shape(*(field[mask] for field in self.shape)),
+                        self.component_of[kept], self.component_count[mask])
+        if "_rows" in vars(self):
+            picked._rows = self._rows[:, mask]
         else:
-            arcs, renumber = rows[self.arc_graph], np.cumsum(kept) - 1
+            arcs, renumber = mask[self.arc_graph], np.cumsum(kept) - 1
             picked._arcs(renumber[self.tail[arcs]], renumber[self.head[arcs]])
         return picked
 

@@ -14,18 +14,18 @@ form, whose n! relabelings count against the same budget.
 The search streams the space in chunks of bounds' int64 bit rows, one
 per vertex, held vertex-major: a chunk of c candidates is an (n, c)
 array, so that a reduction over each candidate's vertices combines
-contiguous rows. Strong connectivity is settled on their closure, and the
-rest are laid out as a bounds.BoundColumns tensor batch, the chunk's one
-store of candidates from then on, which lays out arcs only when an arc
-column or the solver reads them: the G* constraint and the target's
-bound columns, read without witnesses, are numpy expressions over it,
-bitwise equal to all_bounds. They give the exact row deviation, and q
-enters as an interval: the row-sum bracket, narrowed by a short budgeted
-run of the solver's own per-block Collatz-Wielandt enclosure. The
-candidates that could still match or beat the nearest miss are solved
-for q in one solver call per chunk, on that batch, so the nearest miss
-is exact in every mode. Only the reported digraphs, rows of its tensor,
-are built as Digraphs.
+contiguous rows. Strong connectivity is settled on their closure; the
+rows left, with that closure, make a bounds.BoundColumns tensor batch,
+the chunk's one store of candidates from then on, which lays out arcs
+only when an arc column or the solver reads them: the G* constraint and
+the target's bound columns, read without witnesses, are numpy
+expressions over it, bitwise equal to all_bounds. They give the exact
+row deviation, and q enters as an interval: the row-sum bracket,
+narrowed by a short budgeted run of the solver's own per-block
+Collatz-Wielandt enclosure. The candidates that could still match or
+beat the nearest miss are solved for q in one solver call per chunk, on
+that batch, so the nearest miss is exact in every mode. Matches stay
+bit rows until the reported digraphs are built as Digraphs.
 """
 
 import dataclasses
@@ -560,7 +560,7 @@ class _Search:
     agrees bitwise with all_bounds; its q deviation is bounded below by a
     q interval. The chunk's other candidates are solved in one call on
     their selection of its batch, and its decisions replay in enumeration
-    order; matches and the nearest miss are rows of the batch's tensor.
+    order; matches and the nearest miss are copies of the batch's rows.
     The stages do not depend on _CHUNK or on the column order: a chunk runs
     first the columns that have settled the most, and stops once empty.
     """
@@ -575,7 +575,8 @@ class _Search:
         self.settled_by = dict.fromkeys(self.columns, 0)
         self.visited = 0
         self.counts = {f.name: 0 for f in dataclasses.fields(ReconstructionStages)}
-        self.matches = []
+        # per chunk, after an empty one: its matches' bit rows, q and deviations
+        self.matches = [(np.zeros((target.n, 0), np.int64), np.zeros(0), np.zeros(0))]
         self.nearest = None
         # the deviation a candidate must undercut to become the nearest
         # miss; -inf once something matches, as no nearest miss is reported
@@ -600,7 +601,7 @@ class _Search:
         if self.target.require_strongly_connected:
             strongly = np.bitwise_and.reduce(reach, axis=0) == (1 << n) - 1
             rows, reach = rows[:, strongly], reach[:, strongly]
-        cols = BoundColumns(_bounds._unpack(rows), _reach=reach)
+        cols = BoundColumns(rows, _reach=reach)
         if self.target.require_g_star:
             cols = cols.select(cols.in_g_star_class())
         self.counts["structurally_rejected"] += count - len(cols)
@@ -646,13 +647,12 @@ class _Search:
         self.counts["bound_rejected"] += int(np.count_nonzero(by_row))
         self.counts["q_enclosed"] += int(np.count_nonzero(by_q & ~by_row))
         self.counts["scalar_evaluated"] += int(np.count_nonzero(~by_q))
-        matched = [(cols._adj[k], q[k].item(), full[k].item())
-                   for k in np.flatnonzero(full <= tol).tolist()]
-        self.counts["matched"] += len(matched)
-        self.matches += matched
+        hit = full <= tol
+        self.counts["matched"] += int(np.count_nonzero(hit))
+        self.matches.append((cols._rows[:, hit], q[hit], full[hit]))
         if -math.inf < best[-1] < self.best:  # the first of the smallest
             k = int(full.argmin())
-            self.nearest = cols._adj[k], q[k].item(), full[k].item()
+            self.nearest = cols._rows[:, k].copy(), q[k].item(), full[k].item()
         self.best = best[-1].item()
 
     def q_interval(self, cols: BoundColumns, dev):
@@ -708,16 +708,16 @@ def reconstruct(target: ReconstructionTarget,
     for rows in _candidate_space(target, max_candidates):
         search.visit(rows)
 
-    found = search.matches
-    if len(found) > 1:  # one match needs no permutation array
-        _refuse_relabelings(target.n, max_candidates, f"deduplicating {len(found):,} matches",
+    rows, q, deviation = (np.concatenate(part, axis=-1) for part in zip(*search.matches))
+    first = range(len(q))
+    if len(q) > 1:  # one match needs no permutation array
+        _refuse_relabelings(target.n, max_candidates, f"deduplicating {len(q):,} matches",
                             "; narrow the target or raise max_candidates")
-        rows = np.array([a for a, _, _ in found]) @ (1 << np.arange(target.n))
         unique = {}
-        for form, match in zip(_canonical_forms(rows.T), found):
-            unique.setdefault(form, match)
-        found = list(unique.values())
-    matches = tuple(_rendered(*match) for match in found)
+        for k, form in enumerate(_canonical_forms(rows)):
+            unique.setdefault(form, k)
+        first = unique.values()
+    matches = tuple(_rendered(rows[:, k], q[k].item(), deviation[k].item()) for k in first)
     return ReconstructionReport(
         target=target,
         matches=matches,
@@ -728,9 +728,9 @@ def reconstruct(target: ReconstructionTarget,
     )
 
 
-def _rendered(adj, q, deviation) -> ReconstructionMatch:
-    """A reported digraph, built from its adjacency row, with its bound row."""
-    g = Digraph.from_arrays(len(adj), *np.nonzero(adj))
+def _rendered(row, q, deviation) -> ReconstructionMatch:
+    """A reported digraph, built from its (n,) bit row, with its bound row."""
+    g = Digraph.from_arrays(len(row), *np.nonzero(_bounds._unpack(row[:, None])[0]))
     return ReconstructionMatch(g, q, all_bounds(g), deviation)
 
 

@@ -53,6 +53,18 @@ def arc_arrays(g: Digraph):
     return arcs[:, 0], arcs[:, 1]
 
 
+def bit_rows(graphs):
+    """The vertex-major int64 bit rows (n, N) of digraphs on n vertices
+    each: bit j of rows[i, k] for the arc i -> j of digraph k, packed
+    from arc_arrays."""
+    rows = np.zeros((graphs[0].n, len(graphs)), dtype=np.int64)
+    for k, g in enumerate(graphs):
+        assert g.n == len(rows), "bit rows need digraphs of equal n"
+        src, dst = arc_arrays(g)
+        np.bitwise_or.at(rows[:, k], src, np.left_shift(1, dst))
+    return rows
+
+
 def degrees(g: Digraph):
     """The outdegree d+ and 2-outdegree t+ of every vertex of g, counted
     arc by arc."""

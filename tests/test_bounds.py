@@ -38,7 +38,7 @@ import qbounds.bounds as bounds
 import qbounds.spectral as spectral
 
 from conftest import bound, sc_digraphs, digraphs, strong_partition
-from oracles import arc_arrays, bound_row_oracle, classify_oracle, generic_f_oracle
+from oracles import arc_arrays, bit_rows, bound_row_oracle, classify_oracle, generic_f_oracle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -405,12 +405,7 @@ def test_deg_extremes_loose_on_long_cycles():
 
 
 def _batch(graphs):
-    n = graphs[0].n
-    adj = np.zeros((len(graphs), n, n), dtype=bool)
-    for k, g in enumerate(graphs):
-        for i, j in g.arcs:
-            adj[k, i, j] = True
-    return BoundColumns(adj)
+    return BoundColumns(bit_rows(graphs))
 
 
 def _witness(cols, k, w, like):
@@ -464,8 +459,8 @@ def test_batched_columns_equal_rows(graphs):
 
 @pytest.mark.parametrize("n", [8, 9, 62])
 def test_strongly_connected_bit_rows_cross_bytes(n):
-    # the reach rows are packed bytes shifted into int64: n = 9 crosses a
-    # byte boundary and n = 62 reaches bit 61, the top one used
+    # the batch unpacks the rows' bytes: n = 9 crosses a byte boundary
+    # and n = 62 reaches bit 61, the top one used
     rng = np.random.default_rng(n)
     p = np.linspace(1.0, 6.0, 60)[:, None, None] * math.log(n) / n / 2
     adj = rng.random((60, n, n)) < p
@@ -479,7 +474,7 @@ def test_strongly_connected_bit_rows_cross_bytes(n):
     expected = [is_strongly_connected(g) for g in graphs]
     assert expected[:2] == [True, False] and True in expected[2:]
     assert False in expected[2:]
-    columns = BoundColumns(adj)
+    columns = BoundColumns(bit_rows(graphs))
     assert columns.shape.strongly.tolist() == expected
     # the closure numbers the strong components Tarjan finds
     assert columns.component_count.tolist() == [len(scc(g).components) for g in graphs]
@@ -516,20 +511,20 @@ def test_closure_of_vertex_major_bit_rows_equals_warshall(n):
 
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 33, 62])
 def test_tensor_batch_takes_the_closure_of_its_bit_rows(n):
-    # the search hands BoundColumns its unpacked rows with their closure;
-    # the batch gets the same columns from its own packbits closure
+    # the search hands BoundColumns its rows with their closure; the
+    # batch gets the same columns from its own closure of the rows
     adj, rows = _vertex_major_bit_rows(n)
     assert bounds._unpack(rows).tolist() == adj.tolist()
-    packed = BoundColumns(adj)
-    given = BoundColumns(bounds._unpack(rows), _reach=bounds._closure(rows))
+    own = BoundColumns(rows)
+    given = BoundColumns(rows, _reach=bounds._closure(rows))
     # split digraphs and arc heads of outdegree 0 are among them
-    assert 0 < packed.shape.strongly.sum() < len(adj)
-    assert (packed.shape.zero_head >= 0).any()
+    assert 0 < own.shape.strongly.sum() < len(adj)
+    assert (own.shape.zero_head >= 0).any()
     arrays = ["outdeg", "two_outdeg", "insum", "component_of", "component_count"]
     for name, got, expected in zip(
             arrays + [f"shape.{field}" for field in bounds._Shape._fields],
             [getattr(given, name) for name in arrays] + list(given.shape),
-            [getattr(packed, name) for name in arrays] + list(packed.shape)):
+            [getattr(own, name) for name in arrays] + list(own.shape)):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
@@ -540,12 +535,9 @@ def test_tensor_batch_selections_equal_graph_batches(read_arcs):
     # the search does, with or without arcs read on the way, a selection
     # holds bitwise the arrays of the graph batch of the digraphs it keeps
     graphs = _every_4_vertex_digraph()
-    adj = np.zeros((len(graphs), 4, 4), dtype=bool)
-    for k, g in enumerate(graphs):
-        src, dst = arc_arrays(g)
-        adj[k, src, dst] = True
-    cols = BoundColumns(adj)
-    adj[:] = False  # the batch reads its arcs from a tensor of its own
+    rows = bit_rows(graphs)
+    cols = BoundColumns(rows)
+    rows[:] = 0  # the batch reads its arcs from rows of its own
     with pytest.raises(AttributeError, match="no_such_array"):
         cols.no_such_array
     # copies and pickles of the unread batch, which look __setstate__ up
@@ -727,22 +719,67 @@ def test_classification_equals_oracle_on_mixed_batches(graphs, data):
 
 
 def test_batched_columns_reject_empty_and_looped_digraphs():
-    adj = np.zeros((2, 3, 3), dtype=bool)
-    adj[0, 0, 1] = True
+    rows = np.zeros((3, 2), dtype=np.int64)
+    rows[0, 0] = 1 << 1  # the arc 0 -> 1 of digraph 0
     with pytest.raises(ValueError, match="at least one arc"):
-        BoundColumns(adj)
-    adj[1, 2, 2] = True
+        BoundColumns(rows)
+    rows[2, 1] = 1 << 2  # the loop 2 -> 2 of digraph 1
     with pytest.raises(ValueError, match="loop"):
-        BoundColumns(adj)
+        BoundColumns(rows)
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3)])
 def test_batched_columns_refuse_a_tensor_that_is_not_square(shape):
-    # on (2, 3, 4), digraph 0's arc 1 -> 3 would land on digraph 1
+    # an adjacency tensor is not a batch of bit rows: on (2, 3, 4), digraph
+    # 0's arc 1 -> 3 would land on digraph 1, and the (3, 3) matrix is
+    # boolean, where bit rows are integers
     adj = np.zeros(shape, dtype=bool)
     adj[..., 1, 2 if len(shape) == 2 else 3] = True
-    with pytest.raises(ValueError, match=re.escape(f"shape (N, n, n), got {shape}")):
+    with pytest.raises(ValueError, match=re.escape(f"(n, N) integers, got bool {shape}")):
         BoundColumns(adj)
+
+
+def test_tensor_batch_refuses_malformed_bit_rows():
+    # the rows of two digraphs on 3 vertices, each with the arc 1 -> 2
+    good = np.zeros((3, 2), dtype=np.int64)
+    good[1] = 1 << 2
+    assert BoundColumns(good).shape.m.tolist() == [1, 1]
+    # an array that is not 2-D: a boolean (N, n, n) tensor, a square one,
+    # a single row
+    for rows in (np.zeros((2, 3, 4), dtype=bool), np.zeros((2, 3, 3), dtype=np.int64),
+                 good[1]):
+        refusal = r"bit rows must be \(n, N\) integers, got .* " + re.escape(f"{rows.shape}")
+        with pytest.raises(ValueError, match=refusal):
+            BoundColumns(rows)
+    # bool and float rows are not bit rows: a float 0.5 never becomes an arc
+    for dtype in (bool, np.float32, np.float64):
+        with pytest.raises(ValueError, match=f"integers, got {np.dtype(dtype)} \\(3, 2\\)"):
+            BoundColumns(good.astype(dtype))
+    with pytest.raises(ValueError, match="integers, got float64"):
+        BoundColumns(np.where(good > 0, 4.5, 0.5))
+    # a bit at or above n, among them the sign bit of a negative row
+    for bad in (1 << 3, 1 << 62, -4, -(1 << 63)):
+        rows = good.copy()
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match="only hold bits below n = 3"):
+            BoundColumns(rows)
+    rows = good.astype(np.uint64)
+    rows[0, 0] = np.uint64(1) << np.uint64(63)
+    with pytest.raises(ValueError, match="only hold bits below n = 3"):
+        BoundColumns(rows)
+    rows = good.copy()
+    rows[0, 1] = 1  # the loop 0 -> 0
+    with pytest.raises(ValueError, match="loop arcs are not allowed"):
+        BoundColumns(rows)
+    # a digraph with no arc, here on no vertex too
+    for rows in (np.c_[good, np.zeros(3, np.int64)], np.zeros((0, 2), np.int64)):
+        with pytest.raises(ValueError, match="at least one arc"):
+            BoundColumns(rows)
+    for n in (63, 64):
+        with pytest.raises(ValueError, match=f"at most 62 vertices, got n = {n}.*from_graphs"):
+            BoundColumns(np.zeros((n, 1), dtype=np.int64))
+    # the batch never writes into the caller's rows
+    assert good.tolist() == [[0, 0], [4, 4], [0, 0]]
 
 
 def test_graph_batches_refuse_an_empty_list():

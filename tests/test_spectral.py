@@ -27,8 +27,8 @@ from qbounds import (
 )
 
 from conftest import digraphs, exhaustive_sc, sc_digraphs
-from oracles import (arc_arrays, degrees, oval_containment_oracle, per_block_spectral_radius,
-                     spectral_radius_oracle)
+from oracles import (arc_arrays, bit_rows, degrees, oval_containment_oracle,
+                     per_block_spectral_radius, spectral_radius_oracle)
 
 
 def test_build_q_entries(star4):
@@ -746,11 +746,8 @@ def test_tensor_batches_solve_as_graph_batches():
     pool = [(i, j) for i in range(4) for j in range(4) if i != j]
     graphs = [from_arc_list(4, [a for b, a in enumerate(pool) if mask >> b & 1])
               for mask in range(1, 1 << len(pool))]
-    adj = np.zeros((len(graphs), 4, 4), dtype=bool)
-    for k, g in enumerate(graphs):
-        src, dst = arc_arrays(g)
-        adj[k, src, dst] = True
-    cols = bounds.BoundColumns(adj)
+    rows = bit_rows(graphs)
+    cols = bounds.BoundColumns(rows)
     expected = spectral_radii(graphs)
     assert len(expected) == 4095
     for got, want in zip(_solved(cols), expected):
@@ -764,7 +761,7 @@ def test_tensor_batches_solve_as_graph_batches():
     second = np.arange(np.count_nonzero(first)) % 3 != 1
     kept = np.flatnonzero(first)[second]
     assert (_solved(cols.select(first).select(second))
-            == _solved(bounds.BoundColumns(adj[kept])))
+            == _solved(bounds.BoundColumns(rows[:, kept])))
     assert (_solved(bounds.BoundColumns.from_graphs(graphs).select(first).select(second))
             == spectral_radii([graphs[k] for k in kept.tolist()]))
 

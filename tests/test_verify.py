@@ -44,6 +44,7 @@ from oracles import (
     SCALAR_INVARIANTS,
     GraphCase,
     _candidate_arc_sets,
+    bit_rows,
     canonical_form_oracle,
     degrees,
     reconstruct_oracle,
@@ -862,30 +863,27 @@ def test_reconstruct_renders_rows_of_reported_digraphs_only(monkeypatch, name,
 
 @pytest.mark.parametrize("n", [62, 63, 64])
 def test_batched_strong_connectivity_on_wide_rows(n):
-    # int64 reach bitmasks hold n = 62; a wider tensor is refused, and
-    # from_graphs lays out digraphs of any n
+    # int64 bit rows and reach bitmasks hold n = 62; wider rows are
+    # refused, and from_graphs lays out digraphs of any n
     cycle = [(i, (i + 1) % n) for i in range(n)]
     graphs = [
         Digraph(n, frozenset(cycle)),
         Digraph(n, frozenset(cycle[:-1])),
         Digraph(n, frozenset(cycle + [(0, n // 2)])),
     ]
-    adj = np.zeros((len(graphs), n, n), dtype=bool)
-    for k, g in enumerate(graphs):
-        for i, j in g.arcs:
-            adj[k, i, j] = True
+    rows = bit_rows(graphs)
     expected = [is_strongly_connected(g) for g in graphs]
     assert expected == [True, False, True]
     assert BoundColumns.from_graphs(graphs).shape.strongly.tolist() == expected
     if n > bounds.MAX_TENSOR_N:
         refusal = f"at most 62 vertices, got n = {n}.*from_graphs"
         with pytest.raises(ValueError, match=refusal):
-            BoundColumns(adj)
+            BoundColumns(rows)
     else:
-        assert BoundColumns(adj).shape.strongly.tolist() == expected
+        assert BoundColumns(rows).shape.strongly.tolist() == expected
         # 62 single-vertex components on the path
-        assert BoundColumns(adj).component_count.tolist() == [1, n, 1]
-        assert (strong_partition(BoundColumns(adj))
+        assert BoundColumns(rows).component_count.tolist() == [1, n, 1]
+        assert (strong_partition(BoundColumns(rows))
                 == strong_partition(BoundColumns.from_graphs(graphs)))
 
 
@@ -1182,10 +1180,10 @@ def test_g_star_members_have_maxdeg_plus_2_at_most_arc_deg_sum():
     for n in (2, 3, 4):
         slots = [(i, j) for i in range(n) for j in range(n) if i != j]
         masks = np.arange(1, 1 << len(slots))
-        adj = np.zeros((len(masks), n, n), dtype=bool)
+        rows = np.zeros((n, len(masks)), dtype=np.int64)
         for b, (i, j) in enumerate(slots):
-            adj[:, i, j] = masks >> b & 1
-        cols = BoundColumns(adj)  # every labeled digraph on n vertices
+            rows[i] |= (masks >> b & 1) << j
+        cols = BoundColumns(rows)  # every labeled digraph on n vertices
         g_star = cols.in_g_star_class()
         plus2 = cols.values_only(BoundId.MAXDEG_PLUS_2)[g_star]
         arc_sum = cols.values_only(BoundId.ARC_DEG_SUM)[g_star]
