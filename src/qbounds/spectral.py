@@ -43,12 +43,12 @@ matrix (and the solver's copy of it) per block taking Noda steps.
 That lockstep loop is the package's one Collatz-Wielandt engine, and
 it never raises: every block still open at the matvec budget max_iter
 leaves with its last enclosure, which still brackets its radius. _solve
-turns the blocks into SpectralResults and raises ConvergenceError for
-the first block left open. The reconstruct search's q interval runs
-the same loop with a budget of a few dozen matvecs and a window (a, b)
-of the q it can still use: a block also leaves once its enclosure lies
-wholly below a or above b, as more steps would not change what the
-search decides.
+reduces the blocks to one q per digraph and raises ConvergenceError for
+the first block left open; only spectral_radii builds SpectralResults.
+The reconstruct search's q interval runs the same loop with a budget of
+a few dozen matvecs and a window (a, b) of the q it can still use: a
+block also leaves once its enclosure lies wholly below a or above b, as
+more steps would not change what the search decides.
 """
 
 import math
@@ -325,12 +325,12 @@ def _enclose(cols: BoundColumns, tol, max_iter, window=None):
     return first, label, blocks
 
 
-def _solve(cols: BoundColumns, tol, max_iter) -> list:
-    """The SpectralResult of each digraph of a BoundColumns batch, in
-    order, per_component in the batch's component order, from _enclose.
-    A block still open after max_iter matvecs raises ConvergenceError for
-    the first such digraph, with an end that is not finite replaced by
-    the bracket [max d, 2 max d] of the block's diagonal and row sums."""
+def _solve(cols: BoundColumns, tol, max_iter):
+    """Each digraph's q of a BoundColumns batch, in order, the max of its
+    block midpoints, with _enclose's first and blocks. A block still open
+    after max_iter matvecs raises ConvergenceError for the first such
+    digraph, with an end that is not finite replaced by the bracket
+    [max d, 2 max d] of the block's diagonal and row sums."""
     first, label, blocks = _enclose(cols, tol, max_iter)
     wide = ~(blocks[4] - blocks[3] <= tol)  # a nan end is wide too
     if wide.any():
@@ -340,32 +340,32 @@ def _solve(cols: BoundColumns, tol, max_iter) -> list:
             f"power iteration did not close a two-sided gap of {tol} within "
             f"{max_iter} iterations (block size {np.count_nonzero(label == b)})",
             *np.where(np.isfinite(ends), ends, [peak, 2 * peak]).tolist())
-    best = np.maximum.reduceat(blocks, first, axis=1).tolist()
-    matvecs = np.add.reduceat(blocks[2], first).astype(int).tolist()
-    values = blocks[0].tolist()
-    return [
-        SpectralResult(q=q, residual=residual, iterations=iterations,
-                       per_component=tuple(enumerate(values[start:start + count])),
-                       lo=lo, hi=hi)
-        for q, residual, _, lo, hi, iterations, start, count
-        in zip(*best, matvecs, first.tolist(), cols.component_count.tolist())
-    ]
+    return np.maximum.reduceat(blocks[0], first), first, blocks
 
 
 def spectral_radii(graphs, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> list:
-    """The SpectralResult of each digraph in graphs, in order, solved one
-    batch of BoundColumns.slices at a time. tol must be a positive finite
-    real and max_iter an integer, not a bool, of at least 1. A block
-    still open after max_iter matvecs raises ConvergenceError for the
-    first such graph in input order, with the message and enclosure
-    spectral_radius gives; no later batch runs."""
+    """The SpectralResult of each digraph in graphs, in order, built from
+    _solve one batch of BoundColumns.slices at a time. tol must be a
+    positive finite real and max_iter an integer, not a bool, of at least
+    1. A block still open after max_iter matvecs raises ConvergenceError
+    for the first such graph in input order, with the message and
+    enclosure spectral_radius gives; no later batch runs."""
     if not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not np.issubdtype(type(max_iter), np.integer) or max_iter < 1:  # refuses bool
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    return [result for _, cols in BoundColumns.slices(list(graphs))
-            for result in _solve(cols, tol, max_iter)]
+    results = []
+    for _, cols in BoundColumns.slices(list(graphs)):
+        q, first, blocks = _solve(cols, tol, max_iter)
+        residual, lo, hi = np.maximum.reduceat(blocks[[1, 3, 4]], first, axis=1).tolist()
+        matvecs = np.add.reduceat(blocks[2], first).astype(int).tolist()
+        results.extend(
+            SpectralResult(q=q, residual=residual, iterations=iterations, lo=lo, hi=hi,
+                           per_component=tuple(enumerate(values.tolist())))
+            for q, residual, lo, hi, iterations, values
+            in zip(q.tolist(), residual, lo, hi, matvecs, np.split(blocks[0], first[1:])))
+    return results
 
 
 def spectral_radius(g: Digraph, tol: float = DEFAULT_TOL,

@@ -111,11 +111,13 @@ class SweepSlice(NamedTuple):
     row: dict
 
     @classmethod
-    def of(cls, graphs, q, cols=None) -> "SweepSlice":
-        """The slice of nonempty graphs and their q; cols is their batch."""
-        cols = BoundColumns.from_graphs(graphs) if cols is None else cols
-        row = {bid: cols.values(bid) for bid in _bounds.ROW_ORDER}
-        return cls(cols, np.asarray(q, dtype=float), row)
+    def of(cls, cols, q) -> "SweepSlice":
+        """The slice of a BoundColumns batch and the q of each of its
+        digraphs; ValueError unless q holds one value per digraph."""
+        q = np.asarray(q, dtype=float)
+        if q.shape != (len(cols),):
+            raise ValueError(f"q must have shape ({len(cols)},), got {q.shape}")
+        return cls(cols, q, {bid: cols.values(bid) for bid in _bounds.ROW_ORDER})
 
 
 def _details(flags, render):
@@ -268,11 +270,9 @@ def sweep(corpus, description="") -> SweepReport:
     graphs = [g for _, g in corpus]
     failures = []
     for start, cols in BoundColumns.slices(graphs):
-        stop = start + len(cols)
-        q = [r.q for r in _spectral._solve(cols, DEFAULT_TOL, DEFAULT_MAX_ITER)]
-        s = SweepSlice.of(graphs[start:stop], q, cols)
+        s = SweepSlice.of(cols, _spectral._solve(cols, DEFAULT_TOL, DEFAULT_MAX_ITER)[0])
         details = zip(*(INVARIANTS[name](s) for name in names))
-        for (label, g), found in zip(corpus[start:stop], details):
+        for (label, g), found in zip(corpus[start:start + len(cols)], details):
             failures.extend(
                 SweepFailure(label=label, invariant=name, detail=detail,
                              edge_list=serialize_edge_list(g))
@@ -635,8 +635,7 @@ class _Search:
         solve = ~self.settled(dev, q_lo, q_hi, ceilings[:-1])
         q = np.full(len(cols), np.nan)
         if solve.any():  # most chunks of a strongly connected search solve none
-            q[solve] = [r.q for r in _spectral._solve(
-                cols.select(solve), DEFAULT_TOL, DEFAULT_MAX_ITER)]
+            q[solve] = _spectral._solve(cols.select(solve), DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
         full = np.where(solve, np.maximum(dev, np.abs(q - tq)), np.inf)
         # the replay: best before each candidate, the running minimum of the
         # deviations before it, -inf after a match; settled ones never lower it

@@ -377,6 +377,24 @@ def per_block_spectral_radius(g: Digraph, tol=spectral.DEFAULT_TOL,
     )
 
 
+def solved_fields(cols, tol=spectral.DEFAULT_TOL, max_iter=spectral.DEFAULT_MAX_ITER):
+    """Per digraph of a BoundColumns batch, what spectral._solve's arrays
+    give it, reduced block by block in Python: (q, lo, hi, residual,
+    matvecs, its block values in the batch's component order)."""
+    q, first, blocks = spectral._solve(cols, tol, max_iter)
+    ends = first + cols.component_count
+    return [(q[k].item(), *(max(blocks[row, a:b].tolist()) for row in (3, 4, 1)),
+             int(sum(blocks[2, a:b].tolist())), tuple(blocks[0, a:b].tolist()))
+            for k, (a, b) in enumerate(zip(first.tolist(), ends.tolist()))]
+
+
+def result_fields(r: SpectralResult):
+    """The same fields of a SpectralResult, its per_component numbered
+    in order."""
+    assert [c for c, _ in r.per_component] == list(range(len(r.per_component)))
+    return (r.q, r.lo, r.hi, r.residual, r.iterations, tuple(v for _, v in r.per_component))
+
+
 # --- the bound row and the sweep, one graph at a time --------------------------
 # They read the bound table from bounds and the solver from verify at call
 # time, so a test that patches those patches both sides alike. The sweep

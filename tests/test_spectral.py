@@ -28,7 +28,8 @@ from qbounds import (
 
 from conftest import digraphs, exhaustive_sc, sc_digraphs
 from oracles import (arc_arrays, bit_rows, degrees, oval_containment_oracle,
-                     per_block_spectral_radius, spectral_radius_oracle)
+                     per_block_spectral_radius, result_fields, solved_fields,
+                     spectral_radius_oracle)
 
 
 def test_build_q_entries(star4):
@@ -261,7 +262,7 @@ def test_plain_row_sums_bracket_q(g):
 
 def _bracket_details(g, q):
     # a slice of one digraph with the chosen q
-    s = SweepSlice.of([g], [q])
+    s = SweepSlice.of(bounds.BoundColumns.from_graphs([g]), [q])
     return [INVARIANTS[name](s)[0] for name in ("bracket_plain_rows", "bracket_deg_avg")]
 
 
@@ -274,7 +275,8 @@ def test_row_sum_brackets_hold_q(g):
 def test_deg_avg_bracket_closed_form(star4):
     # D^{-1} Q D has row sums d(i) + m(i): 3 + 1 at the center, 1 + 3 at a leaf
     q = 4.0 + 1e-6
-    (detail,) = INVARIANTS["bracket_deg_avg"](SweepSlice.of([star4], [q]))
+    s = SweepSlice.of(bounds.BoundColumns.from_graphs([star4]), [q])
+    (detail,) = INVARIANTS["bracket_deg_avg"](s)
     assert detail == f"q = {q!r} outside degree-average row-sum bracket [4.0, 4.0]"
 
 
@@ -736,10 +738,6 @@ def test_empty_batch():
     assert spectral_radii([]) == []
 
 
-def _solved(cols):
-    return spectral._solve(cols, spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)
-
-
 def test_tensor_batches_solve_as_graph_batches():
     # every labeled 4-vertex digraph: the closure numbers the components in
     # another order than Tarjan, so only per_component's order may differ
@@ -750,20 +748,18 @@ def test_tensor_batches_solve_as_graph_batches():
     cols = bounds.BoundColumns(rows)
     expected = spectral_radii(graphs)
     assert len(expected) == 4095
-    for got, want in zip(_solved(cols), expected):
-        assert (got.q, got.lo, got.hi, got.residual, got.iterations) == (
-            want.q, want.lo, want.hi, want.residual, want.iterations)
-        assert (sorted(value for _, value in got.per_component)
-                == sorted(value for _, value in want.per_component))
+    for got, want in zip(solved_fields(cols), map(result_fields, expected)):
+        assert got[:5] == want[:5]  # q, lo, hi, residual, matvecs
+        assert sorted(got[5]) == sorted(want[5])
     # a selection, taken twice as the search does, solves as the batch of
     # the digraphs it keeps, on either layout
     first = np.random.default_rng(4).random(len(graphs)) < 0.5
     second = np.arange(np.count_nonzero(first)) % 3 != 1
     kept = np.flatnonzero(first)[second]
-    assert (_solved(cols.select(first).select(second))
-            == _solved(bounds.BoundColumns(rows[:, kept])))
-    assert (_solved(bounds.BoundColumns.from_graphs(graphs).select(first).select(second))
-            == spectral_radii([graphs[k] for k in kept.tolist()]))
+    assert (solved_fields(cols.select(first).select(second))
+            == solved_fields(bounds.BoundColumns(rows[:, kept])))
+    assert (solved_fields(bounds.BoundColumns.from_graphs(graphs).select(first).select(second))
+            == list(map(result_fields, spectral_radii([graphs[k] for k in kept.tolist()]))))
 
 
 def test_budgeted_enclosure_is_the_solver_run_cut_short():
@@ -787,10 +783,10 @@ def test_budgeted_enclosure_is_the_solver_run_cut_short():
     assert cut[:, closed].tolist() == full[:, closed].tolist()
     assert ((cut[4, stopped] < a) | (cut[3, stopped] > b)).all()
     lo, hi = np.maximum.reduceat(cut[3:], first, axis=1)
-    for k, r in enumerate(_solved(cols)):
-        assert lo[k] <= r.q <= hi[k]
+    for k, (q, q_lo, q_hi, *_) in enumerate(solved_fields(cols)):
+        assert lo[k] <= q <= hi[k]
         if closed[first[k]:first[k] + cols.component_count[k]].all():
-            assert (lo[k], hi[k]) == (r.lo, r.hi)
+            assert (lo[k], hi[k]) == (q_lo, q_hi)
 
 
 def _convergence_error(g, max_iter):

@@ -203,8 +203,9 @@ def test_sweep_equals_oracle_with_perturbed_q(monkeypatch, cap, c3, star4,
         # once, in order, so the position wraps to 0 between them
         nonlocal position
         start, position = position, (position + len(cols)) % len(graphs)
-        return [dataclasses.replace(r, q=moves[k % len(moves)](graphs[k], r.q))
-                for k, r in enumerate(solve(cols, tol, max_iter), start)]
+        q, first, blocks = solve(cols, tol, max_iter)
+        q = [moves[k % len(moves)](graphs[k], x) for k, x in enumerate(q.tolist(), start)]
+        return np.array(q), first, blocks
 
     monkeypatch.setattr(spectral, "_solve", perturbed)
     if cap is not None:
@@ -282,7 +283,7 @@ def test_semiregular_equality_skips_a_one_way_bipartite_digraph():
     assert q == pytest.approx(3.0, abs=1e-12)
     assert geo == pytest.approx(3.0, abs=1e-12)
     assert not classify(g).is_bipartite_semiregular
-    s = SweepSlice.of([g], [q])
+    s = SweepSlice.of(BoundColumns.from_graphs([g]), [q])
     assert INVARIANTS["semiregular_equality"](s) == [None]
 
 
@@ -293,7 +294,8 @@ def test_semiregular_equality_failure_renders_as_the_scalar_copy():
               gen_bidirectional_star(4)]
     q = [spectral_radius(g).q for g in graphs]
     q[1] += 1e-6
-    details = INVARIANTS["semiregular_equality"](SweepSlice.of(graphs, q))
+    details = INVARIANTS["semiregular_equality"](
+        SweepSlice.of(BoundColumns.from_graphs(graphs), q))
     assert details == [SCALAR_INVARIANTS["semiregular_equality"](GraphCase("", g, x))
                        for g, x in zip(graphs, q)]
     assert [d is None for d in details] == [True, False, True]
@@ -321,10 +323,54 @@ def test_sweep_calls_no_per_graph_view(monkeypatch, c3, star4, two_islands, path
     assert sweep(corpus) == expected
 
 
+def test_batch_paths_build_no_spectral_result(monkeypatch, c3, star4, two_islands,
+                                              path3, arc2):
+    # the sweep and the search read q from the solver's array: with
+    # SpectralResult made to raise, their reports equal the unpatched runs
+    corpus = _oracle_corpus(c3, star4, two_islands, path3, arc2)
+    targets = [PRESETS["g1"], PRESETS["gstar"],
+               ReconstructionTarget(n=4, q=3.3, require_strongly_connected=False)]
+    expected = [sweep(corpus)] + [reconstruct(target) for target in targets]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a batch path built a SpectralResult")
+
+    monkeypatch.setattr(spectral, "SpectralResult", refused)
+    assert [sweep(corpus)] + [reconstruct(target) for target in targets] == expected
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_sweep_raises_the_convergence_error_of_its_first_failing_digraph(
+        monkeypatch, cap, c3, star4):
+    # 50 matvecs close the cycle and the star but neither cycle plus
+    # chord; the sweep names the first of them as spectral_radii does
+    chord = [from_arc_list(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 2)])
+             for n in (20, 30)]
+    graphs = [c3, chord[0], star4, chord[1]]
+    with pytest.raises(spectral.ConvergenceError) as expected:
+        spectral.spectral_radii(graphs, max_iter=50)
+    assert "block size 20" in str(expected.value)
+    if cap is not None:
+        monkeypatch.setattr(bounds, "_SLICE_ARCS", cap)
+    monkeypatch.setattr(verify, "DEFAULT_MAX_ITER", 50)
+    with pytest.raises(spectral.ConvergenceError) as raised:
+        sweep([(f"g{k}", g) for k, g in enumerate(graphs)])
+    assert (str(raised.value), raised.value.lo, raised.value.hi) == (
+        str(expected.value), expected.value.lo, expected.value.hi)
+
+
+def test_sweep_slice_refuses_a_q_that_does_not_fit_its_batch(c3):
+    cols = BoundColumns.from_graphs([c3, c3])
+    for q in ([2.0], [2.0, 2.0, 2.0], 2.0, [[2.0, 2.0]]):
+        with pytest.raises(ValueError, match=r"q must have shape \(2,\)"):
+            SweepSlice.of(cols, q)
+    assert SweepSlice.of(cols, [2.0, 2.0]).q.tolist() == [2.0, 2.0]
+
+
 def test_degree_consistency_reads_the_batch(c3, star4, path3):
     # one corrupted outdegree in the slice's batch fails its digraph alone
     graphs = [c3, star4, path3]
-    s = SweepSlice.of(graphs, [spectral_radius(g).q for g in graphs])
+    s = SweepSlice.of(BoundColumns.from_graphs(graphs), [spectral_radius(g).q for g in graphs])
     s.cols.outdeg[s.cols.vertex_start[1] + 2] += 1
     assert INVARIANTS["degree_consistency"](s) == [
         None, "degree sums disagree with arc count 6", None]
